@@ -73,8 +73,11 @@ def cmd_barcode(args):
 
 
 def cmd_distance(args):
-    B1 = persistence.Barcode.from_json(_load_json(args.first))
-    B2 = persistence.Barcode.from_json(_load_json(args.second))
+    try:
+        B1 = persistence.Barcode.from_json(_load_json(args.first))
+        B2 = persistence.Barcode.from_json(_load_json(args.second))
+    except (KeyError, ValueError) as exc:
+        raise CliError(f"invalid barcode: {exc}", EXIT_PARSE)
     metric = {
         "dint": persistence.interleaving_distance,
         "Dint": persistence.dint_variant,
@@ -89,7 +92,11 @@ def cmd_distance(args):
 
 
 def cmd_conelength(args):
-    C = filtered_complex.FilteredComplex.from_json(_load_json(args.complex))
+    data = _load_json(args.complex)
+    try:
+        C = filtered_complex.FilteredComplex.from_json(data)
+    except (KeyError, ValueError) as exc:
+        raise CliError(f"invalid complex: {exc}", EXIT_PARSE)
     value, dec = filtered_complex.cone_length(C, _frac(args.eps), args.mode)
     print(value)
     if args.output:

@@ -9,6 +9,7 @@ list.  The key algorithms:
   pieces E2(a,b) (db = a) and E1(c) (dc = 0), with the filtered change of
   basis;
 * ``homology_barcode`` -- persistence barcode from the decomposition;
+  ``barcode_by_rank_oracle`` computes it again from ranks alone;
 * ``cone`` / ``internal_hom`` / ``truncate`` -- standard constructions;
 * ``cone_length`` -- the exact count 2#B^{2eps} - dim H^inf together with a
   realizing sequence of weight-0 cone attachments;
@@ -17,6 +18,9 @@ list.  The key algorithms:
 * ``stability_reduce`` -- elimination of short pairs of a split differential
   d + D' where D' drops filtration by >= delta;
 * ``reach_gap`` -- the energy gap R(w, f) by level-wise linear algebra.
+
+All GF(2) elimination (reduction, rank, kernel, solve, inverse) goes through
+``persalg.gf2``.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
+from . import gf2
 from .persistence import (
     INF,
     Bar,
@@ -53,17 +58,6 @@ def _bits(indices) -> int:
     for i in indices:
         v |= 1 << i
     return v
-
-
-def _indices(mask: int) -> list[int]:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
 
 
 class FilteredComplex:
@@ -95,7 +89,7 @@ class FilteredComplex:
     def validate(self):
         n = len(self.gens)
         for i in range(n):
-            for j in _indices(self.dmat[i]):
+            for j in gf2.bits(self.dmat[i]):
                 if self.gens[j].level > self.gens[i].level:
                     raise ValueError(
                         f"differential raises filtration: {self.gens[i].name} -> {self.gens[j].name}")
@@ -105,23 +99,17 @@ class FilteredComplex:
                 elif self.gens[j].degree != self.gens[i].degree + self.d_degree:
                     raise ValueError("differential has wrong degree")
         for i in range(n):
-            acc = 0
-            for j in _indices(self.dmat[i]):
-                acc ^= self.dmat[j]
-            if acc:
+            if self.d_of(self.dmat[i]):
                 raise ValueError(f"d^2 != 0 on generator {self.gens[i].name}")
 
     def d_of(self, vec: int) -> int:
-        acc = 0
-        for i in _indices(vec):
-            acc ^= self.dmat[i]
-        return acc
+        return gf2.apply(self.dmat, vec)
 
     def level_of(self, vec: int) -> Optional[Fraction]:
-        return max((self.gens[i].level for i in _indices(vec)), default=None)
+        return max((self.gens[i].level for i in gf2.bits(vec)), default=None)
 
     def named(self, vec: int) -> list[str]:
-        return [self.gens[i].name for i in _indices(vec)]
+        return [self.gens[i].name for i in gf2.bits(vec)]
 
     # -- serialization -----------------------------------------------------
 
@@ -136,7 +124,7 @@ class FilteredComplex:
             "differential": [
                 {"from": self.gens[i].name, "to": self.gens[j].name}
                 for i in range(len(self.gens))
-                for j in _indices(self.dmat[i])
+                for j in gf2.bits(self.dmat[i])
             ],
         }
 
@@ -146,9 +134,12 @@ class FilteredComplex:
             Gen(rec["name"], int(rec["degree"]), Fraction(rec["level"]))
             for rec in data["generators"]
         ]
+        records = data.get("differential", [])
+        if not isinstance(records, list):
+            raise ValueError("differential must be a list of {from, to} records")
         index = {g.name: i for i, g in enumerate(gens)}
         diff: dict[int, list[int]] = {}
-        for rec in data.get("differential", []):
+        for rec in records:
             diff.setdefault(index[rec["from"]], []).append(index[rec["to"]])
         return FilteredComplex(gens, diff, int(data.get("modulus", 0)),
                                bool(data.get("cohomological", False)))
@@ -219,7 +210,7 @@ class FilteredMap:
     def validate(self):
         for i in range(self.source.dim()):
             gi = self.source.gens[i]
-            for j in _indices(self.mat[i]):
+            for j in gf2.bits(self.mat[i]):
                 gj = self.target.gens[j]
                 if gj.level > gi.level + self.shift:
                     raise ValueError(
@@ -237,10 +228,7 @@ class FilteredMap:
                 raise ValueError(f"not a chain map at generator {self.source.gens[i].name}")
 
     def apply(self, vec: int) -> int:
-        acc = 0
-        for i in _indices(vec):
-            acc ^= self.mat[i]
-        return acc
+        return gf2.apply(self.mat, vec)
 
 
 # -- elementary decomposition -------------------------------------------------
@@ -260,67 +248,62 @@ class ElementaryDecomposition:
     singles: list[tuple[int, Fraction, int]]  # c_vec, vc, deg_c
 
 
+def _level_key(C: FilteredComplex) -> Callable[[Fraction], int]:
+    """An exact integer sort key for the levels of C: each level over their
+    common denominator.  Far cheaper to compare than the Fractions."""
+    scale = math.lcm(*{g.level.denominator for g in C.gens})
+    return lambda level: level.numerator * (scale // level.denominator)
+
+
 def decompose_elementary(C: FilteredComplex) -> ElementaryDecomposition:
     """Filtered Gaussian reduction; ties broken by generator index."""
     n = C.dim()
-    order = sorted(range(n), key=lambda i: (C.gens[i].level, i))
-    pos = {g: p for p, g in enumerate(order)}
-    # columns in position coordinates
-    def to_pos(mask: int) -> int:
-        out = 0
-        for i in _indices(mask):
-            out |= 1 << pos[i]
-        return out
+    # the stable sort breaks ties by index
+    key = _level_key(C)
+    order = sorted(range(n), key=lambda i: key(C.gens[i].level))
+    # the permutations from generator to position coordinates and back
+    to_pos = [0] * n
+    for p, g in enumerate(order):
+        to_pos[g] = 1 << p
+    from_pos = [1 << g for g in order]
 
-    def from_pos(mask: int) -> int:
-        out = 0
-        for p in _indices(mask):
-            out |= 1 << order[p]
-        return out
-
-    R = [to_pos(C.dmat[order[p]]) for p in range(n)]
-    V = [1 << p for p in range(n)]  # change of basis, column style
-    pivot_of_row: dict[int, int] = {}
+    # reduce the columns in level order; the tag of column p is its change
+    # of basis V[p], whose leading bit is p itself
+    ech = gf2.Echelon()
+    zero_cols = []  # (p, V[p]) for the columns that reduce to zero
     for p in range(n):
-        while R[p]:
-            low = R[p].bit_length() - 1
-            q = pivot_of_row.get(low)
-            if q is None:
-                pivot_of_row[low] = p
-                break
-            R[p] ^= R[q]
-            V[p] ^= V[q]
+        r, v = ech.add(gf2.apply(to_pos, C.dmat[order[p]]), 1 << p)
+        if not r:
+            zero_cols.append((p, v))
     pairs = []
     paired_rows = set()
-    paired_cols = set()
-    for low, p in sorted(pivot_of_row.items()):
-        a_vec = from_pos(R[p])
-        b_vec = from_pos(V[p])
+    for low, (r, v) in sorted(ech.pivots.items()):
         a_lead = order[low]
-        b_lead = order[p]
-        pairs.append((a_vec, b_vec, C.gens[a_lead].level, C.gens[b_lead].level,
-                      C.degree_of(a_lead)))
+        b_lead = order[v.bit_length() - 1]
+        pairs.append((gf2.apply(from_pos, r), gf2.apply(from_pos, v),
+                      C.gens[a_lead].level, C.gens[b_lead].level, C.degree_of(a_lead)))
         paired_rows.add(low)
-        paired_cols.add(p)
     singles = []
-    for p in range(n):
-        if p in paired_cols or p in paired_rows:
+    for p, v in zero_cols:
+        if p in paired_rows:
             continue
-        c_vec = from_pos(V[p])
         lead = order[p]
-        singles.append((c_vec, C.gens[lead].level, C.degree_of(lead)))
+        singles.append((gf2.apply(from_pos, v), C.gens[lead].level, C.degree_of(lead)))
     return ElementaryDecomposition(C, pairs, singles)
 
 
 def homology_barcode(C: FilteredComplex) -> Barcode:
-    dec = decompose_elementary(C)
+    return _barcode(decompose_elementary(C))
+
+
+def _barcode(dec: ElementaryDecomposition) -> Barcode:
     bars = []
     for _, _, va, vb, deg in dec.pairs:
         if va < vb:
             bars.append(Bar(va, vb, deg))
     for _, vc, deg in dec.singles:
         bars.append(Bar(vc, INF, deg))
-    return Barcode(tuple(bars), C.modulus)
+    return Barcode(tuple(bars), dec.complex.modulus)
 
 
 def barcode_by_rank_oracle(C: FilteredComplex) -> Barcode:
@@ -364,10 +347,10 @@ def barcode_by_rank_oracle(C: FilteredComplex) -> Barcode:
 def _pers_rank(C: FilteredComplex, deg: int, s, t) -> int:
     """rank of H_deg(C^{<=s}) -> H_deg(C^{<=t})."""
     idx_s = [i for i in range(C.dim()) if C.gens[i].level <= s and C.degree_of(i) == deg]
-    cyc_s = _cycle_basis(C, idx_s)
+    cyc_s = _cycles(C, idx_s)
     bnd_t = [C.dmat[i] for i in range(C.dim())
              if C.gens[i].level <= t and C.dmat[i] and _deg_match(C, i, deg)]
-    return _rank(cyc_s + bnd_t) - _rank(bnd_t)
+    return gf2.rank(cyc_s + bnd_t) - gf2.rank(bnd_t)
 
 
 def _deg_match(C: FilteredComplex, i: int, deg: int) -> bool:
@@ -377,29 +360,10 @@ def _deg_match(C: FilteredComplex, i: int, deg: int) -> bool:
     return d == deg
 
 
-def _cycle_basis(C: FilteredComplex, idx: list[int]) -> list[int]:
-    """Basis of the kernel of d restricted to the span of generators idx."""
-    rows: list[tuple[int, int]] = []  # echelon of (dvec, source vec)
-    basis = []
-    for i in idx:
-        cur_v, cur_d = 1 << i, C.dmat[i]
-        changed = True
-        while cur_d and changed:
-            changed = False
-            for rd, rv in rows:
-                if cur_d.bit_length() == rd.bit_length():
-                    cur_d ^= rd
-                    cur_v ^= rv
-                    changed = True
-        if cur_d:
-            rows.append((cur_d, cur_v))
-        else:
-            basis.append(cur_v)
-    return basis
-
-
-def _rank(vectors: list[int]) -> int:
-    return len(_echelon(list(vectors)))
+def _cycles(C: FilteredComplex, idx: list[int]) -> list[int]:
+    """Basis of the cycles in the span of the generators idx."""
+    lift = [1 << i for i in idx]
+    return [gf2.apply(lift, x) for x in gf2.kernel([C.dmat[i] for i in idx])]
 
 
 # -- truncation ---------------------------------------------------------------
@@ -436,55 +400,11 @@ def truncate(C: FilteredComplex, delta) -> tuple[FilteredComplex, FilteredMap, F
         full.append((b_vec, names.get(f"p{k}_b") if keep else None))
     for k, (c_vec, vc, deg) in enumerate(dec.singles):
         full.append((c_vec, names[f"s{k}"]))
-    # invert the basis matrix over GF(2)
-    n = C.dim()
-    cols = [vec for vec, _ in full]
-    inv = _invert_gf2(cols, n)
-    proj_mat: dict[int, int] = {}
-    for i in range(n):
-        # original e_i = sum_j inv[i][j] newbasis_j; project to kept coords
-        acc = 0
-        for j in _indices(inv[i]):
-            tgt = full[j][1]
-            if tgt is not None:
-                acc ^= 1 << tgt
-        proj_mat[i] = acc
-    projection = FilteredMap(C, V, proj_mat)
+    # original e_i = sum_j inv[i][j] newbasis_j; project to kept coords
+    inv = gf2.invert([vec for vec, _ in full])
+    kept_cols = [0 if tgt is None else 1 << tgt for _, tgt in full]
+    projection = FilteredMap(C, V, {i: gf2.apply(kept_cols, x) for i, x in enumerate(inv)})
     return V, section, projection
-
-
-def _invert_gf2(cols: list[int], n: int) -> list[int]:
-    """Given n column vectors (bitmasks over n rows) forming an invertible
-    matrix M, return the columns of M^{-1}: inv[i] = coordinates of e_i in
-    the new basis."""
-    # solve M x = e_i for each i; gaussian elimination with augmented identity
-    aug = [(cols[j], 1 << j) for j in range(n)]
-    # forward eliminate to echelon by leading bit
-    basis: list[tuple[int, int]] = []
-    for v, c in aug:
-        while v:
-            lead = v.bit_length() - 1
-            hit = next((k for k, (bv, _) in enumerate(basis)
-                        if bv.bit_length() - 1 == lead), None)
-            if hit is None:
-                basis.append((v, c))
-                basis.sort(key=lambda t: t[0].bit_length(), reverse=True)
-                break
-            v ^= basis[hit][0]
-            c ^= basis[hit][1]
-        else:
-            raise ValueError("basis matrix is singular")
-    inv = [0] * n
-    for i in range(n):
-        v, c = 1 << i, 0
-        while v:
-            lead = v.bit_length() - 1
-            hit = next(k for k, (bv, _) in enumerate(basis)
-                       if bv.bit_length() - 1 == lead)
-            v ^= basis[hit][0]
-            c ^= basis[hit][1]
-        inv[i] = c
-    return inv
 
 
 # -- cones and homs -----------------------------------------------------------
@@ -524,7 +444,7 @@ def internal_hom(C: FilteredComplex, D: FilteredComplex) -> FilteredComplex:
     diff: dict[int, list[int]] = {}
     for k, (i, j) in enumerate(pairs):
         rows = []
-        for j2 in _indices(D.dmat[j]):
+        for j2 in gf2.bits(D.dmat[j]):
             rows.append(index[(i, j2)])
         for i2 in range(C.dim()):
             if (C.dmat[i2] >> i) & 1:
@@ -575,11 +495,11 @@ def cone_length(C: FilteredComplex, eps, mode: str = "to_target") -> tuple[int, 
         raise ValueError("eps must be nonnegative")
     if mode not in ("to_target", "to_zero"):
         raise ValueError("mode must be to_target or to_zero")
-    B = homology_barcode(C)
+    dec = decompose_elementary(C)
+    B = _barcode(dec)
     count = bar_count(B, 2 * eps)
     n_inf = sum(1 for b in B.bars if b.infinite)
     value = 2 * count - n_inf
-    dec = decompose_elementary(C)
     items = []  # (level, tiebreak, name, degree)
     for k, (_, _, va, vb, deg) in enumerate(dec.pairs):
         if vb - va > 2 * eps:
@@ -587,7 +507,8 @@ def cone_length(C: FilteredComplex, eps, mode: str = "to_target") -> tuple[int, 
             items.append((vb, 1, f"p{k}_b", deg - C.d_degree))
     for k, (_, vc, deg) in enumerate(dec.singles):
         items.append((vc, 0, f"s{k}", deg))
-    items.sort(key=lambda t: (t[0], t[1]))
+    key = _level_key(C)
+    items.sort(key=lambda t: (key(t[0]), t[1]))
     steps = [ConeStep(nm, lv, dg, Fraction(0)) for lv, _, nm, dg in items]
     if mode == "to_zero":
         steps = steps[::-1]
@@ -655,51 +576,25 @@ def _chain_map_classes(F: FilteredComplex, X: FilteredComplex) -> list[dict[int,
     H = internal_hom(F, X)
     idx = [k for k in range(H.dim()) if H.gens[k].level <= 0 and
            (H.gens[k].degree % H.modulus == 0 if H.modulus else H.gens[k].degree == 0)]
-    cycles = _cycle_basis(H, idx)
+    cycles = _cycles(H, idx)
     # boundaries at level <= 0 in degree 0
-    bnd = [H.dmat[k] for k in range(H.dim())
-           if H.gens[k].level <= 0 and H.dmat[k] and _deg_match(H, k, 0)]
-    combined = _echelon(bnd)
+    combined = gf2.Echelon(H.dmat[k] for k in range(H.dim())
+                           if H.gens[k].level <= 0 and H.dmat[k] and _deg_match(H, k, 0))
     quotient_basis: list[int] = []
     for v in cycles:
-        red = _reduce_against(v, combined)
+        red, _ = combined.add(v)
         if red:
             quotient_basis.append(red)
-            combined.append(red)
     maps = []
-    for bits in range(1 << len(quotient_basis)):
-        v = 0
-        for t in range(len(quotient_basis)):
-            if (bits >> t) & 1:
-                v ^= quotient_basis[t]
+    for choice in range(1 << len(quotient_basis)):
+        v = gf2.apply(quotient_basis, choice)
         # hom generator k encodes the elementary map gen_{k // dim D} -> gen_{k % dim D}
         mat: dict[int, int] = {}
-        for k in _indices(v):
+        for k in gf2.bits(v):
             i, j = divmod(k, X.dim())
             mat[i] = mat.get(i, 0) | (1 << j)
         maps.append(mat)
     return maps
-
-
-def _echelon(vectors: list[int]) -> list[int]:
-    basis = []
-    for v in vectors:
-        v = _reduce_against(v, basis)
-        if v:
-            basis.append(v)
-            basis.sort(key=int.bit_length, reverse=True)
-    return basis
-
-
-def _reduce_against(v: int, basis: list[int]) -> int:
-    changed = True
-    while v and changed:
-        changed = False
-        for b in basis:
-            if b and v.bit_length() == b.bit_length():
-                v ^= b
-                changed = True
-    return v
 
 
 def min_cone_decomposition(target: Barcode, family: Sequence[FilteredComplex],
@@ -809,15 +704,12 @@ def stability_reduce(C: FilteredComplex, dprime: dict[int, Iterable[int]], delta
         Dp[i] = _bits(rows)
     for i in range(n):
         li = C.gens[i].level
-        for j in _indices(Dp[i]):
+        for j in gf2.bits(Dp[i]):
             if C.gens[j].level > li - delta:
                 raise ValueError("D' does not drop filtration by delta")
     D = [C.dmat[i] ^ Dp[i] for i in range(n)]
     for i in range(n):
-        acc = 0
-        for j in _indices(D[i]):
-            acc ^= D[j]
-        if acc:
+        if gf2.apply(D, D[i]):
             raise ValueError("(d + D')^2 != 0")
 
     # change to the d-elementary basis
@@ -832,22 +724,9 @@ def stability_reduce(C: FilteredComplex, dprime: dict[int, Iterable[int]], delta
         d_elem[ib] = [ia]
     for k, (c_vec, vc, deg) in enumerate(dec.singles):
         new_basis.append((f"s{k}", c_vec, vc, deg))
-    cols = [vec for _, vec, _, _ in new_basis]
-    inv = _invert_gf2(cols, n)
-
-    def to_new(vec: int) -> int:
-        acc = 0
-        for i in _indices(vec):
-            acc ^= inv[i]
-        return acc
-
+    inv = gf2.invert([vec for _, vec, _, _ in new_basis])
     m = len(new_basis)
-    D_new = [0] * m
-    for j, (_, vec, _, _) in enumerate(new_basis):
-        img = 0
-        for i in _indices(vec):
-            img ^= D[i]
-        D_new[j] = to_new(img)
+    D_new = [gf2.apply(inv, gf2.apply(D, vec)) for _, vec, _, _ in new_basis]
     d_new = [0] * m
     for j, rows in d_elem.items():
         d_new[j] = _bits(rows)
@@ -902,7 +781,7 @@ def stability_reduce(C: FilteredComplex, dprime: dict[int, Iterable[int]], delta
     diff: dict[int, int] = {}
     for old in alive:
         mask = 0
-        for j in _indices(D_new[old]):
+        for j in gf2.bits(D_new[old]):
             if j in remap:
                 mask |= 1 << remap[j]
             else:
@@ -939,10 +818,8 @@ def reach_gap(w_vec: int, level_r, f: FilteredMap):
     for s in levels:
         src_idx = [i for i in range(S.dim()) if S.gens[i].level <= s]
         tgt_idx = [i for i in range(T.dim()) if T.gens[i].level <= s]
-        cyc = _cycle_basis(S, src_idx)
+        cyc = _cycles(S, src_idx)
         span = [f.apply(v) for v in cyc] + [T.dmat[i] for i in tgt_idx if T.dmat[i]]
-        # is w in the span?
-        basis = _echelon(span)
-        if not _reduce_against(w_vec, basis):
+        if gf2.solve(span, w_vec) is not None:
             return s
     return INF

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from . import gf2
 from .filtered_complex import FilteredComplex, Gen
 from .novikov import NOV_ONE, NovikovElement
 from .persistence import INF
@@ -39,10 +40,6 @@ class ConciseBarcode:
 
     finite: tuple[tuple[Fraction, int], ...]  # (length, degree)
     infinite: tuple[tuple[int, int], ...]  # (degree, count)
-
-    @property
-    def finite_lengths(self) -> list[Fraction]:
-        return sorted(l for l, _ in self.finite)
 
     def infinite_total(self) -> int:
         return sum(c for _, c in self.infinite)
@@ -276,7 +273,7 @@ def express_in_reduction(red: Reduction, w: dict[int, NovikovElement],
     # columns of the linear system: the boundaries d(B_i) and unpaired U_j
     columns: list[tuple[str, object, dict[int, NovikovElement]]] = []
     for bi, aj, _ in red.pairs:
-        vec = _apply_original(C, red.basis[bi])
+        vec = C.apply(red.basis[bi])
         columns.append(("pair", (bi, aj), vec))
     for u in red.unpaired:
         columns.append(("unpaired", u, dict(red.basis[u])))
@@ -338,10 +335,6 @@ def express_in_reduction(red: Reduction, w: dict[int, NovikovElement],
     return pair_coeffs, unp_coeffs
 
 
-def _apply_original(C: FloerComplex, vec: dict[int, NovikovElement]):
-    return C.apply(vec)
-
-
 def death_level(C: FloerComplex, w: dict[int, NovikovElement],
                 working_precision=None):
     """inf{s : w in d(C^{<= s})}, or INF if [w] survives forever.
@@ -355,7 +348,7 @@ def death_level(C: FloerComplex, w: dict[int, NovikovElement],
     if any(bool(q) for q in unp_coeffs.values()):
         return INF
     if not pair_coeffs:
-        return -INF if False else None  # w == 0
+        return None  # w == 0
     out = None
     for (bi, aj), c in pair_coeffs.items():
         if not c:
@@ -500,14 +493,4 @@ def t1_homology_rank(C: FloerComplex) -> int:
             if len(P.exponents) % 2:
                 mask |= 1 << j
         cols.append(mask)
-    rank = 0
-    basis: list[int] = []
-    for v in cols:
-        while v:
-            hit = next((b for b in basis if b.bit_length() == v.bit_length()), None)
-            if hit is None:
-                basis.append(v)
-                rank += 1
-                break
-            v ^= hit
-    return n - 2 * rank
+    return n - 2 * gf2.rank(cols)

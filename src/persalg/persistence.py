@@ -21,7 +21,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable
+
+from . import gf2
 
 INF = float("inf")
 
@@ -79,12 +81,6 @@ class Barcode:
             self.grading_modulus,
         )
 
-    def by_degree(self) -> dict[int, list[Bar]]:
-        out: dict[int, list[Bar]] = {}
-        for b in self.bars:
-            out.setdefault(b.degree, []).append(b)
-        return out
-
     def union(self, other: "Barcode") -> "Barcode":
         if self.grading_modulus != other.grading_modulus:
             raise ValueError("grading modulus mismatch")
@@ -131,10 +127,6 @@ def bar_count(barcode: Barcode, delta, finite_only: bool = False) -> int:
         elif b.length > delta:
             n += 1
     return n
-
-
-def infinite_count(barcode: Barcode) -> int:
-    return sum(1 for b in barcode.bars if b.infinite)
 
 
 # -- matching feasibility ----------------------------------------------------
@@ -463,45 +455,6 @@ def _eta_matrix(bars, shift):
     return [1 if (x.infinite or x.length > shift) else 0 for x in bars]
 
 
-def _solve_gf2(rows: list[list[int]], rhs: list[int]) -> Optional[list[int]]:
-    """Solve A x = b over GF(2); returns one solution or None."""
-    m = len(rows)
-    if m == 0:
-        return []
-    n = len(rows[0]) if rows else 0
-    # packed rows: bit 0 = rhs, bits 1..n = coefficients
-    aug = []
-    for i in range(m):
-        v = rhs[i] & 1
-        for j in range(n):
-            if rows[i][j]:
-                v |= 1 << (j + 1)
-        aug.append(v)
-    pivots = []
-    r = 0
-    for col in range(1, n + 1):
-        pr = None
-        for i in range(r, len(aug)):
-            if (aug[i] >> col) & 1:
-                pr = i
-                break
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        for i in range(len(aug)):
-            if i != r and ((aug[i] >> col) & 1):
-                aug[i] ^= aug[r]
-        pivots.append(col)
-        r += 1
-    for i in range(r, len(aug)):
-        if aug[i] == 1:
-            return None
-    x = [0] * n
-    for i, col in enumerate(pivots):
-        x[col - 1] = aug[i] & 1
-    return x
-
-
 def oracle_interleaving_feasible(B1: Barcode, B2: Barcode, a, b) -> bool:
     """Brute-force: exists phi: S^a B1 -> B2 and psi: S^b B2 -> B1 with both
     composites equal to the structure maps eta_{a+b}.  Enumerates phi over
@@ -533,39 +486,39 @@ def _oracle_slice_feasible(bars1, bars2, a, b, symmetric: bool) -> bool:
         for t, (i, j) in enumerate(pairs_phi):
             if (bits >> t) & 1:
                 phi[(i, j)] = 1
-        # unknowns: psi entries on pairs_psi
-        rows = []
-        rhs = []
+        # unknowns: psi entries on pairs_psi; cols[t] is the set of equations
+        # that entry t enters, rhs the set of equations whose right side is 1
+        cols = [0] * len(pairs_psi)
+        rhs = 0
+        eq = 0
         # psi . S^b phi = eta_{a+b} on B1
         for i in range(n1):
             for k in range(n1):
-                row = [0] * len(pairs_psi)
                 for t, (j, kk) in enumerate(pairs_psi):
                     if kk != k:
                         continue
                     if phi.get((i, j), 0):
                         xs = _shift_bar(bars1[i], a + b)
                         if _hom_nonzero(xs, bars1[k]):
-                            row[t] ^= 1
-                target = eta1[i] if i == k else 0
-                rows.append(row)
-                rhs.append(target)
+                            cols[t] ^= 1 << eq
+                if i == k and eta1[i]:
+                    rhs |= 1 << eq
+                eq += 1
         if symmetric:
             # phi . S^a psi = eta_{a+b} on B2: linear in psi as well
             for j in range(n2):
                 for k in range(n2):
-                    row = [0] * len(pairs_psi)
                     for t, (jj, i) in enumerate(pairs_psi):
                         if jj != j:
                             continue
                         if phi.get((i, k), 0):
                             ys = _shift_bar(bars2[j], a + b)
                             if _hom_nonzero(ys, bars2[k]):
-                                row[t] ^= 1
-                    target = eta2[j] if j == k else 0
-                    rows.append(row)
-                    rhs.append(target)
-        if _solve_gf2(rows, rhs) is not None:
+                                cols[t] ^= 1 << eq
+                    if j == k and eta2[j]:
+                        rhs |= 1 << eq
+                    eq += 1
+        if gf2.solve(cols, rhs) is not None:
             return True
     return False
 

@@ -1,7 +1,10 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction as F
+
+import pytest
 
 from persalg.cli import main
 
@@ -134,7 +137,43 @@ def test_entropy_subcommand(capsys, tmp_path):
 
 
 def test_console_script_installed():
+    # the child imports persalg from where this process does, which may be
+    # pytest's pythonpath rather than an install
     proc = subprocess.run([sys.executable, "-m", "persalg.cli", "oracle",
                            "--kind", "odd_squares", "--precision", "2"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert proc.returncode == 0 and proc.stdout.strip() == "T"
+
+
+E2 = {"modulus": 0,
+      "generators": [{"name": "a", "degree": 0, "level": "0"},
+                     {"name": "b", "degree": 1, "level": "1"}],
+      "differential": [{"from": "b", "to": "a"}]}
+
+
+@pytest.mark.parametrize("argv,content", [
+    (["distance", "{file}", "{good}"],
+     {"modulus": 0, "bars": [{"birth": "1", "death": "0", "degree": 0}]}),
+    (["distance", "{file}", "{good}"],
+     {"modulus": 0, "bars": [{"birth": "1", "degree": 0}]}),
+    (["barcode", "{file}"], {**E2, "differential": {"from": "b", "to": "a"}}),
+    (["conelength", "--eps", "1/4", "{file}"],
+     {**E2, "differential": {"from": "b", "to": "a"}}),
+    (["conelength", "--eps", "1/4", "{file}"],
+     {**E2, "differential": [{"from": "b", "to": "zz"}]}),
+    (["barcode", "{file}"], {**E2, "differential": [{"from": "b", "to": "zz"}]}),
+], ids=["distance-empty-bar", "distance-no-death", "barcode-object-differential",
+        "conelength-object-differential", "conelength-unknown-generator",
+        "barcode-unknown-generator"])
+def test_malformed_input_exits_4(capsys, tmp_path, argv, content):
+    """Malformed input is a parse error: exit 4 with a one-line message."""
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"modulus": 0, "bars": [
+        {"birth": "0", "death": "2", "degree": 0}]}))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(content))
+    args = [a.format(file=bad, good=good) for a in argv]
+    code, out, err = run_cli(args, capsys)
+    assert code == 4
+    assert out == "" and len(err.strip().splitlines()) == 1

@@ -150,7 +150,7 @@ def test_json_round_trip():
 def _window_death_oracle(C, w, radius=F(20), step=F(1, 2)):
     """Brute force: the smallest grid level s with w in d(C^{<= s}), solved
     over Z2 on the grid model (independent of the reduction route)."""
-    from persalg.filtered_complex import _echelon, _reduce_against
+    from persalg import gf2
 
     qs = []
     q = -radius
@@ -188,7 +188,7 @@ def _window_death_oracle(C, w, radius=F(20), step=F(1, 2)):
                     break
             if ok and mask:
                 cols.append(mask)
-        if not _reduce_against(w_vec, _echelon(cols)):
+        if gf2.solve(cols, w_vec) is not None:
             return s
     return float("inf")
 

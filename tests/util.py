@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from persalg import gf2
 from persalg.filtered_complex import (
     FilteredComplex,
     Gen,
@@ -44,26 +45,8 @@ def random_basis_change(rng: random.Random, C: FilteredComplex) -> FilteredCompl
         if C.gens[j].level <= C.gens[i].level and _deg_eq(C, i, j):
             P[i] ^= P[j]
     # new differential: d_new = P^{-1} d P in column form
-    from persalg.filtered_complex import _indices, _invert_gf2
-
-    inv = _invert_gf2(P, n)
-
-    def expand(vec_over_new):
-        out = 0
-        for k in _indices(vec_over_new):
-            out ^= P[k]
-        return out
-
-    def to_new(vec_over_old):
-        out = 0
-        for k in _indices(vec_over_old):
-            out ^= inv[k]
-        return out
-
-    diff = {}
-    for i in range(n):
-        img = C.d_of(P[i])
-        diff[i] = to_new(img)
+    inv = gf2.invert(P)
+    diff = {i: gf2.apply(inv, C.d_of(P[i])) for i in range(n)}
     gens = [Gen(f"h{i}", C.gens[i].degree, C.gens[i].level) for i in range(n)]
     return FilteredComplex(gens, diff, C.modulus, C.cohomological)
 
