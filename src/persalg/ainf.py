@@ -36,17 +36,6 @@ from .novikov_complex import (
 Elem = dict  # {gen name: NovikovElement}
 
 
-def elem(*pairs) -> Elem:
-    out: Elem = {}
-    for name, coeff in pairs:
-        c = coeff if isinstance(coeff, NovikovElement) else NovikovElement.monomial(coeff)
-        if name in out:
-            out[name] = out[name] + c
-        else:
-            out[name] = c
-    return {k: v for k, v in out.items() if v}
-
-
 def elem_add(a: Elem, b: Elem) -> Elem:
     out = dict(a)
     for k, v in b.items():
@@ -153,10 +142,6 @@ class TabulatedAInfCategory:
             cur = self.gen_info[name].level - c.valuation
             lv = cur if lv is None else max(lv, cur)
         return lv
-
-    def degree_of_gen(self, name: str) -> int:
-        d = self.gen_info[name].degree
-        return d % self.modulus if self.modulus else d
 
     def _chain_objects(self, key: tuple) -> list[str]:
         objs = []
@@ -445,14 +430,6 @@ def verify_unit_witness(A: TabulatedAInfCategory, B: Sequence[str], K: str,
 
 
 # -- star product on Cone(mu) ----------------------------------------------------
-
-def cone_tensor_valid(A: TabulatedAInfCategory, B: Sequence[str], K: str,
-                      t: tuple[str, ...]) -> bool:
-    if A.gen_info[t[0]].source != K or A.gen_info[t[-1]].target != K:
-        return False
-    objs = [A.gen_info[g].target for g in t[:-1]]
-    return all(o in B for o in objs)
-
 
 def cone_differential(A: TabulatedAInfCategory, x: dict[tuple, NovikovElement]
                       ) -> dict[tuple, NovikovElement]:
@@ -879,19 +856,6 @@ class _ElementaryPremorphism:
 
     def apply(self, xs: tuple[str, ...], y: str) -> Elem:
         return self._component(tuple(xs) + (y,))
-
-    def apply_elem(self, factors: Sequence[Elem]) -> Elem:
-        out: Elem = {}
-        for combo in itertools.product(*[list(f.items()) for f in factors]):
-            names = tuple(nm for nm, _ in combo)
-            coeff = NOV_ONE
-            for _, c in combo:
-                coeff = coeff * c
-            if not coeff:
-                continue
-            for h, v in self._component(names).items():
-                out[h] = out.get(h, NovikovElement.zero()) + coeff * v
-        return {k: v for k, v in out.items() if v}
 
     def theta(self) -> Elem:
         eL = self.A.units[self.L]

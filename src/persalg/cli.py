@@ -170,13 +170,13 @@ def cmd_hochschild(args):
 
 
 def cmd_entropy(args):
+    eps = _frac(args.eps)
     rows = []
     for k in range(1, args.k_max + 1):
-        C, certified = entropy.dehn_sphere_model(k, _frac(args.eps))
-        count = novikov_complex.bar_count_at(C, 2 * _frac(args.eps))
-        bound = entropy.lower_bound_conelength(
-            [novikov_complex.concise_barcode(C)], Fraction(1), _frac(args.eps))
-        rows.append((k, count, bound))
+        C, _ = entropy.dehn_sphere_model(k, eps)
+        B = novikov_complex.concise_barcode(C)
+        rows.append((k, B.bar_count(2 * eps),
+                     entropy.lower_bound_conelength([B], Fraction(1), eps)))
     est, window = entropy.entropy_estimate([r[1] for r in rows], args.mode)
     lines = ["k,N_k,bound"] + [f"{k},{c},{b}" for k, c, b in rows]
     text = "\n".join(lines)

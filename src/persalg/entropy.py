@@ -213,7 +213,7 @@ def lower_bound_conelength(hom_barcodes: Sequence, k_family: Fraction, eps) -> i
         if isinstance(B, Barcode):
             total += bar_count(B, 2 * eps)
         elif isinstance(B, ConciseBarcode):
-            total += sum(1 for l, _ in B.finite if l > 2 * eps) + B.infinite_total()
+            total += B.bar_count(2 * eps)
         else:
             raise TypeError("expected Barcode or ConciseBarcode")
     return math.ceil(Fraction(k_family) * total)

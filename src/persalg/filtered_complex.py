@@ -37,6 +37,7 @@ from .persistence import (
     Barcode,
     bar_count,
     interleaving_distance,
+    json_list,
     retract_interleaving,
 )
 
@@ -132,14 +133,11 @@ class FilteredComplex:
     def from_json(data: dict) -> "FilteredComplex":
         gens = [
             Gen(rec["name"], int(rec["degree"]), Fraction(rec["level"]))
-            for rec in data["generators"]
+            for rec in json_list(data, "generators")
         ]
-        records = data.get("differential", [])
-        if not isinstance(records, list):
-            raise ValueError("differential must be a list of {from, to} records")
         index = {g.name: i for i, g in enumerate(gens)}
         diff: dict[int, list[int]] = {}
-        for rec in records:
+        for rec in json_list(data, "differential", []):
             diff.setdefault(index[rec["from"]], []).append(index[rec["to"]])
         return FilteredComplex(gens, diff, int(data.get("modulus", 0)),
                                bool(data.get("cohomological", False)))
@@ -715,25 +713,17 @@ def stability_reduce(C: FilteredComplex, dprime: dict[int, Iterable[int]], delta
     # change to the d-elementary basis
     dec = decompose_elementary(C)
     new_basis: list[tuple[str, int, Fraction, int]] = []  # name, vec, level, degree
-    d_elem: dict[int, list[int]] = {}
     for k, (a_vec, b_vec, va, vb, deg) in enumerate(dec.pairs):
-        ia = len(new_basis)
         new_basis.append((f"p{k}_a", a_vec, va, deg))
-        ib = len(new_basis)
         new_basis.append((f"p{k}_b", b_vec, vb, deg - C.d_degree))
-        d_elem[ib] = [ia]
     for k, (c_vec, vc, deg) in enumerate(dec.singles):
         new_basis.append((f"s{k}", c_vec, vc, deg))
     inv = gf2.invert([vec for _, vec, _, _ in new_basis])
-    m = len(new_basis)
     D_new = [gf2.apply(inv, gf2.apply(D, vec)) for _, vec, _, _ in new_basis]
-    d_new = [0] * m
-    for j, rows in d_elem.items():
-        d_new[j] = _bits(rows)
     levels = [lv for _, _, lv, _ in new_basis]
     degrees = [dg for _, _, _, dg in new_basis]
     names = [nm for nm, _, _, _ in new_basis]
-    alive = list(range(m))
+    alive = list(range(len(new_basis)))
     pair_list = []
     for k in range(len(dec.pairs)):
         pair_list.append((2 * k, 2 * k + 1))  # (a index, b index) in new basis

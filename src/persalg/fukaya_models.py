@@ -41,10 +41,6 @@ def chain_add(a: Chain, b: Chain) -> Chain:
     return {k: v for k, v in out.items() if v}
 
 
-def chain_scale(a: Chain, c: NovikovElement) -> Chain:
-    return {k: v * c for k, v in a.items() if v * c}
-
-
 @dataclass(frozen=True)
 class QHElement:
     """Novikov combination of quantum generators with an eigensummand tag."""

@@ -8,6 +8,8 @@ output, so truncation never silently corrupts low-order terms.
 
 from __future__ import annotations
 
+import heapq
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -139,28 +141,48 @@ class NovikovElement:
     def invert(self, precision) -> "NovikovElement":
         """Inverse b with self*b = 1 up to terms of exponent >= precision.
 
-        Writes self = T^v (1 + x) with val(x) > 0 and sums the geometric
-        series for (1+x)^{-1} in characteristic 2.
+        Writes self = T^v (1 + x) with val(x) > 0 and computes c = (1+x)^{-1}
+        below p = min(precision, precision of x) in one pass, exponents in
+        increasing order: c_q = [q == 0] + sum_{e in x} c_{q-e} over Z2.  Only
+        0 and q + e < p with c_q = 1 can be exponents, so only those are
+        visited (as integers over the common denominator of x).
         """
         if not self.exponents:
             raise ZeroDivisionError("cannot invert the zero Novikov element")
-        prec = Fraction(precision)
         v = self.valuation
         if self.precision is None and len(self.exponents) == 1:
             return NovikovElement.monomial(-v)
-        # self * b = (1+x) c exactly, so computing c = (1+x)^{-1} mod T^prec
-        # makes the product correct below the requested precision; x inherits
+        # self * b = (1+x) c exactly, so computing c = (1+x)^{-1} mod T^p
+        # makes the product correct below the requested precision; p includes
         # the input's own truncation bound so the result never overclaims.
-        unit = NovikovElement.one()
-        x_prec = None if self.precision is None else self.precision - v
-        x = NovikovElement(tuple(e - v for e in self.exponents[1:]), x_prec).truncate(prec)
-        c = unit.truncate(prec if x_prec is None else min(prec, x_prec))
-        while True:
-            nxt = (unit + (x * c)).truncate(prec)
-            if nxt == c:
-                break
-            c = nxt
-        return c.scale(-v)
+        p = Fraction(precision)
+        if self.precision is not None:
+            p = min(p, self.precision - v)
+        xs = [e - v for e in self.exponents[1:] if e - v < p]
+        den = math.lcm(*(e.denominator for e in xs))
+        steps = [e.numerator * (den // e.denominator) for e in xs]
+        limit = math.ceil(p * den)  # q < p  <=>  q * den < limit
+        ones: dict[int, None] = {}  # insertion-ordered: increasing exponents
+        seen = {0}
+        heap = [0] if limit > 0 else []
+        while heap:
+            q = heapq.heappop(heap)
+            bit = q == 0
+            for s in steps:
+                if s > q:
+                    break
+                bit ^= (q - s) in ones
+            if not bit:
+                continue
+            ones[q] = None
+            for s in steps:
+                r = q + s
+                if r >= limit:
+                    break
+                if r not in seen:
+                    seen.add(r)
+                    heapq.heappush(heap, r)
+        return NovikovElement(tuple(Fraction(q, den) - v for q in ones), p - v)
 
     # -- formatting --------------------------------------------------------
 

@@ -15,6 +15,7 @@ decision would depend on terms beyond that precision.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -22,7 +23,7 @@ from typing import Sequence
 from . import gf2
 from .filtered_complex import FilteredComplex, Gen
 from .novikov import NOV_ONE, NovikovElement
-from .persistence import INF
+from .persistence import INF, json_list
 
 
 class PrecisionError(RuntimeError):
@@ -46,6 +47,13 @@ class ConciseBarcode:
 
     def generator_count(self) -> int:
         return 2 * len(self.finite) + self.infinite_total()
+
+    def bar_count(self, delta) -> int:
+        """#finite bars of length > delta plus all infinite bars."""
+        delta = Fraction(delta)
+        if delta < 0:
+            raise ValueError("delta must be nonnegative")
+        return sum(1 for l, _ in self.finite if l > delta) + self.infinite_total()
 
 
 class FloerComplex:
@@ -124,10 +132,10 @@ class FloerComplex:
     @staticmethod
     def from_json(data: dict) -> "FloerComplex":
         gens = [Gen(r["name"], int(r["degree"]), Fraction(r["level"]))
-                for r in data["generators"]]
+                for r in json_list(data, "generators")]
         index = {g.name: i for i, g in enumerate(gens)}
         diff: dict[int, dict[int, NovikovElement]] = {}
-        for rec in data.get("differential", []):
+        for rec in json_list(data, "differential", []):
             i, j = index[rec["from"]], index[rec["to"]]
             diff.setdefault(i, {})[j] = NovikovElement.parse(rec["coefficient"])
         return FloerComplex(gens, diff, int(data.get("modulus", 2)))
@@ -168,7 +176,13 @@ class Reduction:
 
 
 def reduce_floer(C: FloerComplex, working_precision=None) -> Reduction:
-    """Two-sided elimination with minimal normalized-valuation pivoting."""
+    """Two-sided elimination with minimal normalized-valuation pivoting.
+
+    The pivot is the alive entry of minimal (nv, i, j).  A heap keeps a key
+    per entry written, skipped when popped stale (i or j dead, entry gone or
+    nv changed); ``rows_at[j]`` lists the rows with an entry at column j, so
+    a pivot touches only those rows.  Each written entry passes ``is_zero``.
+    """
     prec = Fraction(working_precision) if working_precision is not None else _auto_precision(C)
     n = C.dim()
     cols: dict[int, dict[int, NovikovElement]] = {
@@ -177,6 +191,13 @@ def reduce_floer(C: FloerComplex, working_precision=None) -> Reduction:
     basis: dict[int, dict[int, NovikovElement]] = {
         i: {i: NOV_ONE} for i in range(n)
     }
+    rows_at: dict[int, set[int]] = {j: set() for j in range(n)}
+    heap = []
+    for i, row in cols.items():
+        for j, P in row.items():
+            rows_at[j].add(i)
+            heap.append((_norm_val(C, i, j, P), i, j))
+    heapq.heapify(heap)
     alive = set(range(n))
     pairs: list[tuple[int, int, Fraction]] = []
 
@@ -188,36 +209,36 @@ def reduce_floer(C: FloerComplex, working_precision=None) -> Reduction:
                 "entry vanished only up to working precision; increase it")
         return True
 
-    while True:
-        pivot = None
-        for i in sorted(alive):
-            for j, P in cols[i].items():
-                if j not in alive or is_zero(P):
-                    continue
-                nv = _norm_val(C, i, j, P)
-                if pivot is None or (nv, i, j) < pivot[:3]:
-                    pivot = (nv, i, j, P)
-        if pivot is None:
-            break
-        nv, bi, aj, P = pivot
+    while heap:
+        nv, bi, aj = heapq.heappop(heap)
+        P = cols[bi].get(aj)
+        if (bi not in alive or aj not in alive or P is None
+                or _norm_val(C, bi, aj, P) != nv):
+            continue
         pairs.append((bi, aj, nv))
         alive.discard(bi)
         alive.discard(aj)
         Pinv = P.invert(prec + abs(P.valuation))
         residue = {k: Q for k, Q in cols[bi].items() if k != aj and k in alive}
-        for x in list(alive):
+        for x in sorted(rows_at.pop(aj) & alive):
             row = cols[x]
-            Q = row.pop(aj, None)
+            coef = row.pop(aj) * Pinv
             row.pop(bi, None)
-            if Q is not None and not is_zero(Q):
-                coef = Q * Pinv
-                for k, R in residue.items():
-                    row[k] = row.get(k, NovikovElement.zero()) + coef * R
-                # track the column operation on the basis
-                bvec = basis[x]
-                for k, c in basis[bi].items():
-                    bvec[k] = bvec.get(k, NovikovElement.zero()) + coef * c
-            cols[x] = {k: v for k, v in row.items() if not is_zero(v)}
+            for k, R in residue.items():
+                val = row.get(k, NovikovElement.zero()) + coef * R
+                if is_zero(val):
+                    row.pop(k, None)
+                    rows_at[k].discard(x)
+                else:
+                    row[k] = val
+                    rows_at[k].add(x)
+                    heapq.heappush(heap, (_norm_val(C, x, k, val), x, k))
+            # track the column operation on the basis
+            bvec = basis[x]
+            for k, c in basis[bi].items():
+                bvec[k] = bvec.get(k, NovikovElement.zero()) + coef * c
+        for x in rows_at.pop(bi, set()) & alive:
+            cols[x].pop(bi, None)
     return Reduction(C, pairs, sorted(alive), basis)
 
 
@@ -233,11 +254,9 @@ def concise_barcode(C: FloerComplex, working_precision=None) -> ConciseBarcode:
 
 def bar_count_at(C: FloerComplex, delta, working_precision=None) -> int:
     """#finite bars of length > delta plus all infinite bars."""
-    delta = Fraction(delta)
-    if delta < 0:
+    if Fraction(delta) < 0:
         raise ValueError("delta must be nonnegative")
-    B = concise_barcode(C, working_precision)
-    return sum(1 for l, _ in B.finite if l > delta) + B.infinite_total()
+    return concise_barcode(C, working_precision).bar_count(delta)
 
 
 def boundary_depth(C: FloerComplex, working_precision=None) -> Fraction:

@@ -107,12 +107,21 @@ class Barcode:
                 INF if rec["death"] == "inf" else Fraction(rec["death"]),
                 int(rec.get("degree", 0)),
             )
-            for rec in data.get("bars", [])
+            for rec in json_list(data, "bars", [])
         )
         return Barcode(bars, int(data.get("modulus", 0)))
 
 
 EMPTY = Barcode(())
+
+
+def json_list(data: dict, key: str, default=None) -> list:
+    """The list-valued JSON field ``data[key]``, or ``default`` when it is
+    absent and a default is given; ValueError when the field is not a list."""
+    value = data[key] if default is None else data.get(key, default)
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a list of records")
+    return value
 
 
 def bar_count(barcode: Barcode, delta, finite_only: bool = False) -> int:

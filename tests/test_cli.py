@@ -150,6 +150,10 @@ E2 = {"modulus": 0,
       "generators": [{"name": "a", "degree": 0, "level": "0"},
                      {"name": "b", "degree": 1, "level": "1"}],
       "differential": [{"from": "b", "to": "a"}]}
+NOV2 = {"modulus": 2,
+        "generators": [{"name": "a", "degree": 0, "level": "0"},
+                       {"name": "b", "degree": 1, "level": "1"}],
+        "differential": [{"from": "b", "to": "a", "coefficient": "T"}]}
 
 
 @pytest.mark.parametrize("argv,content", [
@@ -163,9 +167,17 @@ E2 = {"modulus": 0,
     (["conelength", "--eps", "1/4", "{file}"],
      {**E2, "differential": [{"from": "b", "to": "zz"}]}),
     (["barcode", "{file}"], {**E2, "differential": [{"from": "b", "to": "zz"}]}),
+    (["distance", "{file}", "{good}"],
+     {"modulus": 0, "bars": {"birth": "0", "death": "1", "degree": 0}}),
+    (["barcode", "{file}"], {**E2, "generators": {"name": "a", "degree": 0, "level": "0"}}),
+    (["barcode", "--novikov", "{file}"],
+     {**NOV2, "generators": {"name": "a", "degree": 0, "level": "0"}}),
+    (["barcode", "--novikov", "{file}"],
+     {**NOV2, "differential": {"from": "b", "to": "a", "coefficient": "T"}}),
 ], ids=["distance-empty-bar", "distance-no-death", "barcode-object-differential",
         "conelength-object-differential", "conelength-unknown-generator",
-        "barcode-unknown-generator"])
+        "barcode-unknown-generator", "distance-object-bars", "barcode-object-generators",
+        "novikov-object-generators", "novikov-object-differential"])
 def test_malformed_input_exits_4(capsys, tmp_path, argv, content):
     """Malformed input is a parse error: exit 4 with a one-line message."""
     good = tmp_path / "good.json"

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -195,3 +196,47 @@ def test_invert_truncated_input_never_overclaims():
     assert b.precision == 5
     prod = a * b
     assert prod.exponents == (F(0),) and prod.precision == 5
+
+
+def _inverse_oracle(exps, precision, want):
+    """(exponents, precision) of the inverse of sum T^e, from the fixed point
+    c = 1 + x c below p over plain sets of Fractions (self = T^v (1 + x))."""
+    v = exps[0]
+    if precision is None and len(exps) == 1:
+        return (-v,), None
+    p = want if precision is None else min(want, precision - v)
+    x = [e - v for e in exps[1:] if e - v < p]
+    one = {F(0)} if p > 0 else set()
+    c = set(one)
+    while True:
+        nxt = set(one)
+        for a in x:
+            for b in c:
+                if a + b < p:
+                    nxt ^= {a + b}
+        if nxt == c:
+            return tuple(sorted(q - v for q in c)), p - v
+        c = nxt
+
+
+def test_invert_against_fixed_point_oracle():
+    rng = random.Random(17)
+
+    def rational(lo, hi, dmax):
+        d = rng.randint(1, dmax)
+        return F(rng.randint(lo * d, hi * d), d)
+
+    for trial in range(300):
+        v = rational(-3, 3, 4)
+        xs = sorted({rational(1, 15, 6) / 3 for _ in range(rng.randint(1, 5))})
+        exps = [v] + [v + x for x in xs]
+        precision = None if trial % 2 else exps[-1] + rational(0, 3, 3) + F(1, 5)
+        want = rational(0, 12, 4)
+        got = NovikovElement(tuple(exps), precision).invert(want)
+        assert (got.exponents, got.precision) == _inverse_oracle(exps, precision, want)
+
+
+def test_invert_exact_monomial_and_truncated_monomial():
+    assert NovikovElement.monomial(F(3, 2)).invert(7) == NovikovElement.monomial(F(-3, 2))
+    b = NovikovElement((F(1),), precision=F(4)).invert(10)
+    assert b.exponents == (F(-1),) and b.precision == 2

@@ -8,15 +8,19 @@ from persalg.novikov import NOV_ONE, NovikovElement as N
 from persalg.novikov_complex import (
     FloerComplex,
     FloerMap,
+    PrecisionError,
+    _norm_val,
     bar_count_at,
     boundary_depth,
     concise_barcode,
     counting_lemma_bound,
     death_level,
     reach_gap_floer,
+    reduce_floer,
     t1_homology_rank,
     z2_window_complex,
 )
+from persalg.entropy import dehn_sphere_model
 from util import random_floer_basis_change
 
 
@@ -235,3 +239,58 @@ def test_reach_gap_shift_compatibility():
     for delta in (F(1, 4), F(1, 2), F(2)):
         shifted = reach_gap_floer({0: NOV_ONE}, delta, make(delta))
         assert base <= shifted + delta
+
+
+def test_reduce_floer_precision_error():
+    """An entry that cancels only up to a precision below half the working
+    precision stops the reduction; at a working precision of 4 it counts as
+    zero."""
+    P = N((F(1),), precision=3)
+    C = FloerComplex([Gen("a1", 0, 0), Gen("a2", 0, 0), Gen("b1", 1, 0), Gen("b2", 1, 0)],
+                     {2: {0: NOV_ONE, 1: P}, 3: {0: NOV_ONE, 1: P}}, 2)
+    with pytest.raises(PrecisionError):
+        reduce_floer(C, 100)
+    red = reduce_floer(C, 4)
+    assert red.pairs == [(2, 0, 0)] and red.unpaired == [1, 3]
+
+
+def test_reduce_floer_dehn_pairs():
+    C, _ = dehn_sphere_model(200)
+    red = reduce_floer(C)
+    assert red.pairs == [(2 * i + 3, 2 * i + 2, F(3, 32)) for i in range(200)]
+    assert red.unpaired == [0, 1]
+
+
+def _brute_force_reduce(C, prec):
+    """The rule of the module docstring, with a full scan for each pivot:
+    cancel the alive entry of minimal (normalized valuation, i, j)."""
+    cols = {i: dict(C.diff.get(i, {})) for i in range(C.dim())}
+    alive = set(range(C.dim()))
+    pairs = []
+    while True:
+        keys = [(_norm_val(C, i, j, P), i, j) for i in alive
+                for j, P in cols[i].items() if j in alive and P]
+        if not keys:
+            return pairs, sorted(alive)
+        nv, bi, aj = min(keys)
+        pairs.append((bi, aj, nv))
+        alive -= {bi, aj}
+        P = cols[bi][aj]
+        Pinv = P.invert(prec + abs(P.valuation))
+        for x in alive:
+            Q = cols[x].pop(aj, None)
+            cols[x].pop(bi, None)
+            if Q:
+                for k, R in cols[bi].items():
+                    if k in alive:
+                        cols[x][k] = cols[x].get(k, N.zero()) + Q * Pinv * R
+            cols[x] = {k: v for k, v in cols[x].items() if v}
+
+
+def test_reduce_floer_against_brute_force_scan():
+    rng = random.Random(29)
+    for _ in range(25):
+        C = random_floer_basis_change(rng, _random_floer(rng, rng.randrange(2, 4)))
+        prec = F(40)
+        red = reduce_floer(C, prec)
+        assert (red.pairs, red.unpaired) == _brute_force_reduce(C, prec)
