@@ -44,7 +44,7 @@ def elem_add(a: Elem, b: Elem) -> Elem:
 
 
 def elem_scale(a: Elem, c: NovikovElement) -> Elem:
-    return {k: v * c for k, v in a.items() if v * c}
+    return {k: p for k, v in a.items() if (p := v * c)}
 
 
 def elem_is_zero(a: Elem) -> bool:
@@ -157,10 +157,9 @@ class TabulatedAInfCategory:
 
     def mu_gens(self, key: tuple[str, ...]) -> Elem:
         """mu_d on a tuple of generators; CoverageError when untabulated."""
-        d = len(key)
-        units_at = [i for i, g in enumerate(key) if g in self.unit_names]
-        if units_at:
-            if d == 2:
+        if not self.unit_names.isdisjoint(key):
+            units_at = [i for i, g in enumerate(key) if g in self.unit_names]
+            if len(key) == 2:
                 other = key[1] if units_at[0] == 0 else key[0]
                 if len(units_at) == 2:
                     # mu_2(e, e) = e
@@ -806,29 +805,10 @@ def _tuples_ending_at(A: TabulatedAInfCategory, L: str, l: int):
             for y in A.hom(obj, L) or []:
                 yield (), y
         return
-    for xs in _composable_chains(A, l):
+    for xs in A._composable_tuples(l):
         tail = A.gen_info[xs[-1]].target
         for y in A.hom(tail, L) or []:
-            yield tuple(xs), y
-
-
-def _composable_chains(A: TabulatedAInfCategory, n: int):
-    by_source: dict[str, list[str]] = {}
-    for name, info in A.gen_info.items():
-        by_source.setdefault(info.source, []).append(name)
-
-    def rec(chain):
-        if len(chain) == n:
-            yield list(chain)
-            return
-        tail = A.gen_info[chain[-1]].target
-        for g in by_source.get(tail, []):
-            chain.append(g)
-            yield from rec(chain)
-            chain.pop()
-
-    for start in sorted(A.gen_info):
-        yield from rec([start])
+            yield xs, y
 
 
 def _eval_tuples(A: TabulatedAInfCategory, L: str, l_max: int):

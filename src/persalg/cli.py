@@ -3,7 +3,8 @@
 Subcommands: barcode, distance, conelength, model, certify, hochschild,
 entropy, morse, oracle.  Rationals cross the boundary as "p/q" strings; the
 only float fields are morse grids and entropy regressions.  Exit codes:
-0 ok, 2 verification failure, 3 coverage gap, 4 parse error.
+0 ok, 2 verification failure, 3 coverage gap, 4 parse error (malformed
+arguments included).
 """
 
 from __future__ import annotations
@@ -27,6 +28,14 @@ class CliError(Exception):
     def __init__(self, message, code):
         super().__init__(message)
         self.code = code
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument errors are parse errors: one line and EXIT_PARSE, not
+    argparse's usage dump and exit 2 (the verification-failure code)."""
+
+    def error(self, message):
+        raise CliError(f"{self.prog}: error: {message}", EXIT_PARSE)
 
 
 def _load_json(path):
@@ -228,7 +237,7 @@ def cmd_oracle(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="persalg", description=__doc__)
+    ap = _Parser(prog="persalg", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("barcode", help="barcode of a filtered/Floer complex")
@@ -299,9 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:
         print(str(exc), file=sys.stderr)

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .ainf import Elem, HomGen, TabulatedAInfCategory
+from .ainf import Elem, HomGen, TabulatedAInfCategory, elem_add
+from .hochschild import chain_level, is_cycle
 from .novikov import NOV_ONE, NovikovElement
 from .novikov_complex import CoverageError
 
@@ -31,13 +32,6 @@ def chain(*terms) -> Chain:
         cc = c if isinstance(c, NovikovElement) else NovikovElement.monomial(c)
         key = tuple(t)
         out[key] = out.get(key, NovikovElement.zero()) + cc
-    return {k: v for k, v in out.items() if v}
-
-
-def chain_add(a: Chain, b: Chain) -> Chain:
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, NovikovElement.zero()) + v
     return {k: v for k, v in out.items() if v}
 
 
@@ -356,9 +350,9 @@ def build_torus_longitudes(N: int, precision=8, h=0, u_strip: int = 1,
     witness: Chain = {}
     for j in range(1, N + 1):
         jn = j % N + 1
-        witness = chain_add(witness, chain(
+        witness = elem_add(witness, chain(
             ((f"axy{j}", f"ayx{jn}", f"axy{jn}", f"ayx{j}"), NOV_ONE)))
-        witness = chain_add(witness, chain(
+        witness = elem_add(witness, chain(
             ((f"e{j}", f"axy{j}", f"ayx{j}"), qht)))
     return FukayaModel(f"torus_longitudes_N{N}", cat, h,
                        ("u", "pt_T2", "s1", "s2"), oc, witness,
@@ -447,17 +441,6 @@ def oc_evaluate(model: FukayaModel, c: Chain) -> QHElement:
     return _qh(out)
 
 
-def chain_level(model: FukayaModel, c: Chain):
-    A = model.category
-    lv = None
-    for t, coeff in c.items():
-        if not coeff:
-            continue
-        cur = sum((A.gen_info[g].level for g in t), Fraction(0)) - coeff.valuation
-        lv = cur if lv is None else max(lv, cur)
-    return lv
-
-
 @dataclass
 class Certificate:
     model: str
@@ -488,8 +471,6 @@ def approximability_certificate(model: FukayaModel, witness: Optional[Chain] = N
     """R(u_d, OC) <= lowest OC exponent + witness level; the family then
     retract-approximates with accuracy R/2 + nu(p) (no nu term for a
     single-Lagrangian family)."""
-    from .hochschild import is_cycle  # local import to avoid a module cycle
-
     w = witness if witness is not None else model.witness
     try:
         cyc = is_cycle(model.category, w)
@@ -503,7 +484,7 @@ def approximability_certificate(model: FukayaModel, witness: Optional[Chain] = N
     if not cu:
         raise ValueError(f"open-closed image does not reach {target}")
     lam = cu.valuation
-    level = chain_level(model, w)
+    level = chain_level(model.category, w)
     r_bound = lam + level
     nu = Fraction(0) if model.single_lagrangian else model.h
     accuracy = Fraction(r_bound, 2) + nu

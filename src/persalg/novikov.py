@@ -16,6 +16,8 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 INF = float("inf")
+_new = object.__new__
+_set = object.__setattr__
 
 _MONOMIAL_RE = re.compile(
     r"""^\s*(?:
@@ -62,16 +64,26 @@ class NovikovElement:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
+    def _make(exps: tuple[Fraction, ...], precision: Optional[Fraction]) -> "NovikovElement":
+        """Trusted constructor: skips ``__post_init__``.  Only for data the
+        class has just built canonically: ``exps`` a strictly increasing tuple
+        of Fractions, all below ``precision`` (a Fraction or None)."""
+        self = _new(NovikovElement)
+        _set(self, "exponents", exps)
+        _set(self, "precision", precision)
+        return self
+
+    @staticmethod
     def zero(precision: Optional[Fraction] = None) -> "NovikovElement":
-        return NovikovElement((), precision)
+        return NovikovElement._make((), None if precision is None else Fraction(precision))
 
     @staticmethod
     def one() -> "NovikovElement":
-        return NovikovElement((Fraction(0),))
+        return NovikovElement._make((Fraction(0),), None)
 
     @staticmethod
     def monomial(exponent) -> "NovikovElement":
-        return NovikovElement((Fraction(exponent),))
+        return NovikovElement._make((Fraction(exponent),), None)
 
     @staticmethod
     def from_exponents(exps: Iterable, precision=None) -> "NovikovElement":
@@ -106,37 +118,55 @@ class NovikovElement:
 
     def __add__(self, other: "NovikovElement") -> "NovikovElement":
         prec = _min_prec(self.precision, other.precision)
+        if not other.exponents and prec == self.precision:
+            return self
+        if not self.exponents and prec == other.precision:
+            return other
         sym = set(self.exponents) ^ set(other.exponents)
-        return NovikovElement(tuple(sorted(sym)), prec)
+        if prec is not None:
+            sym = [e for e in sym if e < prec]
+        return NovikovElement._make(tuple(sorted(sym)), prec)
 
     def __mul__(self, other: "NovikovElement") -> "NovikovElement":
+        a, b = self.exponents, other.exponents
+        if self.precision is None and other.precision is None:
+            # exact factors: zero, the unit T^0 and monomial x monomial
+            if not a or not b:
+                return NOV_ZERO
+            if len(a) == 1:
+                if not a[0]:
+                    return other
+                if len(b) == 1:
+                    return NovikovElement._make((a[0] + b[0],), None)
+            if len(b) == 1 and not b[0]:
+                return self
         # Tightest sound precision: a missing term T^{>=Pa} of self times the
         # lowest term of other first pollutes exponent Pa + val(other); if both
         # factors are truncated their missing tails pollute at Pa + Pb.
         prec = None
-        if self.precision is not None and other.exponents:
-            prec = _min_prec(prec, self.precision + other.valuation)
-        if other.precision is not None and self.exponents:
-            prec = _min_prec(prec, other.precision + self.valuation)
+        if self.precision is not None and b:
+            prec = _min_prec(prec, self.precision + b[0])
+        if other.precision is not None and a:
+            prec = _min_prec(prec, other.precision + a[0])
         if self.precision is not None and other.precision is not None:
             prec = _min_prec(prec, self.precision + other.precision)
         counts: dict[Fraction, int] = {}
-        for a in self.exponents:
-            for b in other.exponents:
-                q = a + b
+        for x in a:
+            for y in b:
+                q = x + y
                 counts[q] = counts.get(q, 0) ^ 1
-        exps = [q for q, c in counts.items() if c]
-        return NovikovElement(tuple(sorted(exps)), prec)
+        exps = [q for q, c in counts.items() if c and (prec is None or q < prec)]
+        return NovikovElement._make(tuple(sorted(exps)), prec)
 
     def scale(self, exponent) -> "NovikovElement":
         """Multiply by the monomial T^exponent."""
         q = Fraction(exponent)
         prec = None if self.precision is None else self.precision + q
-        return NovikovElement(tuple(e + q for e in self.exponents), prec)
+        return NovikovElement._make(tuple(e + q for e in self.exponents), prec)
 
     def truncate(self, precision) -> "NovikovElement":
         prec = _min_prec(self.precision, Fraction(precision))
-        return NovikovElement(tuple(e for e in self.exponents if e < prec), prec)
+        return NovikovElement._make(tuple(e for e in self.exponents if e < prec), prec)
 
     def invert(self, precision) -> "NovikovElement":
         """Inverse b with self*b = 1 up to terms of exponent >= precision.
@@ -151,7 +181,7 @@ class NovikovElement:
             raise ZeroDivisionError("cannot invert the zero Novikov element")
         v = self.valuation
         if self.precision is None and len(self.exponents) == 1:
-            return NovikovElement.monomial(-v)
+            return NovikovElement._make((-v,), None)
         # self * b = (1+x) c exactly, so computing c = (1+x)^{-1} mod T^p
         # makes the product correct below the requested precision; p includes
         # the input's own truncation bound so the result never overclaims.
@@ -182,7 +212,7 @@ class NovikovElement:
                 if r not in seen:
                     seen.add(r)
                     heapq.heappush(heap, r)
-        return NovikovElement(tuple(Fraction(q, den) - v for q in ones), p - v)
+        return NovikovElement._make(tuple(Fraction(q, den) - v for q in ones), p - v)
 
     # -- formatting --------------------------------------------------------
 

@@ -189,3 +189,28 @@ def test_malformed_input_exits_4(capsys, tmp_path, argv, content):
     code, out, err = run_cli(args, capsys)
     assert code == 4
     assert out == "" and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["morse", "--K", "abc", "--delta", "1", "--eta", "1"],
+    ["entropy", "--k-max", "abc"],
+    ["certify", "--model", "sphere", "--N", "x"],
+    ["certify", "--model", "single", "--h", "abc"],
+    ["model", "--model", "torus", "--precision", "x"],
+    ["hochschild", "--model", "single", "--h", "1/0"],
+    ["entropy", "--eps", "zz"],
+    ["oracle", "--kind", "theta", "--beta", "q"],
+], ids=["morse-float", "entropy-int", "certify-int", "certify-h", "model-precision",
+        "hochschild-h", "entropy-eps", "oracle-beta"])
+def test_malformed_arguments_exit_4(capsys, argv):
+    """Malformed arguments, argparse's or ours, exit 4 with a one-line message."""
+    code, out, err = run_cli(argv, capsys)
+    assert code == 4
+    assert out == "" and len(err.strip().splitlines()) == 1
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["morse", "--help"])
+    assert exc.value.code == 0
+    assert "--delta" in capsys.readouterr().out

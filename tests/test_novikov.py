@@ -240,3 +240,87 @@ def test_invert_exact_monomial_and_truncated_monomial():
     assert NovikovElement.monomial(F(3, 2)).invert(7) == NovikovElement.monomial(F(-3, 2))
     b = NovikovElement((F(1),), precision=F(4)).invert(10)
     assert b.exponents == (F(-1),) and b.precision == 2
+
+
+def _canonical(r):
+    exps, prec = r.exponents, r.precision
+    assert type(exps) is tuple and all(type(e) is F for e in exps)
+    assert all(a < b for a, b in zip(exps, exps[1:]))
+    assert prec is None or (type(prec) is F and all(e < prec for e in exps))
+    assert r == NovikovElement(exps, prec)
+    return set(exps), prec
+
+
+def _oracle_add(x, y):
+    (a, pa), (b, pb) = x, y
+    p = min((q for q in (pa, pb) if q is not None), default=None)
+    return {e for e in a ^ b if p is None or e < p}, p
+
+
+def _oracle_mul(x, y):
+    (a, pa), (b, pb) = x, y
+    bounds = []
+    if pa is not None and b:
+        bounds.append(pa + min(b))
+    if pb is not None and a:
+        bounds.append(pb + min(a))
+    if pa is not None and pb is not None:
+        bounds.append(pa + pb)
+    p = min(bounds, default=None)
+    out = set()
+    for s in a:
+        for t in b:
+            out ^= {s + t}
+    return {e for e in out if p is None or e < p}, p
+
+
+def test_arithmetic_against_set_oracle():
+    """Sums, products, scale and truncate (trusted constructor, exact fast
+    paths) equal a plain-set oracle and are canonical."""
+    rng = random.Random(23)
+
+    def rational(lo, hi, dmax):
+        d = rng.randint(1, dmax)
+        return F(rng.randint(lo * d, hi * d), d)
+
+    def element():
+        kind = rng.randrange(8)
+        if kind == 0:
+            return NovikovElement.zero(rational(-2, 4, 3) if rng.random() < 0.5 else None)
+        if kind == 1:
+            return NovikovElement.one()
+        if kind == 2:
+            return NovikovElement.monomial(rational(-3, 3, 4))
+        exps = sorted({rational(-3, 3, 4) for _ in range(rng.randint(0, 5))})
+        if rng.random() < 0.3:
+            exps = sorted(set(exps) | {F(0)})
+        prec = rational(-2, 5, 3) if rng.random() < 0.4 else None
+        return NovikovElement(tuple(exps), prec)
+
+    assert _canonical(NovikovElement.zero()) == (set(), None)
+    assert _canonical(NovikovElement.zero(3)) == (set(), F(3))
+    assert _canonical(NovikovElement.one()) == ({F(0)}, None)
+    assert _canonical(NovikovElement.monomial("1/2")) == ({F(1, 2)}, None)
+    for _ in range(500):
+        x, y = element(), element()
+        sx, sy = _canonical(x), _canonical(y)
+        assert _canonical(x + y) == _oracle_add(sx, sy)
+        assert _canonical(x * y) == _oracle_mul(sx, sy)
+        assert _canonical(y * x) == _oracle_mul(sy, sx)
+        q = rational(-2, 2, 6)
+        p = sx[1]
+        assert _canonical(x.scale(q)) == ({e + q for e in sx[0]},
+                                          None if p is None else p + q)
+        p = q if sx[1] is None else min(sx[1], q)
+        assert _canonical(x.truncate(q)) == ({e for e in sx[0] if e < p}, p)
+        if x:
+            _canonical(x.invert(rational(0, 6, 4)))
+
+
+def test_public_constructor_validates():
+    with pytest.raises(ValueError):
+        NovikovElement((1, 1))
+    a = NovikovElement((F(3),), 2)
+    assert a.exponents == () and a.precision == F(2) and type(a.precision) is F
+    b = NovikovElement((2, F(1, 2), 0))
+    assert b.exponents == (F(0), F(1, 2), F(2)) and all(type(e) is F for e in b.exponents)
