@@ -122,17 +122,17 @@ def cmd_conelength(args):
 
 
 def _build_model(args):
-    h = _frac(args.h)
+    h, precision = _frac(args.h), _frac(args.precision)
     if args.model == "single":
         return fukaya_models.build_single_equator(h)
     if args.model == "sphere":
         return fukaya_models.build_sphere(args.N, h)
     if args.model == "torus":
-        return fukaya_models.build_torus_bxy(_frac(args.precision), h)
+        return fukaya_models.build_torus_bxy(precision, h)
     if args.model == "torus-longitudes":
-        return fukaya_models.build_torus_longitudes(args.N, _frac(args.precision), h)
+        return fukaya_models.build_torus_longitudes(args.N, precision, h)
     if args.model == "torus-grid":
-        return fukaya_models.build_torus_grid(args.N, _frac(args.precision), h)
+        return fukaya_models.build_torus_grid(args.N, precision, h)
     raise CliError(f"unknown model {args.model}", EXIT_PARSE)
 
 

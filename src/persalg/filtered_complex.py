@@ -724,9 +724,6 @@ def stability_reduce(C: FilteredComplex, dprime: dict[int, Iterable[int]], delta
     degrees = [dg for _, _, _, dg in new_basis]
     names = [nm for nm, _, _, _ in new_basis]
     alive = list(range(len(new_basis)))
-    pair_list = []
-    for k in range(len(dec.pairs)):
-        pair_list.append((2 * k, 2 * k + 1))  # (a index, b index) in new basis
 
     def eliminate(ia: int, ib: int):
         """Cancel the D-pair (a' = D(b), b) from the alive complex."""
@@ -752,19 +749,12 @@ def stability_reduce(C: FilteredComplex, dprime: dict[int, Iterable[int]], delta
     def is_short(gap) -> bool:
         return gap <= eps if eps is not None else gap < delta
 
-    changed = True
-    while changed:
-        changed = False
-        best = None
-        for (ia, ib) in pair_list:
-            if ia in alive and ib in alive:
-                gap = levels[ib] - levels[ia]
-                if is_short(gap) and (best is None or gap < best[0]):
-                    best = (gap, ia, ib)
-        if best is not None:
-            _, ia, ib = best
-            eliminate(ia, ib)
-            changed = True
+    # The d-pairs are (a, b) = (2k, 2k+1) in the new basis.  Levels never
+    # change and the pairs are disjoint, so eliminating the shortest remaining
+    # short pair, round after round, is one pass in (gap, index) order.
+    gaps = [(levels[2 * k + 1] - levels[2 * k], 2 * k) for k in range(len(dec.pairs))]
+    for _, ia in sorted(g for g in gaps if is_short(g[0])):
+        eliminate(ia, ia + 1)
 
     remap = {old: new for new, old in enumerate(alive)}
     gens = [Gen(names[i], degrees[i], levels[i]) for i in alive]

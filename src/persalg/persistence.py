@@ -11,14 +11,20 @@ grading modulus.  Four distances are provided:
 * ``retract_interleaving`` -- the one-sided retract variant;
 * ``shift_invariant`` -- the shift-stabilized version of any of the above.
 
-Matching-based values are certified against a brute-force interleaving
-oracle (`oracle` submodule functions below) that enumerates morphisms of the
-underlying interval modules over GF(2).
+The distances run on integers: both barcodes' finite endpoints are scaled
+by one S = 2 * lcm(denominators), and only the result becomes a Fraction.
+Each feasibility test is one bipartite matching (``_matching``, iterative).
+For fixed a, (a,b)-feasibility is monotone in b (the window [-b, a] and the
+threshold a+b only relax as b grows), so ``dint_variant`` binary-searches b.
+Values are certified against brute-force oracles (``oracle_*`` below) that
+enumerate GF(2) morphisms on Fractions, off the integer path and matcher.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -138,7 +144,217 @@ def bar_count(barcode: Barcode, delta, finite_only: bool = False) -> int:
     return n
 
 
-# -- matching feasibility ----------------------------------------------------
+def _degree_slices(B1: Barcode, B2: Barcode):
+    if B1.grading_modulus != B2.grading_modulus:
+        raise ValueError("grading modulus mismatch")
+    degs = set(b.degree for b in B1.bars) | set(b.degree for b in B2.bars)
+    for d in sorted(degs):
+        yield ([b for b in B1.bars if b.degree == d],
+               [b for b in B2.bars if b.degree == d])
+
+
+# -- distances on integers ---------------------------------------------------
+# An integer bar is (S*birth, S*death), death None when the bar is infinite.
+# Every scaled endpoint is even, so half lengths and midpoints are integers.
+
+def _int_slices(B1: Barcode, B2: Barcode):
+    """The common scale S = 2 * lcm(denominators) and the degree slices as
+    lists of integer bars, sorted by birth."""
+    S = 2 * math.lcm(*{q.denominator for x in B1.bars + B2.bars
+                       for q in (x.birth, x.death) if isinstance(q, Fraction)})
+
+    def ints(bars):
+        return [(x.birth.numerator * (S // x.birth.denominator),
+                 x.death.numerator * (S // x.death.denominator)
+                 if isinstance(x.death, Fraction) else None) for x in bars]
+    return S, [(ints(s1), ints(s2)) for s1, s2 in _degree_slices(B1, B2)]
+
+
+def _matching(adj: list[list[int]], n_right: int) -> list[int]:
+    """Maximum bipartite matching: left vertex u may take the right vertices
+    adj[u].  Each left vertex takes a free one if it can, else searches an
+    augmenting path (Kuhn) on an explicit stack.  Returns match, with
+    match[v] the left vertex matched to v, or -1."""
+    match = [-1] * n_right
+    for root in range(len(adj)):
+        v = next((v for v in adj[root] if match[v] == -1), None)
+        if v is not None:
+            match[v] = root
+            continue
+        seen, lefts, edges, rights = set(), [root], [iter(adj[root])], []
+        while edges:
+            v = next((v for v in edges[-1] if v not in seen), None)
+            if v is None:  # no augmenting path through lefts[-1]
+                del lefts[-1], edges[-1], rights[-1:]
+                continue
+            seen.add(v)
+            rights.append(v)
+            if match[v] == -1:  # augment along the path
+                for u, w in zip(lefts, rights):
+                    match[w] = u
+                break
+            lefts.append(match[v])
+            edges.append(iter(adj[match[v]]))
+    return match
+
+
+def _saturated(adj: list[list[int]], n_right: int) -> bool:
+    """Does a maximum matching cover every left vertex?"""
+    return _matching(adj, n_right).count(-1) == n_right - len(adj)
+
+
+def _adjacency(bars1, bars2, a: int, b: int, retract: bool = False):
+    """For each bar of bars1 longer than a+b, the bars of bars2 it may be
+    matched to: deviations bar2 - bar1 in [-b, a] at the birth, and at the
+    death when both are finite; infinite goes with infinite only.  With
+    ``retract`` (a = b = r), each bar must also be alive r after the other's
+    birth, so that eta_{2r} factors through the pair."""
+    births = [w for w, _ in bars2]
+    adj = []
+    for u, v in bars1:
+        window = range(bisect_left(births, u - b), bisect_right(births, u + a))
+        if v is None:
+            adj.append([j for j in window if bars2[j][1] is None])
+        elif v - u > a + b:
+            adj.append([j for j in window
+                        if (z := bars2[j][1]) is not None and -b <= z - v <= a
+                        and (not retract or u + a < z and bars2[j][0] + b < v)])
+    return adj
+
+
+def _feasible(slices, a: int, b: int) -> bool:
+    """Matching test for an (a,b)-interleaving on every degree slice.  Bars
+    of length <= a+b may stay unmatched; by Mendelsohn-Dulmage it suffices
+    that each side's long bars admit a one-sided matching into the other."""
+    return all(_saturated(_adjacency(s1, s2, a, b), len(s2)) and
+               _saturated(_adjacency(s2, s1, b, a), len(s1)) for s1, s2 in slices)
+
+
+def _turn_on(s1, s2) -> list[int]:
+    """Where a matching test on the slice can turn from false to true: 0,
+    half a bar length (the bar may stay unmatched) and, for each pair that
+    may be matched, its larger endpoint deviation (the edge appears)."""
+    return sorted({0} | {(v - u) // 2 for u, v in s1 + s2 if v is not None} |
+                  {abs(w - u) if v is None else max(abs(w - u), abs(z - v))
+                   for u, v in s1 for w, z in s2 if (v is None) == (z is None)})
+
+
+def _least(cands: list[int], feasible: Callable):
+    """The least of the sorted cands passing a test that is monotone along
+    them, or None: the largest is tested first, then binary search."""
+    if cands and feasible(cands[-1]):
+        return cands[bisect_left(cands, True, 0, len(cands) - 1, key=feasible)]
+    return None
+
+
+def interleaving_distance(B1: Barcode, B2: Barcode):
+    """Bottleneck distance of the degree-split diagrams; inf on mismatch of
+    semi-infinite bar counts (then no eps is feasible).  Feasibility is
+    monotone in eps, so each slice binary-searches its turn-on values."""
+    S, slices = _int_slices(B1, B2)
+    worst = 0
+    for sl in slices:
+        best = _least(_turn_on(*sl), lambda e: _feasible([sl], e, e))
+        if best is None:
+            return INF
+        worst = max(worst, best)
+    return Fraction(worst, S)
+
+
+def dint_variant(B1: Barcode, B2: Barcode):
+    """Infimal a+b over asymmetric (a,b)-interleavings, (a, b) common to all
+    degrees, over the oracle's candidates: a and b at an endpoint difference
+    or 0, or a+b at a bar length.  Each a binary-searches its least feasible
+    b (monotone in b, see above); the scan stops once a >= best."""
+    S, slices = _int_slices(B1, B2)
+    if any(sum(v is None for _, v in s1) != sum(v is None for _, v in s2)
+           for s1, s2 in slices):
+        return INF
+    bars1 = [x for s1, _ in slices for x in s1]
+    bars2 = [y for _, s2 in slices for y in s2]
+    base = {0} | {abs(w - u) for u, _ in bars1 for w, _ in bars2} | {
+        abs(z - v) for _, v in bars1 for _, z in bars2 if v is not None and z is not None}
+    lengths = {v - u for u, v in bars1 + bars2 if v is not None}
+    best = None
+    for a in sorted(base | {L - c for c in base for L in lengths if L >= c}):
+        if best is not None and a >= best:
+            break
+        tight = {L - a for L in lengths if L >= a}  # b with a+b a bar length
+        bs = base | tight if a in base else base & tight
+        b = _least(sorted(b for b in bs if best is None or a + b < best),
+                   lambda b: _feasible(slices, a, b))
+        if b is not None:
+            best = a + b
+    return INF if best is None else Fraction(best, S)
+
+
+def retract_interleaving(R: Barcode, X: Barcode):
+    """Infimal r allowing phi: S^r R -> X, psi: S^r X -> R with
+    psi . S^r phi = eta_{2r}; computed by the one-sided matching criterion
+    (every R-bar of length > 2r injects into an r-compatible X-bar).
+    Feasibility is not monotone in r (the overlap conditions tighten), so
+    each slice scans its turn-on values in order."""
+    S, slices = _int_slices(R, X)
+    worst = 0
+    for sR, sX in slices:
+        best = next((r for r in _turn_on(sR, sX) if
+                     _saturated(_adjacency(sR, sX, r, r, retract=True), len(sX))), None)
+        if best is None:
+            return INF
+        worst = max(worst, best)
+    return Fraction(worst, S)
+
+
+def shift_invariant(metric: Callable, B1: Barcode, B2: Barcode):
+    """inf over global shifts s of metric(S^s B1, B2); the shifts tried are
+    the endpoint differences and the midpoints of any two of them."""
+    S, slices = _int_slices(B1, B2)
+    ends1 = [q for s1, _ in slices for x in s1 for q in x if q is not None]
+    ends2 = [q for _, s2 in slices for x in s2 for q in x if q is not None]
+    base = sorted({0} | {q - p for p in ends1 for q in ends2})
+    cands = set(base) | {(u + v) // 2 for u, v in itertools.combinations(base, 2)}
+    best = INF
+    for s in sorted(cands):
+        val = metric(B1.shift(Fraction(s, S)), B2)
+        if val < best:
+            best = val
+    return best
+
+
+def spectral_range(B: Barcode):
+    """max birth - min birth over semi-infinite bars."""
+    births = [b.birth for b in B.bars if b.infinite]
+    if not births:
+        raise ValueError("barcode has no semi-infinite bars")
+    return max(births) - min(births)
+
+
+def retract_complement(R: Barcode, X: Barcode, eps) -> Barcode:
+    """A barcode K with d_int(R + K, X) < 2*eps, given d_rint(R, X) < eps:
+    the X-bars left free by a retract matching at d_rint(R, X)."""
+    eps = Fraction(eps)
+    r = retract_interleaving(R, X)
+    if not r < eps:
+        raise ValueError(f"retract_interleaving(R,X) = {r} is not < eps = {eps}")
+    S, slices = _int_slices(R, X)
+    r = r.numerator * (S // r.denominator)
+    leftover: list[Bar] = []
+    for (sR, sX), (_, barsX) in zip(slices, _degree_slices(R, X)):
+        adj = _adjacency(sR, sX, r, r, retract=True)
+        match = _matching(adj, len(sX))
+        if match.count(-1) != len(sX) - len(adj):
+            raise AssertionError("matching disappeared below certified r")
+        leftover.extend(y for y, u in zip(barsX, match) if u == -1)
+    return Barcode(tuple(leftover), X.grading_modulus)
+
+
+# -- chain-level brute-force oracle ------------------------------------------
+#
+# Interval modules over GF(2): a morphism [b1,d1) -> [b2,d2) of degree-equal
+# bars is nonzero iff b2 <= b1 < d2 <= d1.  Morphisms of barcodes are GF(2)
+# matrices supported on such pairs; compositions are matrix products with a
+# reachability filter.  The oracle enumerates phi and solves linearly for psi.
+
 
 def _abs_diff(x, y):
     if x == INF and y == INF:
@@ -146,60 +362,6 @@ def _abs_diff(x, y):
     if x == INF or y == INF:
         return INF
     return abs(x - y)
-
-
-def _bipartite_match(adj: list[list[int]], n_right: int) -> int:
-    """Maximum bipartite matching size (augmenting paths; tiny instances)."""
-    match_r = [-1] * n_right
-
-    def try_kuhn(u, seen):
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                if match_r[v] == -1 or try_kuhn(match_r[v], seen):
-                    match_r[v] = u
-                    return True
-        return False
-
-    size = 0
-    for u in range(len(adj)):
-        if try_kuhn(u, [False] * n_right):
-            size += 1
-    return size
-
-
-def _match_ok(x: Bar, y: Bar, a, b) -> bool:
-    """Endpoint constraints for matching x in B1 with y in B2 under an
-    (a,b)-interleaving: deviations y-x lie in [-b, a] at both endpoints."""
-    if not -b <= y.birth - x.birth <= a:
-        return False
-    if x.infinite and y.infinite:
-        return True
-    if x.infinite or y.infinite:
-        return False
-    return -b <= y.death - x.death <= a
-
-
-def _interleaving_feasible(bars1: list[Bar], bars2: list[Bar], a, b) -> bool:
-    """Matching test for an asymmetric (a,b)-interleaving of one degree slice.
-
-    Matched bars must satisfy birth/death deviations within [-b, a] (maps go
-    forward by <= a, backward by <= b); unmatched bars need length <= a+b.
-    By Mendelsohn-Dulmage it suffices that each side's long bars admit a
-    one-sided matching into the other side.
-    """
-    thresh = a + b
-    need1 = [i for i, x in enumerate(bars1) if x.length > thresh]
-    need2 = [j for j, y in enumerate(bars2) if y.length > thresh]
-    adj = []
-    for i in need1:
-        adj.append([j for j, y in enumerate(bars2) if _match_ok(bars1[i], y, a, b)])
-    if _bipartite_match(adj, len(bars2)) < len(need1):
-        return False
-    adj2 = []
-    for j in need2:
-        adj2.append([i for i, x in enumerate(bars1) if _match_ok(x, bars2[j], a, b)])
-    return _bipartite_match(adj2, len(bars1)) == len(need2)
 
 
 def _candidate_epsilons(bars1, bars2):
@@ -220,59 +382,6 @@ def _candidate_epsilons(bars1, bars2):
             if d != INF:
                 cands.add(d)
     return sorted(cands)
-
-
-def _degree_slices(B1: Barcode, B2: Barcode):
-    if B1.grading_modulus != B2.grading_modulus:
-        raise ValueError("grading modulus mismatch")
-    degs = set(b.degree for b in B1.bars) | set(b.degree for b in B2.bars)
-    for d in sorted(degs):
-        yield (
-            [b for b in B1.bars if b.degree == d],
-            [b for b in B2.bars if b.degree == d],
-        )
-
-
-def interleaving_distance(B1: Barcode, B2: Barcode):
-    """Bottleneck distance of the degree-split diagrams; inf on mismatch of
-    semi-infinite bar counts."""
-    worst = Fraction(0)
-    for bars1, bars2 in _degree_slices(B1, B2):
-        if sum(1 for b in bars1 if b.infinite) != sum(1 for b in bars2 if b.infinite):
-            return INF
-        cands = _candidate_epsilons(bars1, bars2)
-        lo, hi = 0, len(cands) - 1
-        best = None
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            if _interleaving_feasible(bars1, bars2, cands[mid], cands[mid]):
-                best = cands[mid]
-                hi = mid - 1
-            else:
-                lo = mid + 1
-        if best is None:
-            return INF
-        worst = max(worst, best)
-    return worst
-
-
-def dint_variant(B1: Barcode, B2: Barcode):
-    """Infimal a+b over asymmetric (a,b)-interleavings.
-
-    The pair (a, b) is common to all degrees, so candidates are collected
-    globally and feasibility is required on every degree slice.
-    """
-    slices = list(_degree_slices(B1, B2))
-    for bars1, bars2 in slices:
-        if sum(1 for b in bars1 if b.infinite) != sum(1 for b in bars2 if b.infinite):
-            return INF
-    best = None
-    for a, b in _candidate_ab(list(B1.bars), list(B2.bars)):
-        if best is not None and a + b >= best:
-            continue
-        if all(_interleaving_feasible(s1, s2, a, b) for s1, s2 in slices):
-            best = a + b
-    return INF if best is None else best
 
 
 def _candidate_ab(bars1, bars2):
@@ -302,24 +411,6 @@ def _candidate_ab(bars1, bars2):
     return sorted(cands, key=lambda ab: (ab[0] + ab[1], ab))
 
 
-def retract_interleaving(R: Barcode, X: Barcode):
-    """Infimal r allowing phi: S^r R -> X, psi: S^r X -> R with
-    psi . S^r phi = eta_{2r}; computed by the one-sided matching criterion
-    (every R-bar of length > 2r injects into an r-compatible X-bar)."""
-    worst = Fraction(0)
-    for barsR, barsX in _degree_slices(R, X):
-        cands = _retract_candidates(barsR, barsX)
-        best = None
-        for r in cands:
-            if _retract_feasible(barsR, barsX, r):
-                best = r
-                break
-        if best is None:
-            return INF
-        worst = max(worst, best)
-    return worst
-
-
 def _retract_candidates(barsR, barsX):
     cands = {Fraction(0)}
     for x in barsR:
@@ -338,98 +429,6 @@ def _retract_candidates(barsR, barsX):
             if x.death != INF and x.death - y.birth >= 0:
                 cands.add(x.death - y.birth)
     return sorted(c for c in cands if c >= 0)
-
-
-def _retract_compatible(I: Bar, J: Bar, r) -> bool:
-    """Can eta_{2r} on I factor through J with shifts r on both sides?"""
-    if _abs_diff(I.birth, J.birth) > r:
-        return False
-    if _abs_diff(I.death, J.death) > r:
-        return False
-    # nonvanishing of both maps: S^r I overlaps J at the required end
-    if not (J.death == INF or I.birth + r < J.death):
-        return False
-    if not (I.death == INF or J.birth + r < I.death):
-        return False
-    return True
-
-
-def _retract_feasible(barsR, barsX, r) -> bool:
-    need = [i for i, x in enumerate(barsR) if x.length > 2 * r]
-    adj = []
-    for i in need:
-        adj.append(
-            [j for j, y in enumerate(barsX) if _retract_compatible(barsR[i], y, r)]
-        )
-    return _bipartite_match(adj, len(barsX)) == len(need)
-
-
-def shift_invariant(metric: Callable, B1: Barcode, B2: Barcode):
-    """inf over global shifts s of metric(S^s B1, B2)."""
-    diffs = {Fraction(0)}
-    for x in B1.bars:
-        for y in B2.bars:
-            for u, v in ((x.birth, y.birth), (x.death, y.death), (x.birth, y.death), (x.death, y.birth)):
-                if u != INF and v != INF:
-                    diffs.add(v - u)
-    base = sorted(diffs)
-    cands = set(base)
-    for u, v in itertools.combinations(base, 2):
-        cands.add((u + v) / 2)
-    best = INF
-    for s in sorted(cands):
-        val = metric(B1.shift(s), B2)
-        if val < best:
-            best = val
-    return best
-
-
-def spectral_range(B: Barcode):
-    """max birth - min birth over semi-infinite bars."""
-    births = [b.birth for b in B.bars if b.infinite]
-    if not births:
-        raise ValueError("barcode has no semi-infinite bars")
-    return max(births) - min(births)
-
-
-def retract_complement(R: Barcode, X: Barcode, eps) -> Barcode:
-    """A barcode K with d_int(R + K, X) < 2*eps, given d_rint(R, X) < eps."""
-    eps = Fraction(eps)
-    r = retract_interleaving(R, X)
-    if not r < eps:
-        raise ValueError(f"retract_interleaving(R,X) = {r} is not < eps = {eps}")
-    leftover: list[Bar] = []
-    for barsR, barsX in _degree_slices(R, X):
-        need = [i for i, x in enumerate(barsR) if x.length > 2 * r]
-        adj = [
-            [j for j, y in enumerate(barsX) if _retract_compatible(barsR[i], y, r)]
-            for i in need
-        ]
-        match_r = [-1] * len(barsX)
-
-        def try_kuhn(u, seen):
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    if match_r[v] == -1 or try_kuhn(match_r[v], seen):
-                        match_r[v] = u
-                        return True
-            return False
-
-        for u in range(len(need)):
-            if not try_kuhn(u, [False] * len(barsX)):
-                raise AssertionError("matching disappeared below certified r")
-        used = {v for v, u in enumerate(match_r) if u != -1}
-        leftover.extend(y for j, y in enumerate(barsX) if j not in used)
-    return Barcode(tuple(leftover), X.grading_modulus)
-
-
-# -- chain-level brute-force oracle ------------------------------------------
-#
-# Interval modules over GF(2): a morphism [b1,d1) -> [b2,d2) of degree-equal
-# bars is nonzero iff b2 <= b1 < d2 <= d1.  Morphisms of barcodes are GF(2)
-# matrices supported on such pairs; compositions are matrix products with a
-# reachability filter.  The oracle enumerates phi and solves linearly for psi.
 
 
 def _hom_nonzero(src: Bar, dst: Bar) -> bool:

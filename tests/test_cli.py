@@ -200,8 +200,11 @@ def test_malformed_input_exits_4(capsys, tmp_path, argv, content):
     ["hochschild", "--model", "single", "--h", "1/0"],
     ["entropy", "--eps", "zz"],
     ["oracle", "--kind", "theta", "--beta", "q"],
+    ["certify", "--model", "single", "--precision", "x"],
+    ["model", "--model", "sphere", "--N", "2", "--precision", "x"],
 ], ids=["morse-float", "entropy-int", "certify-int", "certify-h", "model-precision",
-        "hochschild-h", "entropy-eps", "oracle-beta"])
+        "hochschild-h", "entropy-eps", "oracle-beta", "certify-single-precision",
+        "model-sphere-precision"])
 def test_malformed_arguments_exit_4(capsys, argv):
     """Malformed arguments, argparse's or ours, exit 4 with a one-line message."""
     code, out, err = run_cli(argv, capsys)

@@ -11,6 +11,7 @@ from persalg.persistence import (
     INF,
     Bar,
     Barcode,
+    _candidate_ab,
     bar_count,
     dint_variant,
     interleaving_distance,
@@ -254,3 +255,109 @@ def test_sandwich_hypothesis(A, B):
         assert d == INF
     else:
         assert D / 2 <= d <= D
+
+
+def test_staggered_1200_bars():
+    """Bars [2i, 2i+100) against [2j+1, 2j+101): the augmenting paths of a
+    depth-first matcher grow to the length of the barcode, which overflowed
+    the stack of a recursive one."""
+    A = Barcode(tuple(Bar(2 * i, 2 * i + 100) for i in range(1200)))
+    B = Barcode(tuple(Bar(2 * j + 1, 2 * j + 101) for j in range(1200)))
+    assert interleaving_distance(A, B) == 1
+    eps = retract_interleaving(A, B) + F(1, 10)
+    K = retract_complement(A, B, eps)
+    assert interleaving_distance(A.union(K), B) < 2 * eps
+
+
+# -- integer scaling: mixed denominators, several degrees, a grading modulus
+
+# Endpoints and moves come from small sets, so that the brute-force candidate
+# sets stay small while every scale (lcm up to 840) occurs.
+POINTS = [F(0), F(1, 3), F(2, 5), F(3, 7), F(5, 8), F(1), F(7, 5), F(11, 8), F(5, 3)]
+LENGTHS = [F(1, 7), F(3, 8), F(2, 3), F(1), F(6, 5), F(2)]
+MOVES = [F(1, 8), F(-1, 5), F(2, 7), F(-1, 3)]
+
+
+def _mixed_bar(rng, span=1):
+    birth = rng.choice(POINTS) + rng.randrange(span)
+    death = INF if rng.random() < 0.2 else birth + rng.choice(LENGTHS)
+    return Bar(birth, death, rng.randrange(4))
+
+
+def _mixed_pair(rng, n, span, moved):
+    """A barcode of n bars and a copy with ``moved`` bars moved a little,
+    both with grading modulus 3 (degree 3 reads as 0)."""
+    bars = [_mixed_bar(rng, span) for _ in range(n)]
+    copy = list(bars)
+    for i in rng.sample(range(n), min(moved, n)):
+        x = copy[i]
+        s, t = rng.choice(MOVES), rng.choice(MOVES)
+        if x.infinite or x.birth + s < x.death + t:
+            copy[i] = Bar(x.birth + s, INF if x.infinite else x.death + t, x.degree)
+    return Barcode(tuple(bars), 3), Barcode(tuple(copy), 3)
+
+
+def test_mixed_denominators_equal_oracles():
+    rng = random.Random(31)
+    for k in range(200):
+        if k % 2:
+            A, B = _mixed_pair(rng, rng.randrange(4), 1, 2)
+        else:
+            A = Barcode(tuple(_mixed_bar(rng) for _ in range(rng.randrange(4))), 3)
+            B = Barcode(tuple(_mixed_bar(rng) for _ in range(rng.randrange(4))), 3)
+        assert interleaving_distance(A, B) == oracle_interleaving_distance(A, B)
+        assert retract_interleaving(A, B) == oracle_retract_interleaving(A, B)
+        assert dint_variant(A, B) == oracle_dint_variant(A, B)
+
+
+def _match_ok(x, y, a, b):
+    if not -b <= y.birth - x.birth <= a:
+        return False
+    if x.infinite or y.infinite:
+        return x.infinite and y.infinite
+    return -b <= y.death - x.death <= a
+
+
+def _covers(adj, n_right):
+    """Does a maximum matching cover every left vertex (augmenting paths)?"""
+    match = [None] * n_right
+
+    def augment(u, seen):
+        for v in adj[u]:
+            if v not in seen:
+                seen.add(v)
+                if match[v] is None or augment(match[v], seen):
+                    match[v] = u
+                    return True
+        return False
+    return all(augment(u, set()) for u in range(len(adj)))
+
+
+def _fraction_dint(A, B):
+    """D_int by a full scan of the (a, b) candidates in order of a + b, with
+    Fraction endpoint tests and a plain matcher."""
+    for a, b in _candidate_ab(list(A.bars), list(B.bars)):
+        for d in {x.degree for x in A.bars + B.bars}:
+            bars1 = [x for x in A.bars if x.degree == d]
+            bars2 = [y for y in B.bars if y.degree == d]
+            long1 = [x for x in bars1 if x.length > a + b]
+            long2 = [y for y in bars2 if y.length > a + b]
+            if not (_covers([[j for j, y in enumerate(bars2) if _match_ok(x, y, a, b)]
+                             for x in long1], len(bars2)) and
+                    _covers([[i for i, x in enumerate(bars1) if _match_ok(x, y, a, b)]
+                             for y in long2], len(bars1))):
+                break
+        else:
+            return a + b
+    return INF
+
+
+def test_mixed_denominators_dint_full_scan():
+    rng = random.Random(37)
+    for n in (24, 40):
+        A, B = _mixed_pair(rng, n, 1, 2)
+        D = dint_variant(A, B)
+        assert D == _fraction_dint(A, B)
+        d = interleaving_distance(A, B)
+        assert D / 2 <= d <= D
+    assert dint_variant(EMPTY, EMPTY) == 0 == _fraction_dint(EMPTY, EMPTY)
