@@ -654,9 +654,10 @@ def min_cone_decomposition(target: Barcode, family: Sequence[FilteredComplex],
 
     start = _zero_complex(modulus, cohom)
     frontier: list[FilteredComplex] = [start]
-    seen = {_barcode_key(homology_barcode(start))}
+    start_bc = homology_barcode(start)
+    seen = {_barcode_key(start_bc)}
     nodes = 0
-    if dist(target, homology_barcode(start)) <= eps:
+    if dist(target, start_bc) <= eps:
         return 0
     for depth in range(1, max_steps + 1):
         nxt: list[FilteredComplex] = []
@@ -668,11 +669,12 @@ def min_cone_decomposition(target: Barcode, family: Sequence[FilteredComplex],
                         return None
                     fmap = FilteredMap(Ft, X, mat, shift=0, validate=False)
                     Y = cone(fmap, 0)
-                    key = _barcode_key(homology_barcode(Y))
+                    bc = homology_barcode(Y)
+                    key = _barcode_key(bc)
                     if key in seen:
                         continue
                     seen.add(key)
-                    if dist(target, homology_barcode(Y)) <= eps:
+                    if dist(target, bc) <= eps:
                         return depth
                     nxt.append(Y)
         frontier = nxt

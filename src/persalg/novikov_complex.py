@@ -8,14 +8,24 @@ the entry of minimal normalized valuation (ties by generator index).  The
 result is the concise barcode: finite bar lengths plus per-degree counts of
 infinite bars.
 
+Every level and entry exponent of a complex lies in (1/D)Z for D the lcm of
+their denominators, and sums, differences and inverses of such exponents stay
+there.  So the reduction compares normalized valuations as the exact integers
+``nv * D``; only the recorded bar lengths are Fractions again.
+
 Division by pivots brings in infinite Novikov series, so the reduction runs
 at a working precision; a ``PrecisionError`` is raised whenever a pivoting
 decision would depend on terms beyond that precision.
+
+A ``FloerComplex`` must not be mutated after construction: ``concise_barcode``
+keeps its result on the complex, one per working precision, so each complex
+is reduced once however many bar counts are read from it.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -66,6 +76,8 @@ class FloerComplex:
             i: {j: P for j, P in row.items() if P} for i, row in differential.items()
         }
         self.diff = {i: row for i, row in self.diff.items() if row}
+        # concise barcodes by working precision (None: automatic)
+        self._barcodes: dict[Fraction | None, ConciseBarcode] = {}
         if validate:
             self.validate()
 
@@ -141,22 +153,29 @@ class FloerComplex:
         return FloerComplex(gens, diff, int(data.get("modulus", 2)))
 
 
-def _norm_val(C: FloerComplex, i: int, j: int, P: NovikovElement):
-    """Bar length of the would-be pair (i, j): l(g_i) - level(P * g_j)."""
-    return P.valuation + C.gens[i].level - C.gens[j].level
+def _over(q: Fraction, D: int) -> int:
+    """q * D, for q in (1/D)Z."""
+    return q.numerator * (D // q.denominator)
 
 
-def _auto_precision(C: FloerComplex) -> Fraction:
-    span = Fraction(0)
-    if C.gens:
-        levels = [g.level for g in C.gens]
-        span = max(levels) - min(levels)
-    ent = Fraction(0)
+def _lattice(C: FloerComplex) -> tuple[int, list[int]]:
+    """The common denominator D of the levels and entry exponents of C, and
+    each generator's level times D.  The normalized valuation of an entry P
+    from i to j is then ``_over(P.exponents[0], D) + lev[i] - lev[j]`` over D."""
+    D = math.lcm(*{g.level.denominator for g in C.gens},
+                 *{e.denominator for row in C.diff.values()
+                   for P in row.values() for e in P.exponents})
+    return D, [_over(g.level, D) for g in C.gens]
+
+
+def _auto_precision(C: FloerComplex, D: int, lev: list[int]) -> Fraction:
+    """(level span + largest |entry exponent| + 1) * (dim + 2) + 8."""
+    span = max(lev) - min(lev) if lev else 0
+    ent = 0
     for row in C.diff.values():
         for P in row.values():
-            if P.exponents:
-                ent = max(ent, abs(P.exponents[0]), abs(P.exponents[-1]))
-    return (span + ent + 1) * (C.dim() + 2) + 8
+            ent = max(ent, abs(_over(P.exponents[0], D)), abs(_over(P.exponents[-1], D)))
+    return Fraction((span + ent + D) * (C.dim() + 2) + 8 * D, D)
 
 
 @dataclass
@@ -179,11 +198,14 @@ def reduce_floer(C: FloerComplex, working_precision=None) -> Reduction:
     """Two-sided elimination with minimal normalized-valuation pivoting.
 
     The pivot is the alive entry of minimal (nv, i, j).  A heap keeps a key
-    per entry written, skipped when popped stale (i or j dead, entry gone or
-    nv changed); ``rows_at[j]`` lists the rows with an entry at column j, so
-    a pivot touches only those rows.  Each written entry passes ``is_zero``.
+    per entry written, with nv as the integer nv * D (``_lattice``), skipped
+    when popped stale (i or j dead, entry gone or nv changed); ``rows_at[j]``
+    lists the rows with an entry at column j, so a pivot touches only those
+    rows.  Each written entry passes ``is_zero``.
     """
-    prec = Fraction(working_precision) if working_precision is not None else _auto_precision(C)
+    D, lev = _lattice(C)
+    prec = (Fraction(working_precision) if working_precision is not None
+            else _auto_precision(C, D, lev))
     n = C.dim()
     cols: dict[int, dict[int, NovikovElement]] = {
         i: dict(C.diff.get(i, {})) for i in range(n)
@@ -196,7 +218,7 @@ def reduce_floer(C: FloerComplex, working_precision=None) -> Reduction:
     for i, row in cols.items():
         for j, P in row.items():
             rows_at[j].add(i)
-            heap.append((_norm_val(C, i, j, P), i, j))
+            heap.append((_over(P.exponents[0], D) + lev[i] - lev[j], i, j))
     heapq.heapify(heap)
     alive = set(range(n))
     pairs: list[tuple[int, int, Fraction]] = []
@@ -213,9 +235,9 @@ def reduce_floer(C: FloerComplex, working_precision=None) -> Reduction:
         nv, bi, aj = heapq.heappop(heap)
         P = cols[bi].get(aj)
         if (bi not in alive or aj not in alive or P is None
-                or _norm_val(C, bi, aj, P) != nv):
+                or _over(P.exponents[0], D) + lev[bi] - lev[aj] != nv):
             continue
-        pairs.append((bi, aj, nv))
+        pairs.append((bi, aj, Fraction(nv, D)))
         alive.discard(bi)
         alive.discard(aj)
         Pinv = P.invert(prec + abs(P.valuation))
@@ -232,7 +254,7 @@ def reduce_floer(C: FloerComplex, working_precision=None) -> Reduction:
                 else:
                     row[k] = val
                     rows_at[k].add(x)
-                    heapq.heappush(heap, (_norm_val(C, x, k, val), x, k))
+                    heapq.heappush(heap, (_over(val.exponents[0], D) + lev[x] - lev[k], x, k))
             # track the column operation on the basis
             bvec = basis[x]
             for k, c in basis[bi].items():
@@ -243,13 +265,20 @@ def reduce_floer(C: FloerComplex, working_precision=None) -> Reduction:
 
 
 def concise_barcode(C: FloerComplex, working_precision=None) -> ConciseBarcode:
+    """The concise barcode of C, kept on C per working precision (None:
+    automatic); a ``PrecisionError`` is raised again on every call."""
+    key = None if working_precision is None else Fraction(working_precision)
+    B = C._barcodes.get(key)
+    if B is not None:
+        return B
     red = reduce_floer(C, working_precision)
     finite = tuple(sorted((length, C.degree_of(aj)) for _, aj, length in red.pairs))
     inf_counts: dict[int, int] = {}
     for u in red.unpaired:
         d = C.degree_of(u)
         inf_counts[d] = inf_counts.get(d, 0) + 1
-    return ConciseBarcode(finite, tuple(sorted(inf_counts.items())))
+    B = C._barcodes[key] = ConciseBarcode(finite, tuple(sorted(inf_counts.items())))
+    return B
 
 
 def bar_count_at(C: FloerComplex, delta, working_precision=None) -> int:
@@ -268,14 +297,11 @@ def counting_lemma_bound(C: FloerComplex) -> tuple[Fraction, Fraction]:
     """If C has m generators, r of which survive in homology over the field,
     and every differential entry has normalized valuation >= v, then there
     are (m - r)/2 finite bars, each of length >= v.  Returns ((m-r)/2, v)."""
-    vmin = None
-    for i, row in C.diff.items():
-        for j, P in row.items():
-            nv = _norm_val(C, i, j, P)
-            vmin = nv if vmin is None else min(vmin, nv)
-    red = reduce_floer(C)
-    m, r = C.dim(), len(red.unpaired)
-    return Fraction(m - r, 2), vmin if vmin is not None else Fraction(0)
+    D, lev = _lattice(C)
+    vmin = min((_over(P.exponents[0], D) + lev[i] - lev[j]
+                for i, row in C.diff.items() for j, P in row.items()), default=0)
+    r = concise_barcode(C).infinite_total()
+    return Fraction(C.dim() - r, 2), Fraction(vmin, D)
 
 
 # -- membership / gap computations --------------------------------------------
@@ -288,7 +314,9 @@ def express_in_reduction(red: Reduction, w: dict[int, NovikovElement],
     unpaired_coeffs[u] = q.  Raises if w is not in the span (not a cycle).
     """
     C = red.complex
-    prec = Fraction(working_precision) if working_precision is not None else _auto_precision(C)
+    D, lev = _lattice(C)
+    prec = (Fraction(working_precision) if working_precision is not None
+            else _auto_precision(C, D, lev))
     # columns of the linear system: the boundaries d(B_i) and unpaired U_j
     columns: list[tuple[str, object, dict[int, NovikovElement]]] = []
     for bi, aj, _ in red.pairs:
@@ -310,7 +338,7 @@ def express_in_reduction(red: Reduction, w: dict[int, NovikovElement],
         for r, P in vec.items():
             if r in used_rows or not P:
                 continue
-            nv = P.valuation - C.gens[r].level
+            nv = _over(P.exponents[0], D) - lev[r]
             if pivot is None or (nv, r) < pivot[:2]:
                 pivot = (nv, r, P)
         if pivot is None:

@@ -366,11 +366,7 @@ def _abs_diff(x, y):
 
 def _candidate_epsilons(bars1, bars2):
     cands = {Fraction(0)}
-    finite_ends = []
     for x in bars1 + bars2:
-        finite_ends.append(x.birth)
-        if not x.infinite:
-            finite_ends.append(x.death)
         if not x.infinite:
             cands.add(x.length / 2)
     for x in bars1:

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from persalg.cli import main
+from util import count_reduce_floer
 
 
 def run_cli(args, capsys):
@@ -134,6 +135,14 @@ def test_entropy_subcommand(capsys, tmp_path):
     lines = out_file.read_text().strip().splitlines()
     assert lines[0] == "k,N_k,bound"
     assert lines[1] == "1,3,3"
+
+
+def test_entropy_reduces_each_model_once(capsys, monkeypatch):
+    calls = count_reduce_floer(monkeypatch)
+    code, out, _ = run_cli(["entropy", "--k-max", "9"], capsys)
+    assert code == 0
+    assert out.splitlines()[1:] == [f"{k},{k + 2},{k + 2}" for k in range(1, 10)]
+    assert len(calls) == 9
 
 
 def test_console_script_installed():

@@ -19,6 +19,7 @@ from persalg.entropy import (
 from persalg.filtered_complex import e1, internal_hom, cone_length, family_constant, homology_barcode
 from persalg.novikov_complex import bar_count_at, concise_barcode, t1_homology_rank
 from persalg.persistence import Bar, Barcode, INF
+from util import count_reduce_floer
 
 
 def test_eta_shape():
@@ -152,3 +153,9 @@ def test_entropy_chain_inequality():
     upper, _ = entropy_estimate([2 * s for s in seq[9:]], "slow", k_start=10)
     lower, _ = entropy_estimate(seq[9:], "slow", k_start=10)
     assert upper >= lower - 1e-9
+
+
+def test_dehn_sequence_reduces_each_model_once(monkeypatch):
+    calls = count_reduce_floer(monkeypatch)
+    assert dehn_bound_sequence(12) == [k + 2 for k in range(1, 13)]
+    assert len(calls) == 12 and len({id(C) for C in calls}) == 12

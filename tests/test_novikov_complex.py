@@ -9,7 +9,6 @@ from persalg.novikov_complex import (
     FloerComplex,
     FloerMap,
     PrecisionError,
-    _norm_val,
     bar_count_at,
     boundary_depth,
     concise_barcode,
@@ -21,7 +20,7 @@ from persalg.novikov_complex import (
     z2_window_complex,
 )
 from persalg.entropy import dehn_sphere_model
-from util import random_floer_basis_change
+from util import count_reduce_floer, random_floer_basis_change
 
 
 def two_gen(coef) -> FloerComplex:
@@ -241,17 +240,37 @@ def test_reach_gap_shift_compatibility():
         assert base <= shifted + delta
 
 
+def _precision_trap() -> FloerComplex:
+    P = N((F(1),), precision=3)
+    return FloerComplex([Gen("a1", 0, 0), Gen("a2", 0, 0), Gen("b1", 1, 0), Gen("b2", 1, 0)],
+                        {2: {0: NOV_ONE, 1: P}, 3: {0: NOV_ONE, 1: P}}, 2)
+
+
 def test_reduce_floer_precision_error():
     """An entry that cancels only up to a precision below half the working
     precision stops the reduction; at a working precision of 4 it counts as
     zero."""
-    P = N((F(1),), precision=3)
-    C = FloerComplex([Gen("a1", 0, 0), Gen("a2", 0, 0), Gen("b1", 1, 0), Gen("b2", 1, 0)],
-                     {2: {0: NOV_ONE, 1: P}, 3: {0: NOV_ONE, 1: P}}, 2)
+    C = _precision_trap()
     with pytest.raises(PrecisionError):
         reduce_floer(C, 100)
     red = reduce_floer(C, 4)
     assert red.pairs == [(2, 0, 0)] and red.unpaired == [1, 3]
+
+
+def test_concise_barcode_memo(monkeypatch):
+    """One reduction per complex and working precision; a PrecisionError is
+    never kept, so it is raised again on every call."""
+    C = _precision_trap()
+    calls = count_reduce_floer(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(PrecisionError):
+            concise_barcode(C, 100)
+    B = concise_barcode(C, 4)
+    assert B.finite == ((F(0), 0),) and B.infinite == ((0, 1), (1, 1))
+    assert concise_barcode(C, F(4)) is B and bar_count_at(C, 0, 4) == 2
+    assert len(calls) == 3
+    assert concise_barcode(C, 5) == B and concise_barcode(C, 5) is not B
+    assert len(calls) == 4
 
 
 def test_reduce_floer_dehn_pairs():
@@ -261,9 +280,16 @@ def test_reduce_floer_dehn_pairs():
     assert red.unpaired == [0, 1]
 
 
+def _norm_val(C, i, j, P):
+    """Normalized valuation val(P) + l(g_i) - l(g_j), on Fractions."""
+    return P.valuation + C.gens[i].level - C.gens[j].level
+
+
 def _brute_force_reduce(C, prec):
     """The rule of the module docstring, with a full scan for each pivot:
-    cancel the alive entry of minimal (normalized valuation, i, j)."""
+    cancel the alive entry of minimal (normalized valuation, i, j).  Returns
+    PrecisionError where an entry vanishes only up to a precision below half
+    of ``prec``."""
     cols = {i: dict(C.diff.get(i, {})) for i in range(C.dim())}
     alive = set(range(C.dim()))
     pairs = []
@@ -283,8 +309,35 @@ def _brute_force_reduce(C, prec):
             if Q:
                 for k, R in cols[bi].items():
                     if k in alive:
-                        cols[x][k] = cols[x].get(k, N.zero()) + Q * Pinv * R
+                        v = cols[x].get(k, N.zero()) + Q * Pinv * R
+                        if not v and v.precision is not None and v.precision < prec / 2:
+                            return PrecisionError
+                        cols[x][k] = v
             cols[x] = {k: v for k, v in cols[x].items() if v}
+
+
+MIXED = sorted({F(k, d) for d in (3, 4, 6) for k in range(1, 2 * d)})
+
+
+def _mixed_floer(rng, n_pairs) -> FloerComplex:
+    """Twist pairs whose levels and two-term entries mix the denominators
+    3, 4 and 6."""
+    gens, diff = [], {}
+    for i in range(n_pairs):
+        lx, ly = rng.choice(MIXED), rng.choice(MIXED)
+        gens += [Gen(f"x{i}", 0, lx), Gen(f"y{i}", 1, ly)]
+        val = lx - ly + rng.choice([F(0)] + MIXED)
+        diff[2 * i + 1] = {2 * i: N.from_exponents([val, val + rng.choice(MIXED)])}
+    return FloerComplex(gens, diff, 2)
+
+
+def _auto_precision_oracle(C):
+    """The automatic working precision, on Fractions:
+    (level span + largest |entry exponent| + 1) * (dim + 2) + 8."""
+    levels = [g.level for g in C.gens]
+    ent = max((abs(e) for row in C.diff.values() for P in row.values()
+               for e in (P.exponents[0], P.exponents[-1])), default=F(0))
+    return (max(levels) - min(levels) + ent + 1) * (C.dim() + 2) + 8
 
 
 def test_reduce_floer_against_brute_force_scan():
@@ -294,3 +347,18 @@ def test_reduce_floer_against_brute_force_scan():
         prec = F(40)
         red = reduce_floer(C, prec)
         assert (red.pairs, red.unpaired) == _brute_force_reduce(C, prec)
+    # levels and exponents over 3, 4 and 6, at automatic precision and at an
+    # explicit one over the unrelated denominator 5
+    raised = []
+    for _ in range(20):
+        C = random_floer_basis_change(rng, _mixed_floer(rng, rng.randrange(2, 4)))
+        for prec in (None, F(40), F(7, 5)):
+            try:
+                red = reduce_floer(C, prec)
+                got = (red.pairs, red.unpaired)
+            except PrecisionError:
+                got = PrecisionError
+            oracle_prec = prec if prec is not None else _auto_precision_oracle(C)
+            assert got == _brute_force_reduce(C, oracle_prec)
+            raised.append(got is PrecisionError)
+    assert sum(raised) <= len(raised) // 10  # the oracle mostly compares pairs

@@ -202,3 +202,18 @@ def random_floer_basis_change(rng, C):
         if img:
             diff[i] = solve_P(img)
     return FloerComplex(list(C.gens), diff, C.modulus, validate=False)
+
+
+def count_reduce_floer(monkeypatch) -> list:
+    """Record the complex of every ``reduce_floer`` call from here on."""
+    from persalg import novikov_complex
+
+    calls = []
+    real = novikov_complex.reduce_floer
+
+    def counted(C, *args, **kwargs):
+        calls.append(C)
+        return real(C, *args, **kwargs)
+
+    monkeypatch.setattr(novikov_complex, "reduce_floer", counted)
+    return calls
