@@ -43,12 +43,27 @@ def elem_add(a: Elem, b: Elem) -> Elem:
     return {k: v for k, v in out.items() if v}
 
 
-def elem_scale(a: Elem, c: NovikovElement) -> Elem:
-    return {k: p for k, v in a.items() if (p := v * c)}
-
-
 def elem_is_zero(a: Elem) -> bool:
     return not any(bool(v) for v in a.values())
+
+
+def _accumulate(out: Elem, val: Elem, c: Optional[NovikovElement] = None) -> None:
+    """out += c * val in place (c = 1 when None), with the value ``elem_add``
+    gives: a vanishing product c * v is skipped, and an entry whose sum
+    vanishes is removed (its truncation bound goes with it)."""
+    for h, v in val.items():
+        if c is not None:
+            v = v * c
+            if not v:
+                continue
+        old = out.get(h)
+        if old is None:
+            if v:
+                out[h] = v
+        elif s := old + v:
+            out[h] = s
+        else:
+            del out[h]
 
 
 @dataclass(frozen=True)
@@ -75,6 +90,9 @@ class AinfReport:
 
 
 class TabulatedAInfCategory:
+    """The table ``mu`` is written only in ``__init__``; ``mu_gens`` hands out
+    its entries without copying them."""
+
     def __init__(self, objects: Sequence[str], gens: Sequence[HomGen],
                  units: dict[str, str], mu: dict[tuple, Elem],
                  coverage: Iterable[tuple] = (), grading_modulus: int = 2,
@@ -156,27 +174,45 @@ class TabulatedAInfCategory:
     # -- mu evaluation ------------------------------------------------------
 
     def mu_gens(self, key: tuple[str, ...]) -> Elem:
-        """mu_d on a tuple of generators; CoverageError when untabulated."""
+        """mu_d on a tuple of generators; CoverageError when untabulated.
+
+        The result may be the table's own entry: it is shared and must not
+        be mutated.  A table hit needs no further test, since ``__init__``
+        rejects unit tuples, covers every tabulated key, and admits into a
+        declared-zero hom only the empty value."""
+        val = self.mu.get(key)
+        if val is not None:
+            return val
         if not self.unit_names.isdisjoint(key):
-            units_at = [i for i, g in enumerate(key) if g in self.unit_names]
-            if len(key) == 2:
-                other = key[1] if units_at[0] == 0 else key[0]
-                if len(units_at) == 2:
-                    # mu_2(e, e) = e
-                    return self.gen_elem(key[0])
-                return self.gen_elem(other)
-            return {}
+            if len(key) != 2:
+                return {}
+            # mu_2(x, e) = x, mu_2(e, x) = x and mu_2(e, e) = e
+            a, b = key
+            return {a: NOV_ONE} if b in self.unit_names else {b: NOV_ONE}
         src = self.gen_info[key[0]].source
         tgt = self.gen_info[key[-1]].target
-        out_hom = self.hom(src, tgt)
-        if out_hom is not None and len(out_hom) == 0:
+        if self.homs.get((src, tgt)) == []:  # declared zero
             return {}
         if key in self.coverage:
-            return dict(self.mu.get(key, {}))
+            return {}
         raise CoverageError((len(key), key))
 
     def mu_elems(self, factors: Sequence[Elem]) -> Elem:
         """Multilinear extension of mu_d to elements."""
+        if all(len(f) == 1 for f in factors):
+            # one generator tuple: one lookup, scaled by the coefficients
+            # that are not 1
+            names, coeff = [], None
+            for f in factors:
+                (g, c), = f.items()
+                names.append(g)
+                if c is not NOV_ONE:
+                    coeff = c if coeff is None else coeff * c
+            if coeff is None:
+                return dict(self.mu_gens(tuple(names)))
+            if not coeff:
+                return {}
+            return {h: p for h, v in self.mu_gens(tuple(names)).items() if (p := coeff * v)}
         out: Elem = {}
         names = [list(f.items()) for f in factors]
         for combo in itertools.product(*names):
@@ -185,9 +221,10 @@ class TabulatedAInfCategory:
                 coeff = coeff * c
             if not coeff:
                 continue
-            val = self.mu_gens(tuple(g for g, _ in combo))
-            for h, v in val.items():
-                out[h] = out.get(h, NovikovElement.zero()) + coeff * v
+            for h, v in self.mu_gens(tuple(g for g, _ in combo)).items():
+                p = coeff * v
+                old = out.get(h)
+                out[h] = p if old is None else old + p
         return {k: v for k, v in out.items() if v}
 
     # -- verification -------------------------------------------------------
@@ -211,17 +248,14 @@ class TabulatedAInfCategory:
                     acc: Elem = {}
                     for i in range(n):
                         for j in range(i, n):
-                            inner = self.mu_gens(key[i:j + 1])
-                            if elem_is_zero(inner):
-                                continue
                             outer: Elem = {}
-                            for h, c in inner.items():
-                                sub = tuple(key[:i]) + (h,) + tuple(key[j + 1:])
-                                term = self.mu_gens(sub)
-                                for h2, c2 in term.items():
-                                    outer[h2] = outer.get(h2, NovikovElement.zero()) + c * c2
-                            acc = elem_add(acc, outer)
-                    if elem_is_zero(acc):
+                            for h, c in self.mu_gens(key[i:j + 1]).items():
+                                for h2, c2 in self.mu_gens(key[:i] + (h,) + key[j + 1:]).items():
+                                    p = c * c2
+                                    old = outer.get(h2)
+                                    outer[h2] = p if old is None else old + p
+                            _accumulate(acc, outer)
+                    if not acc:
                         rep.checked.append(key)
                     else:
                         rep.failures.append(("relation", key, acc))
@@ -264,7 +298,8 @@ class TabulatedAInfCategory:
             "units": self.units,
             "mu": [
                 {"order": len(key), "inputs": list(key),
-                 "output_terms": [{"gen": h, "novikov": str(c)} for h, c in sorted(val.items())]}
+                 "output_terms": [{"gen": h, "novikov": str(c), **c.precision_json()}
+                                  for h, c in sorted(val.items())]}
                 for key, val in sorted(self.mu.items())
             ],
             "coverage_only": [list(k) for k in sorted(self.coverage - set(self.mu))],
@@ -277,7 +312,8 @@ class TabulatedAInfCategory:
         mu = {}
         for rec in data.get("mu", []):
             mu[tuple(rec["inputs"])] = {
-                t["gen"]: NovikovElement.parse(t["novikov"]) for t in rec["output_terms"]
+                t["gen"]: NovikovElement.parse(t["novikov"], t.get("precision"))
+                for t in rec["output_terms"]
             }
         coverage = [tuple(k) for k in data.get("coverage_only", [])]
         zero_homs = [tuple(s.split("|")) for s in data.get("zero_homs", [])]
@@ -344,10 +380,10 @@ def bar_differential(A: TabulatedAInfCategory, t: tuple[str, ...]
         for j in range(i, n):
             if i == 0 and j == n - 1:
                 continue  # the full contraction is the map mu, not d_bar
-            val = A.mu_gens(t[i:j + 1])
-            for h, c in val.items():
+            for h, c in A.mu_gens(t[i:j + 1]).items():
                 key = t[:i] + (h,) + t[j + 1:]
-                out[key] = out.get(key, NovikovElement.zero()) + c
+                old = out.get(key)
+                out[key] = c if old is None else old + c
     return {k: v for k, v in out.items() if v}
 
 
@@ -366,7 +402,8 @@ def bar_complex(A: TabulatedAInfCategory, B: Sequence[str], K: str, n_max: int
             j = t_index.get(key)
             if j is None:
                 raise AssertionError(f"bar differential leaves the truncation: {key}")
-            row[j] = row.get(j, NovikovElement.zero()) + c
+            old = row.get(j)
+            row[j] = c if old is None else old + c
         if row:
             diff[i] = row
     barC = FloerComplex(gens, diff, A.modulus, validate=False)
@@ -416,9 +453,13 @@ def verify_unit_witness(A: TabulatedAInfCategory, B: Sequence[str], K: str,
         lv = tensor_level(A, t) - c.valuation
         level = lv if level is None else max(level, lv)
         for key, v in bar_differential(A, t).items():
-            dtot[key] = dtot.get(key, NovikovElement.zero()) + c * v
+            p = c * v
+            old = dtot.get(key)
+            dtot[key] = p if old is None else old + p
         for h, v in A.mu_gens(t).items():
-            mu_tot[h] = mu_tot.get(h, NovikovElement.zero()) + c * v
+            p = c * v
+            old = mu_tot.get(h)
+            mu_tot[h] = p if old is None else old + p
     if any(bool(v) for v in dtot.values()):
         raise ValueError("witness chain is not a d_bar cycle")
     expected = A.unit(K)
@@ -434,19 +475,20 @@ def cone_differential(A: TabulatedAInfCategory, x: dict[tuple, NovikovElement]
                       ) -> dict[tuple, NovikovElement]:
     """Differential of Cone(mu): all consecutive block contractions, the full
     one landing in the length-1 part."""
+    mu = A.mu_gens
     out: dict[tuple, NovikovElement] = {}
     for t, c in x.items():
         if not c:
             continue
         n = len(t)
         for i in range(n):
+            head = t[:i]
             for j in range(i, n):
-                if n == 1 and (i, j) != (0, 0):
-                    continue
-                val = A.mu_gens(t[i:j + 1])
-                for h, v in val.items():
-                    key = t[:i] + (h,) + t[j + 1:]
-                    out[key] = out.get(key, NovikovElement.zero()) + c * v
+                for h, v in mu(t[i:j + 1]).items():
+                    key = head + (h,) + t[j + 1:]
+                    p = c * v
+                    old = out.get(key)
+                    out[key] = p if old is None else old + p
     return {k: v for k, v in out.items() if v}
 
 
@@ -454,19 +496,22 @@ def star_product(A: TabulatedAInfCategory, x: dict[tuple, NovikovElement],
                  y: dict[tuple, NovikovElement]) -> dict[tuple, NovikovElement]:
     """x * y = sum over nonempty suffixes of x and prefixes of y contracted
     by mu, keeping the flanking factors."""
+    mu = A.mu_gens
     out: dict[tuple, NovikovElement] = {}
     for tx, cx in x.items():
         for ty, cy in y.items():
             c = cx * cy
             if not c:
                 continue
-            d, n = len(tx), len(ty)
-            for k in range(d):  # keep tx[:k]
+            n = len(ty)
+            for k in range(len(tx)):  # keep tx[:k]
+                head, rest = tx[:k], tx[k:]
                 for j in range(1, n + 1):  # consume ty[:j]
-                    val = A.mu_gens(tx[k:] + ty[:j])
-                    for h, v in val.items():
-                        key = tx[:k] + (h,) + ty[j:]
-                        out[key] = out.get(key, NovikovElement.zero()) + c * v
+                    for h, v in mu(rest + ty[:j]).items():
+                        key = head + (h,) + ty[j:]
+                        p = c * v
+                        old = out.get(key)
+                        out[key] = p if old is None else old + p
     return {k: v for k, v in out.items() if v}
 
 
@@ -476,8 +521,8 @@ def contracting_homotopy(A: TabulatedAInfCategory,
     """H(x) = x * (h + a_K): contracts Cone(mu) when mu(h) = e_K + d a_K."""
     total = dict(h_chain)
     for g, c in a_K.items():
-        key = (g,)
-        total[key] = total.get(key, NovikovElement.zero()) + c
+        old = total.get((g,))
+        total[(g,)] = c if old is None else old + c
 
     def H(x: dict[tuple, NovikovElement]) -> dict[tuple, NovikovElement]:
         return star_product(A, x, total)
@@ -524,17 +569,9 @@ def maurer_cartan_defect(TC: TwistedComplex) -> dict[tuple[int, int], Elem]:
         for j in range(i + 1, n):
             acc: Elem = {}
             for chain in _index_chains(i, j, n):
-                factors = []
-                ok = True
-                for a, b in zip(chain, chain[1:]):
-                    ent = TC.q.get((a, b))
-                    if ent is None:
-                        ok = False
-                        break
-                    factors.append(ent)
-                if not ok:
-                    continue
-                acc = elem_add(acc, A.mu_elems(factors))
+                factors = _q_entries(TC.q, chain)
+                if factors is not None:
+                    acc = elem_add(acc, A.mu_elems(factors))
             if not elem_is_zero(acc):
                 out[(i, j)] = acc
     return out
@@ -556,6 +593,18 @@ def _index_chains(i: int, j: int, n: int):
             yield from rec(cur)
             cur.pop()
     yield from rec([i])
+
+
+def _q_entries(q: dict[tuple[int, int], Elem], chain: list[int]) -> Optional[list[Elem]]:
+    """The entries q[c_0, c_1], q[c_1, c_2], ... along ``chain``; None when
+    one of them is absent (zero)."""
+    out = []
+    for key in zip(chain, chain[1:]):
+        ent = q.get(key)
+        if ent is None:
+            return None
+        out.append(ent)
+    return out
 
 
 def twisted_cone(f: dict[tuple[int, int], Elem], source: TwistedComplex,
@@ -620,22 +669,11 @@ def twist(A: TabulatedAInfCategory, Y: str, X: TwistedComplex) -> TwistedComplex
                 continue
             coeff = NovikovElement.zero()
             for chain in _index_chains(i, j, nX):
-                if len(chain) < 2:
-                    continue
-                factors = [A.gen_elem(g)]
-                ok = True
-                for u, v in zip(chain, chain[1:]):
-                    ent = X.q.get((u, v))
-                    if ent is None:
-                        ok = False
-                        break
-                    factors.append(ent)
-                if not ok:
-                    continue
-                val = A.mu_elems(factors)
-                coeff = coeff + val.get(g2, NovikovElement.zero())
+                if len(chain) > 1 and (qs := _q_entries(X.q, chain)) is not None:
+                    val = A.mu_elems([A.gen_elem(g)] + qs)
+                    coeff = coeff + val.get(g2, NovikovElement.zero())
             if coeff:
-                q[(a, b)] = elem_scale(A.unit(Y), coeff)
+                q[(a, b)] = {A.units[Y]: coeff}
     # xi: diagonal inclusion of the generator
     for a, (i, g) in enumerate(y_summands):
         q[(a, nY + i)] = A.gen_elem(g)
@@ -664,26 +702,19 @@ def twisted_hom_complex(A: TabulatedAInfCategory, Q: str, TC: TwistedComplex
     for (i, g), src in index.items():
         row: dict[int, NovikovElement] = {}
         # mu_1(g) within block i, then contractions along q-chains
-        val1 = A.mu_gens((g,))
-        for h, c in val1.items():
-            row[index[(i, h)]] = row.get(index[(i, h)], NovikovElement.zero()) + c
+        for h, c in A.mu_gens((g,)).items():
+            tgt = index[(i, h)]
+            old = row.get(tgt)
+            row[tgt] = c if old is None else old + c
         for j in range(i + 1, n):
             for chain in _index_chains(i, j, n):
-                if len(chain) < 2:
+                qs = _q_entries(TC.q, chain)
+                if qs is None:
                     continue
-                factors = [A.gen_elem(g)]
-                ok = True
-                for u, v in zip(chain, chain[1:]):
-                    ent = TC.q.get((u, v))
-                    if ent is None:
-                        ok = False
-                        break
-                    factors.append(ent)
-                if not ok:
-                    continue
-                for h, c in A.mu_elems(factors).items():
+                for h, c in A.mu_elems([A.gen_elem(g)] + qs).items():
                     tgt = index[(j, h)]
-                    row[tgt] = row.get(tgt, NovikovElement.zero()) + c
+                    old = row.get(tgt)
+                    row[tgt] = c if old is None else old + c
         row = {k: v for k, v in row.items() if v}
         if row:
             diff[src] = row
@@ -708,17 +739,10 @@ def extract_unit_tensors(A: TabulatedAInfCategory, K: str, TC: TwistedComplex,
             if gj is None or elem_is_zero(gj):
                 continue
             for chain in (_index_chains(i, j, n) if i < j else [[i]]):
-                factors = [fi]
-                ok = True
-                for u, v in zip(chain, chain[1:]):
-                    ent = TC.q.get((u, v))
-                    if ent is None:
-                        ok = False
-                        break
-                    factors.append(ent)
-                if not ok:
+                qs = _q_entries(TC.q, chain)
+                if qs is None:
                     continue
-                factors.append(gj)
+                factors = [fi] + qs + [gj]
                 total = elem_add(total, A.mu_elems(factors))
                 for combo in itertools.product(*[list(x.items()) for x in factors]):
                     names = tuple(nm for nm, _ in combo)
@@ -726,7 +750,8 @@ def extract_unit_tensors(A: TabulatedAInfCategory, K: str, TC: TwistedComplex,
                     for _, c in combo:
                         coeff = coeff * c
                     if coeff:
-                        tensors[names] = tensors.get(names, NovikovElement.zero()) + coeff
+                        old = tensors.get(names)
+                        tensors[names] = coeff if old is None else old + coeff
     tensors = {k: v for k, v in tensors.items() if v}
     return total, tensors
 
@@ -858,70 +883,43 @@ class _ElementaryPremorphism:
         l = len(xs)
         # mu^M(x_1..x_i, H(x_{i+1}..y))
         for i in range(l + 1):
-            inner = self.H_apply(tuple(xs[i:]) + (y,))
-            if elem_is_zero(inner):
+            inner = self.H_apply(xs[i:] + (y,))
+            if not inner:
                 continue
-            out = elem_add(out, self.mu_M([A.gen_elem(g) for g in xs[:i]], inner))
+            _accumulate(out, self.mu_M([A.gen_elem(g) for g in xs[:i]], inner))
         # H(x_1..x_i, mu^{Y(L)}(x_{i+1}..y)) : mu of the Yoneda module on L
         for i in range(l + 1):
-            val = A.mu_elems([A.gen_elem(g) for g in xs[i:]] + [A.gen_elem(y)])
-            if elem_is_zero(val):
-                continue
-            out = elem_add(out, self._H_on_elem(tuple(xs[:i]), val))
+            for h, c in A.mu_gens(xs[i:] + (y,)).items():
+                _accumulate(out, self.H_apply(xs[:i] + (h,)), c)
         # inner contractions
         for j in range(l):
             for k in range(1, l - j + 1):
-                val = A.mu_gens(tuple(xs[j:j + k]))
-                if elem_is_zero(val):
-                    continue
-                for h, c in val.items():
-                    names = tuple(xs[:j]) + (h,) + tuple(xs[j + k:]) + (y,)
-                    contrib = self.H_apply(names)
-                    out = elem_add(out, elem_scale(contrib, c))
-        return out
-
-    def _H_on_elem(self, prefix: tuple[str, ...], val: Elem) -> Elem:
-        out: Elem = {}
-        for h, c in val.items():
-            contrib = self.H_apply(tuple(prefix) + (h,))
-            out = elem_add(out, elem_scale(contrib, c))
+                for h, c in A.mu_gens(xs[j:j + k]).items():
+                    _accumulate(out, self.H_apply(xs[:j] + (h,) + xs[j + k:] + (y,)), c)
         return out
 
     def H_mu1(self, xs: tuple[str, ...], y: str) -> Elem:
         # H(mu_1^mod phi) = (mu_1^mod phi)_{l+1|1}(xs, y, e_L); expand the
         # three sums of mu_1^mod applied to phi at inputs (xs, y, e_L)
         A = self.A
-        eL = A.units[self.L]
-        full = tuple(xs) + (y, eL)
+        full = xs + (y, A.units[self.L])
         n = len(full)
         out: Elem = {}
         # mu^M(x_1..x_i, phi(rest))
         for i in range(n):
             inner = self._component(full[i:])
-            if elem_is_zero(inner):
+            if not inner:
                 continue
-            out = elem_add(out, self.mu_M([A.gen_elem(g) for g in full[:i]], inner))
+            _accumulate(out, self.mu_M([A.gen_elem(g) for g in full[:i]], inner))
         # phi(x_1..x_i, mu^{Y(L)}(rest))
         for i in range(n):
-            tail = full[i:]
-            val = A.mu_elems([A.gen_elem(g) for g in tail])
-            if elem_is_zero(val):
-                continue
-            for h, c in val.items():
-                contrib = self._component(full[:i] + (h,))
-                out = elem_add(out, elem_scale(contrib, c))
+            for h, c in A.mu_gens(full[i:]).items():
+                _accumulate(out, self._component(full[:i] + (h,)), c)
         # inner contractions strictly inside the x-part of (xs, y, e_L)
         for j in range(n - 1):
             for k in range(1, n - j):
-                if j + k >= n:
-                    continue
-                val = A.mu_gens(full[j:j + k])
-                if elem_is_zero(val):
-                    continue
-                for h, c in val.items():
-                    names = full[:j] + (h,) + full[j + k:]
-                    contrib = self._component(names)
-                    out = elem_add(out, elem_scale(contrib, c))
+                for h, c in A.mu_gens(full[j:j + k]).items():
+                    _accumulate(out, self._component(full[:j] + (h,) + full[j + k:]), c)
         return out
 
 
@@ -934,60 +932,43 @@ def verify_abouzaid_diagram(A: TabulatedAInfCategory, B: Sequence[str], K: str,
     T1 + T2 + T3 + T4 = 0 where the four terms are the explicit mu-sums of
     the diagram (lambda . mu^bar, mu_2(lambda-bar, xi), H_{d_bar}, mu_1 H)."""
     rep = AinfReport()
-    tensors = bar_tensors(A, B, K, n_max)
-    for t in tensors:
+    mu = A.mu_gens
+    for t in bar_tensors(A, B, K, n_max):
         gamma1, interior, gamma2 = t[0], t[1:-1], t[-1]
         for l, xs, y in _eval_tuples(A, K, l_max):
             try:
                 total: Elem = {}
+                xy = xs + (y,)
                 # T1 = mu_{l+2}(xs, y, mu_{d+2}(t))
-                inner = A.mu_gens(t)
-                for h, c in inner.items():
-                    val = A.mu_elems([A.gen_elem(g) for g in xs + (y, h)])
-                    total = elem_add(total, elem_scale(val, c))
+                for h, c in mu(t).items():
+                    _accumulate(total, mu(xy + (h,)), c)
                 # T2 = sum_{j,i} mu(x_1..x_j, mu(x_{j+1}..y, gamma1, a_1..a_i),
                 #                  a_{i+1}..a_d, gamma2)
-                d = len(interior)
                 for j in range(l + 1):
-                    for i in range(d + 1):
-                        mid = A.mu_elems([A.gen_elem(g) for g in
-                                          xs[j:] + (y, gamma1) + interior[:i]])
-                        for h, c in mid.items():
-                            val = A.mu_elems(
-                                [A.gen_elem(g) for g in xs[:j]] + [A.gen_elem(h)]
-                                + [A.gen_elem(g) for g in interior[i:] + (gamma2,)])
-                            total = elem_add(total, elem_scale(val, c))
+                    for i in range(len(interior) + 1):
+                        for h, c in mu(xy[j:] + (gamma1,) + interior[:i]).items():
+                            _accumulate(total, mu(xs[:j] + (h,) + interior[i:] + (gamma2,)), c)
                 # T3 = H_{d_bar(t)}
                 for key, c in bar_differential(A, t).items():
-                    val = A.mu_elems([A.gen_elem(g) for g in xs + (y,) + key])
-                    total = elem_add(total, elem_scale(val, c))
+                    _accumulate(total, mu(xy + key), c)
                 # T4 = mu_1^mod(H_t) expanded
                 # (a) mu_{i+1}(x_1..x_i, mu_{l-i+d+3}(x_{i+1}..y, t))
                 for i in range(l + 1):
-                    mid = A.mu_elems([A.gen_elem(g) for g in xs[i:] + (y,) + t])
-                    for h, c in mid.items():
-                        val = A.mu_elems([A.gen_elem(g) for g in xs[:i]] + [A.gen_elem(h)])
-                        total = elem_add(total, elem_scale(val, c))
+                    for h, c in mu(xy[i:] + t).items():
+                        _accumulate(total, mu(xs[:i] + (h,)), c)
                 # (b) mu(x_1..x_i, mu(x_{i+1}..y), t)  [Yoneda differential part]
                 for i in range(l + 1):
-                    mid = A.mu_elems([A.gen_elem(g) for g in xs[i:] + (y,)])
-                    for h, c in mid.items():
-                        val = A.mu_elems([A.gen_elem(g) for g in xs[:i]] + [A.gen_elem(h)]
-                                         + [A.gen_elem(g) for g in t])
-                        total = elem_add(total, elem_scale(val, c))
+                    for h, c in mu(xy[i:]).items():
+                        _accumulate(total, mu(xs[:i] + (h,) + t), c)
                 # (c) inner contractions of the x-part
                 for j in range(l):
                     for k in range(1, l - j + 1):
-                        val = A.mu_gens(tuple(xs[j:j + k]))
-                        for h, c in val.items():
-                            rest = A.mu_elems([A.gen_elem(g) for g in xs[:j]]
-                                              + [A.gen_elem(h)]
-                                              + [A.gen_elem(g) for g in xs[j + k:] + (y,) + t])
-                            total = elem_add(total, elem_scale(rest, c))
-                if elem_is_zero(total):
-                    rep.checked.append((t, xs, y))
-                else:
+                        for h, c in mu(xs[j:j + k]).items():
+                            _accumulate(total, mu(xs[:j] + (h,) + xy[j + k:] + t), c)
+                if total:
                     rep.failures.append((t, xs, y, total))
+                else:
+                    rep.checked.append((t, xs, y))
             except CoverageError as exc:
                 rep.uncheckable.append(((t, xs, y), exc.args[0]))
     return rep

@@ -75,7 +75,7 @@ def cmd_barcode(args):
         else:
             C = filtered_complex.FilteredComplex.from_json(data)
             out = filtered_complex.homology_barcode(C).to_json()
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, ZeroDivisionError) as exc:
         raise CliError(f"invalid complex: {exc}", EXIT_PARSE)
     _emit(out, args.output)
     return EXIT_OK
@@ -85,7 +85,7 @@ def cmd_distance(args):
     try:
         B1 = persistence.Barcode.from_json(_load_json(args.first))
         B2 = persistence.Barcode.from_json(_load_json(args.second))
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, ZeroDivisionError) as exc:
         raise CliError(f"invalid barcode: {exc}", EXIT_PARSE)
     metric = {
         "dint": persistence.interleaving_distance,
@@ -104,7 +104,7 @@ def cmd_conelength(args):
     data = _load_json(args.complex)
     try:
         C = filtered_complex.FilteredComplex.from_json(data)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, ZeroDivisionError) as exc:
         raise CliError(f"invalid complex: {exc}", EXIT_PARSE)
     value, dec = filtered_complex.cone_length(C, _frac(args.eps), args.mode)
     print(value)

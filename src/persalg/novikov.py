@@ -221,11 +221,18 @@ class NovikovElement:
             return "0"
         return " + ".join(format_exponent(e) for e in self.exponents)
 
+    def precision_json(self) -> dict:
+        """The JSON field that carries a truncated element's precision next
+        to its ``str``: ``{"precision": bound}``, or ``{}`` when exact."""
+        return {} if self.precision is None else {"precision": str(self.precision)}
+
     @staticmethod
-    def parse(text: str) -> "NovikovElement":
+    def parse(text: str, precision=None) -> "NovikovElement":
+        """Inverse of ``str``; ``precision`` is the truncation bound (None:
+        exact), as written by ``precision_json``."""
         text = text.strip()
         if text == "0" or not text:
-            return NovikovElement.zero()
+            return NovikovElement.zero(precision)
         exps = []
         for part in text.split("+"):
             m = _MONOMIAL_RE.match(part)
@@ -237,7 +244,7 @@ class NovikovElement:
                 exps.append(Fraction(1))
             else:
                 exps.append(Fraction(m.group("braced") or m.group("plain")))
-        return NovikovElement.from_exponents(exps)
+        return NovikovElement.from_exponents(exps, precision)
 
     def to_json(self) -> list[str]:
         return [str(e) for e in self.exponents]

@@ -135,7 +135,7 @@ class FloerComplex:
             ],
             "differential": [
                 {"from": self.gens[i].name, "to": self.gens[j].name,
-                 "coefficient": str(P)}
+                 "coefficient": str(P), **P.precision_json()}
                 for i, row in sorted(self.diff.items())
                 for j, P in sorted(row.items())
             ],
@@ -149,7 +149,8 @@ class FloerComplex:
         diff: dict[int, dict[int, NovikovElement]] = {}
         for rec in json_list(data, "differential", []):
             i, j = index[rec["from"]], index[rec["to"]]
-            diff.setdefault(i, {})[j] = NovikovElement.parse(rec["coefficient"])
+            diff.setdefault(i, {})[j] = NovikovElement.parse(rec["coefficient"],
+                                                             rec.get("precision"))
         return FloerComplex(gens, diff, int(data.get("modulus", 2)))
 
 

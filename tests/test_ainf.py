@@ -26,7 +26,13 @@ from persalg.ainf import (
     verify_unit_witness,
     TwistedComplex,
 )
-from persalg.fukaya_models import build_single_equator, build_sphere
+from persalg.fukaya_models import (
+    build_single_equator,
+    build_sphere,
+    build_torus_bxy,
+    build_torus_grid,
+    build_torus_longitudes,
+)
 from persalg.novikov import NOV_ONE, NovikovElement as N
 from persalg.novikov_complex import CoverageError, concise_barcode, floer_cone, FloerMap
 
@@ -78,9 +84,8 @@ def test_verify_negative_control_filtration(single):
     assert ("filtration", ("pt_L", "pt_L", "pt_L"), "e_L") in rep.failures
 
 
-def test_verify_negative_control_relation():
-    """A table with a genuinely broken A-infinity relation fails on the
-    violated tuple."""
+def relation_control():
+    """A table with a genuinely broken A-infinity relation at (f, g, f)."""
     gens = [
         HomGen("eX", "X", "X", 0, 0), HomGen("p", "X", "X", 0, 0),
         HomGen("eY", "Y", "Y", 0, 0),
@@ -94,7 +99,13 @@ def test_verify_negative_control_relation():
         ("p",): {}, ("f",): {}, ("g",): {},
         ("p", "p"): {}, ("g", "p"): {},
     }
-    A = TabulatedAInfCategory(["X", "Y"], gens, {"X": "eX", "Y": "eY"}, mu)
+    return TabulatedAInfCategory(["X", "Y"], gens, {"X": "eX", "Y": "eY"}, mu)
+
+
+def test_verify_negative_control_relation():
+    """A table with a genuinely broken A-infinity relation fails on the
+    violated tuple."""
+    A = relation_control()
     rep = A.verify(3)
     assert not rep.ok
     assert any(kind == "relation" and key == ("f", "g", "f")
@@ -379,3 +390,156 @@ def test_shift_category(single):
             assert info.level == base.level + F(1, 3)
     assert eta["shift"] == F(1, 3)
     assert Sr.verify(3).ok  # the shifted category is still filtered A-infinity
+
+
+# -- mu evaluation against restated rules ---------------------------------------
+
+def _mu_gens_oracle(A, key):
+    """The lookup rules restated: units (mu_2 with a unit input is the
+    identity, higher mu with a unit input vanish), a declared-zero output
+    hom, then coverage; a fresh copy of the table entry."""
+    units_at = [i for i, g in enumerate(key) if g in A.unit_names]
+    if units_at:
+        if len(key) != 2:
+            return {}
+        if len(units_at) == 2:
+            return {key[0]: NOV_ONE}
+        return {key[1 - units_at[0]]: NOV_ONE}
+    src, tgt = A.gen_info[key[0]].source, A.gen_info[key[-1]].target
+    if A.homs.get((src, tgt)) == []:
+        return {}
+    if key in A.coverage:
+        return dict(A.mu.get(key, {}))
+    raise CoverageError((len(key), key))
+
+
+def _composable(A, max_arity):
+    frontier = [(g,) for g in sorted(A.gen_info)]
+    for _ in range(max_arity):
+        yield from frontier
+        frontier = [t + (g,) for t in frontier for g in sorted(A.gen_info)
+                    if A.gen_info[t[-1]].target == A.gen_info[g].source]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except CoverageError as exc:
+        return ("CoverageError", exc.args)
+
+
+def _all_models():
+    yield build_single_equator()
+    for n in (2, 3, 4):
+        for h in (0, F(1, 100)):
+            yield build_sphere(n, h)
+    yield build_torus_bxy()
+    for n in (2, 3):
+        yield build_torus_longitudes(n, precision=6)
+    yield build_torus_grid(2)
+
+
+def _table_copy(A):
+    return {k: dict(v) for k, v in A.mu.items()}
+
+
+def test_mu_gens_matches_rules_on_every_model():
+    """mu_gens against the restated rules on every composable tuple of
+    arity <= 4, values and CoverageError alike."""
+    for A in [M.category for M in _all_models()] + [relation_control()]:
+        before = _table_copy(A)
+        for key in _composable(A, 4):
+            assert _outcome(A.mu_gens, key) == _outcome(_mu_gens_oracle, A, key), key
+        assert A.mu == before
+
+
+def test_mu_table_unchanged_by_callers(single, sphere2):
+    """mu_gens hands out the table's own entries; no caller may mutate them."""
+    control = relation_control()
+    cats = [single.category, sphere2.category, build_sphere(4).category, control]
+    before = [_table_copy(A) for A in cats]
+    single.category.verify(5)
+    sphere2.category.verify(3)
+    build_sphere(4).category.verify(3)
+    control.verify(3)
+    verify_abouzaid_diagram(single.category, ["L"], "L", 2, l_max=1)
+    verify_abouzaid_diagram(sphere2.category, ["L1", "L2"], "L1", 1, l_max=1)
+    verify_lambda_homotopy(single.category, "L", "L", l_max=2)
+    verify_lambda_homotopy(sphere2.category, "L1", "L2", l_max=1)
+    verify_unit_witness(single.category, ["L"], "L", corrected_witness())
+    A = single.category
+    rng = random.Random(7)
+    for _ in range(200):
+        x, y = rand_cone_elem(rng), rand_cone_elem(rng)
+        cone_differential(A, star_product(A, x, y))
+        star_product(A, cone_differential(A, x), y)
+        star_product(A, x, cone_differential(A, y))
+    assert [A.mu for A in cats] == before
+
+
+def _mu_elems_expansion(A, factors):
+    """The multilinear product expansion, one tuple at a time."""
+    out = {}
+    for combo in itertools.product(*[list(f.items()) for f in factors]):
+        coeff = NOV_ONE
+        for _, c in combo:
+            coeff = coeff * c
+        if not coeff:
+            continue
+        for h, v in A.mu_gens(tuple(g for g, _ in combo)).items():
+            out[h] = out.get(h, N.zero()) + coeff * v
+    return {k: v for k, v in out.items() if v}
+
+
+def test_mu_elems_single_terms_match_expansion():
+    """Single-term factors (one lookup) agree with the product expansion,
+    exponents and precision alike, and raise CoverageError on the same
+    inputs; the coefficients mix 1, exact monomials, zero and truncated
+    series from the longitudes model at precision 6."""
+    A = build_torus_longitudes(2, precision=6).category
+    truncated = sorted({c for val in A.mu.values() for c in val.values()
+                        if c.precision is not None}, key=str)
+    assert truncated
+    coeffs = [NOV_ONE, N.monomial(F(1, 2)), N.monomial(F(-1, 3)), N.zero(),
+              N.zero(F(4))] + truncated
+    rng = random.Random(17)
+    seen = {"value": 0, "CoverageError": 0}
+    for key in _composable(A, 4):
+        for _ in range(3):
+            factors = [{g: rng.choice(coeffs)} for g in key]
+            got = _outcome(A.mu_elems, factors)
+            want = _outcome(_mu_elems_expansion, A, factors)
+            assert got == want, (key, factors)
+            if isinstance(got, dict):
+                assert [(c.exponents, c.precision) for c in got.values()] == \
+                    [(c.exponents, c.precision) for c in want.values()]
+            seen["CoverageError" if isinstance(got, tuple) else "value"] += 1
+    assert all(seen.values())
+
+
+# -- pinned diagram-check reports ------------------------------------------------
+
+def test_abouzaid_report_pinned_single(single):
+    rep = verify_abouzaid_diagram(single.category, ["L"], "L", 3, l_max=2)
+    assert (len(rep.checked), len(rep.uncheckable), len(rep.failures)) == (832, 8, 0)
+    pt = "pt_L"
+    assert rep.uncheckable[0] == (((pt,) * 4, (pt, pt), pt), (7, (pt,) * 7))
+    assert rep.uncheckable[-1] == (((pt,) * 5, (pt, pt), pt), (7, (pt,) * 7))
+
+
+def test_abouzaid_report_pinned_sphere2():
+    A = build_sphere(2).category
+    rep = verify_abouzaid_diagram(A, ["L1", "L2"], "L1", 2, l_max=1)
+    assert (len(rep.checked), len(rep.uncheckable), len(rep.failures)) == (1203, 31557, 0)
+    assert rep.uncheckable[0] == ((("e1", "e1"), ("n1",), "n1'"), (2, ("n1", "n1'")))
+    assert rep.uncheckable[-1] == ((("s2'", "pt2", "pt2", "s2"), ("s2'",), "s2"),
+                                   (4, ("s2'", "pt2", "pt2", "s2")))
+
+
+def test_lambda_report_pinned_sphere2():
+    A = build_sphere(2).category
+    rep = verify_lambda_homotopy(A, "L1", "L2", l_max=1)
+    assert (len(rep.checked), len(rep.uncheckable), len(rep.failures)) == (3304, 3756, 0)
+    assert rep.uncheckable[0] == ((0, ("e1",), "n1", (), "pt1"), (2, ("pt1", "n1")))
+    assert rep.uncheckable[-1] == ((1, ("s2'", "s2"), "s2'", ("s2'",), "s2"),
+                                   (2, ("s2'", "s2")))

@@ -183,10 +183,20 @@ NOV2 = {"modulus": 2,
      {**NOV2, "generators": {"name": "a", "degree": 0, "level": "0"}}),
     (["barcode", "--novikov", "{file}"],
      {**NOV2, "differential": {"from": "b", "to": "a", "coefficient": "T"}}),
+    (["barcode", "--novikov", "{file}"],
+     {**NOV2, "differential": [{"from": "b", "to": "a", "coefficient": "T",
+                                "precision": "1/0"}]}),
+    (["barcode", "--novikov", "{file}"],
+     {**NOV2, "differential": [{"from": "b", "to": "a", "coefficient": "T",
+                                "precision": "x"}]}),
+    (["conelength", "--eps", "1/4", "{file}"],
+     {**E2, "generators": [{"name": "a", "degree": 0, "level": "1/0"}]}),
 ], ids=["distance-empty-bar", "distance-no-death", "barcode-object-differential",
         "conelength-object-differential", "conelength-unknown-generator",
         "barcode-unknown-generator", "distance-object-bars", "barcode-object-generators",
-        "novikov-object-generators", "novikov-object-differential"])
+        "novikov-object-generators", "novikov-object-differential",
+        "novikov-zero-denominator-precision", "novikov-bad-precision",
+        "conelength-zero-denominator-level"])
 def test_malformed_input_exits_4(capsys, tmp_path, argv, content):
     """Malformed input is a parse error: exit 4 with a one-line message."""
     good = tmp_path / "good.json"

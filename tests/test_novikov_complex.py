@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 
@@ -148,6 +149,37 @@ def test_json_round_trip():
     C = two_gen(N.from_exponents([2, F(7, 2)]))
     C2 = FloerComplex.from_json(C.to_json())
     assert concise_barcode(C).finite == concise_barcode(C2).finite
+
+
+def _reduce_outcome(C):
+    try:
+        red = reduce_floer(C)
+    except PrecisionError:
+        return PrecisionError
+    return red.pairs, red.unpaired
+
+
+def test_json_round_trip_keeps_truncation():
+    """A truncated entry's precision is written beside it and read back, so
+    the round trip is equal entry by entry and a complex that raises
+    PrecisionError at automatic precision still raises after it; exact
+    entries are written without the field."""
+    assert all("precision" not in rec
+               for rec in two_gen(N.from_exponents([2, F(7, 2)])).to_json()["differential"])
+    # replay the draws of test_reduce_floer_against_brute_force_scan: one of
+    # its mixed-denominator complexes has truncated entries and raises
+    rng = random.Random(29)
+    for _ in range(25):
+        random_floer_basis_change(rng, _random_floer(rng, rng.randrange(2, 4)))
+    raised = 0
+    for _ in range(20):
+        C = random_floer_basis_change(rng, _mixed_floer(rng, rng.randrange(2, 4)))
+        C2 = FloerComplex.from_json(json.loads(json.dumps(C.to_json())))
+        assert C2.diff == C.diff  # NovikovElement equality compares precision
+        got = _reduce_outcome(C)
+        assert _reduce_outcome(C2) == got
+        raised += got is PrecisionError
+    assert raised
 
 
 def _window_death_oracle(C, w, radius=F(20), step=F(1, 2)):
