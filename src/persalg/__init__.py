@@ -7,6 +7,7 @@ gf2               GF(2) linear algebra over int bitmasks (the elimination kernel
 persistence       barcodes and interleaving-type distances
 filtered_complex  filtered Z2 chain complexes, cones, cone-length
 novikov_complex   Floer-type complexes over the Novikov field
+sparse            sparse Novikov vectors: in-place sums, levels, expansions
 ainf              tabulated filtered A-infinity categories
 hochschild        reduced cyclic bar complexes with filtrations
 fukaya_models     exact sphere and torus model tabulations

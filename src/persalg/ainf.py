@@ -19,7 +19,6 @@ Abouzaid-diagram verification.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -32,38 +31,13 @@ from .novikov_complex import (
     FloerMap,
     reach_gap_floer,
 )
+from .sparse import accumulate, add, add_into, expand, level, nonzero
 
 Elem = dict  # {gen name: NovikovElement}
 
 
-def elem_add(a: Elem, b: Elem) -> Elem:
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, NovikovElement.zero()) + v
-    return {k: v for k, v in out.items() if v}
-
-
 def elem_is_zero(a: Elem) -> bool:
     return not any(bool(v) for v in a.values())
-
-
-def _accumulate(out: Elem, val: Elem, c: Optional[NovikovElement] = None) -> None:
-    """out += c * val in place (c = 1 when None), with the value ``elem_add``
-    gives: a vanishing product c * v is skipped, and an entry whose sum
-    vanishes is removed (its truncation bound goes with it)."""
-    for h, v in val.items():
-        if c is not None:
-            v = v * c
-            if not v:
-                continue
-        old = out.get(h)
-        if old is None:
-            if v:
-                out[h] = v
-        elif s := old + v:
-            out[h] = s
-        else:
-            del out[h]
 
 
 @dataclass(frozen=True)
@@ -90,8 +64,9 @@ class AinfReport:
 
 
 class TabulatedAInfCategory:
-    """The table ``mu`` is written only in ``__init__``; ``mu_gens`` hands out
-    its entries without copying them."""
+    """The table ``mu``, ``gen_info`` and the index of generators by source
+    are written only in ``__init__``; ``mu_gens`` hands out table entries
+    without copying them."""
 
     def __init__(self, objects: Sequence[str], gens: Sequence[HomGen],
                  units: dict[str, str], mu: dict[tuple, Elem],
@@ -105,11 +80,13 @@ class TabulatedAInfCategory:
                            for o in self.objects}
         self.gen_info: dict[str, HomGen] = {}
         self.homs: dict[tuple[str, str], list[str]] = {}
+        self._by_source: dict[str, list[str]] = {}  # generator names by source
         for g in gens:
             if g.name in self.gen_info:
                 raise ValueError(f"duplicate generator name {g.name}")
             self.gen_info[g.name] = g
             self.homs.setdefault((g.source, g.target), []).append(g.name)
+            self._by_source.setdefault(g.source, []).append(g.name)
         for pair in declared_zero_homs:
             self.homs.setdefault(tuple(pair), [])
         self.units = dict(units)
@@ -133,7 +110,7 @@ class TabulatedAInfCategory:
                 if (info.source, info.target) != (src, tgt):
                     raise ValueError(
                         f"mu{key} output {h} is not in hom({src},{tgt})")
-            self.mu[key] = {k: v for k, v in val.items() if v}
+            self.mu[key] = nonzero(val)
             self.coverage.add(key)
         for key in self.coverage:
             if any(g in self.unit_names for g in key):
@@ -153,13 +130,7 @@ class TabulatedAInfCategory:
         return self.gen_elem(self.units[X])
 
     def level_of(self, a: Elem) -> Optional[Fraction]:
-        lv = None
-        for name, c in a.items():
-            if not c:
-                continue
-            cur = self.gen_info[name].level - c.valuation
-            lv = cur if lv is None else max(lv, cur)
-        return lv
+        return level(a, lambda name: self.gen_info[name].level)
 
     def _chain_objects(self, key: tuple) -> list[str]:
         objs = []
@@ -214,18 +185,9 @@ class TabulatedAInfCategory:
                 return {}
             return {h: p for h, v in self.mu_gens(tuple(names)).items() if (p := coeff * v)}
         out: Elem = {}
-        names = [list(f.items()) for f in factors]
-        for combo in itertools.product(*names):
-            coeff = NOV_ONE
-            for _, c in combo:
-                coeff = coeff * c
-            if not coeff:
-                continue
-            for h, v in self.mu_gens(tuple(g for g, _ in combo)).items():
-                p = coeff * v
-                old = out.get(h)
-                out[h] = p if old is None else old + p
-        return {k: v for k, v in out.items() if v}
+        for names, coeff in expand(factors):
+            add_into(out, self.mu_gens(names), coeff)
+        return nonzero(out)
 
     # -- verification -------------------------------------------------------
 
@@ -254,7 +216,7 @@ class TabulatedAInfCategory:
                                     p = c * c2
                                     old = outer.get(h2)
                                     outer[h2] = p if old is None else old + p
-                            _accumulate(acc, outer)
+                            accumulate(acc, outer)
                     if not acc:
                         rep.checked.append(key)
                     else:
@@ -263,23 +225,14 @@ class TabulatedAInfCategory:
                     rep.uncheckable.append((key, exc.args[0]))
         return rep
 
-    def _composable_tuples(self, n: int):
-        by_source: dict[str, list[str]] = {}
-        for name, info in self.gen_info.items():
-            by_source.setdefault(info.source, []).append(name)
-
-        def extend(chain):
-            if len(chain) == n:
-                yield tuple(chain)
-                return
-            tail = self.gen_info[chain[-1]].target
-            for g in by_source.get(tail, []):
-                chain.append(g)
-                yield from extend(chain)
-                chain.pop()
-
-        for start in sorted(self.gen_info):
-            yield from extend([start])
+    def _composable_tuples(self, n: int) -> list[tuple[str, ...]]:
+        """Composable n-tuples, ordered by first generator name, then by the
+        position of each further generator in its source's index."""
+        tuples = [(g,) for g in sorted(self.gen_info)]
+        for _ in range(n - 1):
+            tuples = [t + (g,) for t in tuples
+                      for g in self._by_source.get(self.gen_info[t[-1]].target, ())]
+        return tuples
 
     # -- serialization ------------------------------------------------------
 
@@ -384,7 +337,7 @@ def bar_differential(A: TabulatedAInfCategory, t: tuple[str, ...]
                 key = t[:i] + (h,) + t[j + 1:]
                 old = out.get(key)
                 out[key] = c if old is None else old + c
-    return {k: v for k, v in out.items() if v}
+    return nonzero(out)
 
 
 def bar_complex(A: TabulatedAInfCategory, B: Sequence[str], K: str, n_max: int
@@ -444,29 +397,19 @@ def verify_unit_witness(A: TabulatedAInfCategory, B: Sequence[str], K: str,
                         chain: dict[tuple[str, ...], NovikovElement]):
     """Check that ``chain`` is a d_bar cycle with mu(chain) = e_K and return
     its level (an upper bound for unit_reach)."""
+    lv = level(chain, lambda t: tensor_level(A, t))
     dtot: dict[tuple, NovikovElement] = {}
     mu_tot: Elem = {}
-    level = None
     for t, c in chain.items():
-        if not c:
-            continue
-        lv = tensor_level(A, t) - c.valuation
-        level = lv if level is None else max(level, lv)
-        for key, v in bar_differential(A, t).items():
-            p = c * v
-            old = dtot.get(key)
-            dtot[key] = p if old is None else old + p
-        for h, v in A.mu_gens(t).items():
-            p = c * v
-            old = mu_tot.get(h)
-            mu_tot[h] = p if old is None else old + p
+        if c:
+            add_into(dtot, bar_differential(A, t), c)
+            add_into(mu_tot, A.mu_gens(t), c)
     if any(bool(v) for v in dtot.values()):
         raise ValueError("witness chain is not a d_bar cycle")
-    expected = A.unit(K)
-    diff = elem_add(mu_tot, expected)
-    if not elem_is_zero(diff):
+    diff = add(mu_tot, A.unit(K))
+    if diff:
         raise ValueError(f"mu(witness) != e_K (difference {diff})")
-    return level
+    return lv
 
 
 # -- star product on Cone(mu) ----------------------------------------------------
@@ -489,7 +432,7 @@ def cone_differential(A: TabulatedAInfCategory, x: dict[tuple, NovikovElement]
                     p = c * v
                     old = out.get(key)
                     out[key] = p if old is None else old + p
-    return {k: v for k, v in out.items() if v}
+    return nonzero(out)
 
 
 def star_product(A: TabulatedAInfCategory, x: dict[tuple, NovikovElement],
@@ -512,7 +455,7 @@ def star_product(A: TabulatedAInfCategory, x: dict[tuple, NovikovElement],
                         p = c * v
                         old = out.get(key)
                         out[key] = p if old is None else old + p
-    return {k: v for k, v in out.items() if v}
+    return nonzero(out)
 
 
 def contracting_homotopy(A: TabulatedAInfCategory,
@@ -520,9 +463,7 @@ def contracting_homotopy(A: TabulatedAInfCategory,
                          a_K: Elem):
     """H(x) = x * (h + a_K): contracts Cone(mu) when mu(h) = e_K + d a_K."""
     total = dict(h_chain)
-    for g, c in a_K.items():
-        old = total.get((g,))
-        total[(g,)] = c if old is None else old + c
+    add_into(total, {(g,): c for g, c in a_K.items()})
 
     def H(x: dict[tuple, NovikovElement]) -> dict[tuple, NovikovElement]:
         return star_product(A, x, total)
@@ -571,7 +512,7 @@ def maurer_cartan_defect(TC: TwistedComplex) -> dict[tuple[int, int], Elem]:
             for chain in _index_chains(i, j, n):
                 factors = _q_entries(TC.q, chain)
                 if factors is not None:
-                    acc = elem_add(acc, A.mu_elems(factors))
+                    accumulate(acc, A.mu_elems(factors))
             if not elem_is_zero(acc):
                 out[(i, j)] = acc
     return out
@@ -667,12 +608,11 @@ def twist(A: TabulatedAInfCategory, Y: str, X: TwistedComplex) -> TwistedComplex
         for b, (j, g2) in enumerate(y_summands):
             if not a < b:
                 continue
-            coeff = NovikovElement.zero()
+            acc: Elem = {}
             for chain in _index_chains(i, j, nX):
                 if len(chain) > 1 and (qs := _q_entries(X.q, chain)) is not None:
-                    val = A.mu_elems([A.gen_elem(g)] + qs)
-                    coeff = coeff + val.get(g2, NovikovElement.zero())
-            if coeff:
+                    add_into(acc, A.mu_elems([A.gen_elem(g)] + qs))
+            if coeff := acc.get(g2):
                 q[(a, b)] = {A.units[Y]: coeff}
     # xi: diagonal inclusion of the generator
     for a, (i, g) in enumerate(y_summands):
@@ -715,7 +655,7 @@ def twisted_hom_complex(A: TabulatedAInfCategory, Q: str, TC: TwistedComplex
                     tgt = index[(j, h)]
                     old = row.get(tgt)
                     row[tgt] = c if old is None else old + c
-        row = {k: v for k, v in row.items() if v}
+        row = nonzero(row)
         if row:
             diff[src] = row
     return FloerComplex(gens, diff, A.modulus, validate=False)
@@ -743,17 +683,9 @@ def extract_unit_tensors(A: TabulatedAInfCategory, K: str, TC: TwistedComplex,
                 if qs is None:
                     continue
                 factors = [fi] + qs + [gj]
-                total = elem_add(total, A.mu_elems(factors))
-                for combo in itertools.product(*[list(x.items()) for x in factors]):
-                    names = tuple(nm for nm, _ in combo)
-                    coeff = NOV_ONE
-                    for _, c in combo:
-                        coeff = coeff * c
-                    if coeff:
-                        old = tensors.get(names)
-                        tensors[names] = coeff if old is None else old + coeff
-    tensors = {k: v for k, v in tensors.items() if v}
-    return total, tensors
+                accumulate(total, A.mu_elems(factors))
+                add_into(tensors, dict(expand(factors)))
+    return total, nonzero(tensors)
 
 
 # -- lambda map homotopy -----------------------------------------------------------
@@ -779,7 +711,7 @@ def verify_lambda_homotopy(A: TabulatedAInfCategory, L: str, X: str,
     def mu_M(xs, m):
         out = mu_M_base(xs, m)
         if corrupt is not None:
-            out = elem_add(out, corrupt(xs, m))
+            out = add(out, corrupt(xs, m))
         return out
 
     e_L = A.unit(L)
@@ -792,7 +724,7 @@ def verify_lambda_homotopy(A: TabulatedAInfCategory, L: str, X: str,
         except CoverageError as exc:
             rep.uncheckable.append((("theta.lambda", m_name), exc.args[0]))
             continue
-        if elem_add(got, m):
+        if add(got, m):
             rep.failures.append(("theta.lambda", m_name, got))
         else:
             rep.checked.append(("theta.lambda", m_name))
@@ -804,10 +736,10 @@ def verify_lambda_homotopy(A: TabulatedAInfCategory, L: str, X: str,
         for l, xs_names, y_name in _eval_tuples(A, L, l_max):
             try:
                 lhs = phi.lam_theta(xs_names, y_name)
-                lhs = elem_add(lhs, phi.apply(xs_names, y_name))  # + id
-                rhs = elem_add(phi.mu1_H(xs_names, y_name),
+                lhs = add(lhs, phi.apply(xs_names, y_name))  # + id
+                rhs = add(phi.mu1_H(xs_names, y_name),
                                phi.H_mu1(xs_names, y_name))
-                if elem_add(lhs, rhs):
+                if add(lhs, rhs):
                     rep.failures.append(("homotopy", (l0, t0, m0), (xs_names, y_name)))
                 else:
                     rep.checked.append(("homotopy", (l0, t0, m0), (xs_names, y_name)))
@@ -886,16 +818,16 @@ class _ElementaryPremorphism:
             inner = self.H_apply(xs[i:] + (y,))
             if not inner:
                 continue
-            _accumulate(out, self.mu_M([A.gen_elem(g) for g in xs[:i]], inner))
+            accumulate(out, self.mu_M([A.gen_elem(g) for g in xs[:i]], inner))
         # H(x_1..x_i, mu^{Y(L)}(x_{i+1}..y)) : mu of the Yoneda module on L
         for i in range(l + 1):
             for h, c in A.mu_gens(xs[i:] + (y,)).items():
-                _accumulate(out, self.H_apply(xs[:i] + (h,)), c)
+                accumulate(out, self.H_apply(xs[:i] + (h,)), c)
         # inner contractions
         for j in range(l):
             for k in range(1, l - j + 1):
                 for h, c in A.mu_gens(xs[j:j + k]).items():
-                    _accumulate(out, self.H_apply(xs[:j] + (h,) + xs[j + k:] + (y,)), c)
+                    accumulate(out, self.H_apply(xs[:j] + (h,) + xs[j + k:] + (y,)), c)
         return out
 
     def H_mu1(self, xs: tuple[str, ...], y: str) -> Elem:
@@ -910,16 +842,16 @@ class _ElementaryPremorphism:
             inner = self._component(full[i:])
             if not inner:
                 continue
-            _accumulate(out, self.mu_M([A.gen_elem(g) for g in full[:i]], inner))
+            accumulate(out, self.mu_M([A.gen_elem(g) for g in full[:i]], inner))
         # phi(x_1..x_i, mu^{Y(L)}(rest))
         for i in range(n):
             for h, c in A.mu_gens(full[i:]).items():
-                _accumulate(out, self._component(full[:i] + (h,)), c)
+                accumulate(out, self._component(full[:i] + (h,)), c)
         # inner contractions strictly inside the x-part of (xs, y, e_L)
         for j in range(n - 1):
             for k in range(1, n - j):
                 for h, c in A.mu_gens(full[j:j + k]).items():
-                    _accumulate(out, self._component(full[:j] + (h,) + full[j + k:]), c)
+                    accumulate(out, self._component(full[:j] + (h,) + full[j + k:]), c)
         return out
 
 
@@ -941,30 +873,30 @@ def verify_abouzaid_diagram(A: TabulatedAInfCategory, B: Sequence[str], K: str,
                 xy = xs + (y,)
                 # T1 = mu_{l+2}(xs, y, mu_{d+2}(t))
                 for h, c in mu(t).items():
-                    _accumulate(total, mu(xy + (h,)), c)
+                    accumulate(total, mu(xy + (h,)), c)
                 # T2 = sum_{j,i} mu(x_1..x_j, mu(x_{j+1}..y, gamma1, a_1..a_i),
                 #                  a_{i+1}..a_d, gamma2)
                 for j in range(l + 1):
                     for i in range(len(interior) + 1):
                         for h, c in mu(xy[j:] + (gamma1,) + interior[:i]).items():
-                            _accumulate(total, mu(xs[:j] + (h,) + interior[i:] + (gamma2,)), c)
+                            accumulate(total, mu(xs[:j] + (h,) + interior[i:] + (gamma2,)), c)
                 # T3 = H_{d_bar(t)}
                 for key, c in bar_differential(A, t).items():
-                    _accumulate(total, mu(xy + key), c)
+                    accumulate(total, mu(xy + key), c)
                 # T4 = mu_1^mod(H_t) expanded
                 # (a) mu_{i+1}(x_1..x_i, mu_{l-i+d+3}(x_{i+1}..y, t))
                 for i in range(l + 1):
                     for h, c in mu(xy[i:] + t).items():
-                        _accumulate(total, mu(xs[:i] + (h,)), c)
+                        accumulate(total, mu(xs[:i] + (h,)), c)
                 # (b) mu(x_1..x_i, mu(x_{i+1}..y), t)  [Yoneda differential part]
                 for i in range(l + 1):
                     for h, c in mu(xy[i:]).items():
-                        _accumulate(total, mu(xs[:i] + (h,) + t), c)
+                        accumulate(total, mu(xs[:i] + (h,) + t), c)
                 # (c) inner contractions of the x-part
                 for j in range(l):
                     for k in range(1, l - j + 1):
                         for h, c in mu(xs[j:j + k]).items():
-                            _accumulate(total, mu(xs[:j] + (h,) + xy[j + k:] + t), c)
+                            accumulate(total, mu(xs[:j] + (h,) + xy[j + k:] + t), c)
                 if total:
                     rep.failures.append((t, xs, y, total))
                 else:

@@ -18,21 +18,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .ainf import Elem, HomGen, TabulatedAInfCategory, elem_add
+from .ainf import Elem, HomGen, TabulatedAInfCategory
 from .hochschild import chain_level, is_cycle
 from .novikov import NOV_ONE, NovikovElement
 from .novikov_complex import CoverageError
+from .sparse import add_into, nonzero
 
 Chain = dict  # {tensor tuple: NovikovElement}
-
-
-def chain(*terms) -> Chain:
-    out: Chain = {}
-    for t, c in terms:
-        cc = c if isinstance(c, NovikovElement) else NovikovElement.monomial(c)
-        key = tuple(t)
-        out[key] = out.get(key, NovikovElement.zero()) + cc
-    return {k: v for k, v in out.items() if v}
 
 
 @dataclass(frozen=True)
@@ -103,7 +95,7 @@ def build_single_equator(h=0) -> FukayaModel:
         ("pt_L",): {"pt_S2": NOV_ONE, "u": half},
         ("pt_L", "pt_L"): {"u": half},
     }
-    witness = chain((("pt_L", "pt_L"), NOV_ONE))
+    witness = {("pt_L", "pt_L"): NOV_ONE}
     return FukayaModel("single_equator", model_cat, h, ("u", "pt_S2"), oc,
                        witness, single_lagrangian=True)
 
@@ -156,7 +148,7 @@ def build_sphere(N: int, h=0) -> FukayaModel:
     for i in range(1, N + 1):
         oc[(f"n{i}", f"s{i}'")] = {"u": slice_exp} if i == 1 else {}
         oc[(f"e{i}",)] = {}
-    witness = chain(*(((f"n{i}", f"s{i}'"), NOV_ONE) for i in range(1, N + 1)))
+    witness = {(f"n{i}", f"s{i}'"): NOV_ONE for i in range(1, N + 1)}
     return FukayaModel(f"sphere_N{N}", cat, h, ("u", "pt_S2"), oc, witness,
                        single_lagrangian=False)
 
@@ -274,7 +266,7 @@ def build_torus_bxy(precision=120, h=0) -> FukayaModel:
                                 grading_modulus=2, half_dim=1)
     avec = ("a_xy", "a_yx", "a_xy", "a_yx")
     oc = {avec: {"u": oracle_lattice_oc(precision)}}
-    witness = chain((avec, NOV_ONE))
+    witness = {avec: NOV_ONE}
     return FukayaModel("torus_bxy", cat, h, ("u", "pt_T2", "s1", "s2"), oc,
                        witness, single_lagrangian=False, precision=precision)
 
@@ -350,10 +342,9 @@ def build_torus_longitudes(N: int, precision=8, h=0, u_strip: int = 1,
     witness: Chain = {}
     for j in range(1, N + 1):
         jn = j % N + 1
-        witness = elem_add(witness, chain(
-            ((f"axy{j}", f"ayx{jn}", f"axy{jn}", f"ayx{j}"), NOV_ONE)))
-        witness = elem_add(witness, chain(
-            ((f"e{j}", f"axy{j}", f"ayx{j}"), qht)))
+        witness[(f"axy{j}", f"ayx{jn}", f"axy{jn}", f"ayx{j}")] = NOV_ONE
+        witness[(f"e{j}", f"axy{j}", f"ayx{j}")] = qht
+    witness = nonzero(witness)
     return FukayaModel(f"torus_longitudes_N{N}", cat, h,
                        ("u", "pt_T2", "s1", "s2"), oc, witness,
                        single_lagrangian=False, precision=precision)
@@ -423,7 +414,7 @@ def build_torus_grid(N: int, precision=10, h=0) -> FukayaModel:
     t4 = (f"axy{ix},{iy}", f"ayx{jx},{iy}", f"axy{jx},{jy}", f"ayx{ix},{jy}")
     theta = oracle_grid_theta(N, precision)
     oc = {t4: {"u": theta}}
-    witness = chain((t4, NOV_ONE))
+    witness = {t4: NOV_ONE}
     return FukayaModel(f"torus_grid_N{N}", cat, h, ("u",), oc, witness,
                        single_lagrangian=False, precision=precision)
 
@@ -435,9 +426,7 @@ def oc_evaluate(model: FukayaModel, c: Chain) -> QHElement:
     for t, coeff in c.items():
         if not coeff:
             continue
-        val = model.oc_tensor(tuple(t))
-        for g, v in val.items():
-            out[g] = out.get(g, NovikovElement.zero()) + coeff * v
+        add_into(out, model.oc_tensor(tuple(t)), coeff)
     return _qh(out)
 
 

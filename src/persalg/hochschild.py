@@ -14,13 +14,13 @@ and both the action level and the tensor length never increase.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional, Sequence
 
-from .ainf import TabulatedAInfCategory
+from .ainf import TabulatedAInfCategory, tensor_level
 from .filtered_complex import Gen
 from .novikov import NovikovElement
 from .novikov_complex import ConciseBarcode, FloerComplex, concise_barcode, death_level
+from .sparse import add_into, level, nonzero
 
 Chain = dict  # {tensor tuple: NovikovElement}
 
@@ -33,15 +33,9 @@ def reduce_tensor(A: TabulatedAInfCategory, t: tuple[str, ...]) -> Optional[tupl
 
 
 def chain_canonical(A: TabulatedAInfCategory, c: Chain) -> Chain:
-    out: Chain = {}
-    for t, coeff in c.items():
-        if not coeff:
-            continue
-        key = reduce_tensor(A, tuple(t))
-        if key is None:
-            continue
-        out[key] = out.get(key, NovikovElement.zero()) + coeff
-    return {k: v for k, v in out.items() if v}
+    """``c`` without its zero terms and the tensors the reduction kills."""
+    return nonzero({key: coeff for t, coeff in c.items()
+                    if (key := reduce_tensor(A, tuple(t))) is not None})
 
 
 def tensor_is_cyclic(A: TabulatedAInfCategory, t: tuple[str, ...]) -> bool:
@@ -57,13 +51,7 @@ def chain_degree(A: TabulatedAInfCategory, t: tuple[str, ...]) -> int:
 
 
 def chain_level(A: TabulatedAInfCategory, c: Chain):
-    lv = None
-    for t, coeff in c.items():
-        if not coeff:
-            continue
-        cur = sum((A.gen_info[g].level for g in t), Fraction(0)) - coeff.valuation
-        lv = cur if lv is None else max(lv, cur)
-    return lv
+    return level(c, lambda t: tensor_level(A, t))
 
 
 def dcc_tensor(A: TabulatedAInfCategory, t: tuple[str, ...]) -> Chain:
@@ -77,7 +65,8 @@ def dcc_tensor(A: TabulatedAInfCategory, t: tuple[str, ...]) -> Chain:
         red = reduce_tensor(A, key)
         if red is None or not coeff:
             return
-        out[red] = out.get(red, NovikovElement.zero()) + coeff
+        old = out.get(red)
+        out[red] = coeff if old is None else old + coeff
 
     # interior blocks: slots i..j with 1 <= i <= j <= k-1 (0-based: 1..k-1)
     for i in range(1, k):
@@ -96,15 +85,14 @@ def dcc_tensor(A: TabulatedAInfCategory, t: tuple[str, ...]) -> Chain:
             rest = t[l + 1:k - r] if k - r > l + 1 else ()
             for h, c in val.items():
                 add((h,) + tuple(rest), c)
-    return {key: v for key, v in out.items() if v}
+    return nonzero(out)
 
 
 def dcc(A: TabulatedAInfCategory, c: Chain) -> Chain:
     out: Chain = {}
     for t, coeff in chain_canonical(A, c).items():
-        for key, v in dcc_tensor(A, t).items():
-            out[key] = out.get(key, NovikovElement.zero()) + coeff * v
-    return {k: v for k, v in out.items() if v}
+        add_into(out, dcc_tensor(A, t), coeff)
+    return nonzero(out)
 
 
 def is_cycle(A: TabulatedAInfCategory, c: Chain) -> bool:
@@ -147,10 +135,8 @@ def hochschild_complex(A: TabulatedAInfCategory, objects: Sequence[str],
     """F^{n_max} CC over the given objects as a Floer complex."""
     tensors = hochschild_tensors(A, objects, n_max)
     index = {t: i for i, t in enumerate(tensors)}
-    gens = []
-    for t in tensors:
-        lv = sum((A.gen_info[g].level for g in t), Fraction(0))
-        gens.append(Gen("(" + ")(".join(t) + ")", chain_degree(A, t), lv))
+    gens = [Gen("(" + ")(".join(t) + ")", chain_degree(A, t), tensor_level(A, t))
+            for t in tensors]
     diff: dict[int, dict[int, NovikovElement]] = {}
     for t, i in index.items():
         row: dict[int, NovikovElement] = {}
@@ -158,7 +144,8 @@ def hochschild_complex(A: TabulatedAInfCategory, objects: Sequence[str],
             j = index.get(key)
             if j is None:
                 raise AssertionError(f"d_CC leaves the truncation at {key}")
-            row[j] = row.get(j, NovikovElement.zero()) + c
+            old = row.get(j)
+            row[j] = c if old is None else old + c
         if row:
             diff[i] = row
     return FloerComplex(gens, diff, A.modulus, validate=False), tensors

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from . import gf2
+from . import gf2, sparse
 from .filtered_complex import FilteredComplex, Gen
 from .novikov import NOV_ONE, NovikovElement
 from .persistence import INF, json_list
@@ -88,9 +88,6 @@ class FloerComplex:
         d = self.gens[i].degree
         return d % self.modulus if self.modulus else d
 
-    def entry(self, i: int, j: int) -> NovikovElement:
-        return self.diff.get(i, {}).get(j, NovikovElement.zero())
-
     def validate(self):
         for i, row in self.diff.items():
             for j, P in row.items():
@@ -103,28 +100,15 @@ class FloerComplex:
         for i in range(self.dim()):
             acc: dict[int, NovikovElement] = {}
             for j, P in self.diff.get(i, {}).items():
-                for k, Q in self.diff.get(j, {}).items():
-                    acc[k] = acc.get(k, NovikovElement.zero()) + P * Q
+                sparse.add_into(acc, self.diff.get(j, {}), P)
             if any(bool(v) for v in acc.values()):
                 raise ValueError(f"d^2 != 0 at generator {self.gens[i].name}")
 
     def apply(self, vec: dict[int, NovikovElement]) -> dict[int, NovikovElement]:
-        out: dict[int, NovikovElement] = {}
-        for i, c in vec.items():
-            if not c:
-                continue
-            for j, P in self.diff.get(i, {}).items():
-                out[j] = out.get(j, NovikovElement.zero()) + c * P
-        return {j: v for j, v in out.items() if v}
+        return sparse.apply(self.diff, vec)
 
     def level_of(self, vec: dict[int, NovikovElement]):
-        lv = None
-        for i, c in vec.items():
-            if not c:
-                continue
-            cur = self.gens[i].level - c.valuation
-            lv = cur if lv is None else max(lv, cur)
-        return lv
+        return sparse.level(vec, lambda i: self.gens[i].level)
 
     def to_json(self) -> dict:
         return {
@@ -248,7 +232,9 @@ def reduce_floer(C: FloerComplex, working_precision=None) -> Reduction:
             coef = row.pop(aj) * Pinv
             row.pop(bi, None)
             for k, R in residue.items():
-                val = row.get(k, NovikovElement.zero()) + coef * R
+                val = coef * R
+                if (old := row.get(k)) is not None:
+                    val = old + val
                 if is_zero(val):
                     row.pop(k, None)
                     rows_at[k].discard(x)
@@ -256,10 +242,7 @@ def reduce_floer(C: FloerComplex, working_precision=None) -> Reduction:
                     row[k] = val
                     rows_at[k].add(x)
                     heapq.heappush(heap, (_over(val.exponents[0], D) + lev[x] - lev[k], x, k))
-            # track the column operation on the basis
-            bvec = basis[x]
-            for k, c in basis[bi].items():
-                bvec[k] = bvec.get(k, NovikovElement.zero()) + coef * c
+            sparse.add_into(basis[x], basis[bi], coef)  # the column operation on the basis
         for x in rows_at.pop(bi, set()) & alive:
             cols[x].pop(bi, None)
     return Reduction(C, pairs, sorted(alive), basis)
@@ -325,7 +308,7 @@ def express_in_reduction(red: Reduction, w: dict[int, NovikovElement],
         columns.append(("pair", (bi, aj), vec))
     for u in red.unpaired:
         columns.append(("unpaired", u, dict(red.basis[u])))
-    target = {k: v for k, v in w.items() if v}
+    target = sparse.nonzero(w)
     vecs = [dict(vec) for _, _, vec in columns]
     keys = [(kind, key) for kind, key, _ in columns]
     # combo[i] expresses the current column i over the original columns, so
@@ -346,38 +329,31 @@ def express_in_reduction(red: Reduction, w: dict[int, NovikovElement],
             continue
         _, r, P = pivot
         used_rows.add(r)
-        order.append((idx, r, P))
+        # the column without its pivot row, final from here on
+        rest = {k: R for k, R in vec.items() if k != r}
+        order.append((idx, r, P, rest))
         Pinv = P.invert(prec + abs(P.valuation))
         for idx2 in range(idx + 1, len(vecs)):
             Q = vecs[idx2].pop(r, None)
             if Q is not None and Q:
                 coef = Q * Pinv
-                for k, R in vec.items():
-                    if k == r:
-                        continue
-                    vecs[idx2][k] = vecs[idx2].get(k, NovikovElement.zero()) + coef * R
-                for ck, cv in combos[idx].items():
-                    combos[idx2][ck] = combos[idx2].get(ck, NovikovElement.zero()) + coef * cv
+                sparse.add_into(vecs[idx2], rest, coef)
+                sparse.add_into(combos[idx2], combos[idx], coef)
     # forward substitution: each pivot row survives only in its own column
     residual = dict(target)
     z: dict[int, NovikovElement] = {}
-    for idx, r, P in order:
+    for idx, r, P, rest in order:
         Q = residual.pop(r, None)
         if Q is None or not Q:
             continue
         coef = Q * P.invert(prec + abs(P.valuation))
         z[idx] = coef
-        for k, R in vecs[idx].items():
-            if k == r:
-                continue
-            residual[k] = residual.get(k, NovikovElement.zero()) + coef * R
-    residual = {k: v for k, v in residual.items() if v and v.exponents}
-    if residual:
+        sparse.add_into(residual, rest, coef)
+    if sparse.nonzero(residual):
         raise ValueError("vector is not a cycle of the complex")
     solution: dict[tuple, NovikovElement] = {}
     for idx, coef in z.items():
-        for ck, cv in combos[idx].items():
-            solution[ck] = solution.get(ck, NovikovElement.zero()) + coef * cv
+        sparse.add_into(solution, combos[idx], coef)
     pair_coeffs = {key: c for (kind, key), c in solution.items() if kind == "pair" and c}
     unp_coeffs = {key: c for (kind, key), c in solution.items() if kind == "unpaired" and c}
     return pair_coeffs, unp_coeffs
@@ -436,19 +412,11 @@ class FloerMap:
         for i in range(self.source.dim()):
             lhs = self.apply(self.source.diff.get(i, {}))
             rhs = self.target.apply(self.mat.get(i, {}))
-            keys = set(lhs) | set(rhs)
-            for k in keys:
-                if lhs.get(k, NovikovElement.zero()) + rhs.get(k, NovikovElement.zero()):
-                    raise ValueError("not a chain map")
+            if sparse.add(lhs, rhs):
+                raise ValueError("not a chain map")
 
     def apply(self, vec: dict[int, NovikovElement]) -> dict[int, NovikovElement]:
-        out: dict[int, NovikovElement] = {}
-        for i, c in vec.items():
-            if not c:
-                continue
-            for j, P in self.mat.get(i, {}).items():
-                out[j] = out.get(j, NovikovElement.zero()) + c * P
-        return {j: v for j, v in out.items() if v}
+        return sparse.apply(self.mat, vec)
 
 
 def floer_cone(f: FloerMap) -> tuple[FloerComplex, int]:
@@ -466,8 +434,7 @@ def floer_cone(f: FloerMap) -> tuple[FloerComplex, int]:
         row: dict[int, NovikovElement] = {}
         for j, P in A.diff.get(i, {}).items():
             row[nb + j] = P
-        for j, P in f.mat.get(i, {}).items():
-            row[j] = row.get(j, NovikovElement.zero()) + P
+        sparse.add_into(row, f.mat.get(i, {}))
         if row:
             diff[nb + i] = row
     return FloerComplex(gens, diff, B.modulus, validate=False), nb

@@ -484,44 +484,37 @@ def _oracle_slice_feasible(bars1, bars2, a, b, symmetric: bool) -> bool:
     n1, n2 = len(bars1), len(bars2)
     if not pairs_phi and any(eta1):
         return False
-    # enumerate phi assignments; for each, psi must satisfy linear equations
+    # Unknowns: the psi entries on pairs_psi.  Equation i*n1 + k is entry
+    # (i, k) of psi . S^b phi = eta_{a+b} on B1 and, when symmetric, equation
+    # n1*n1 + j*n2 + k is entry (j, k) of phi . S^a psi = eta_{a+b} on B2.
+    # terms lists (p, t, eq): psi entry t enters equation eq when phi entry p
+    # is 1; rhs is the set of equations whose right side is 1.  Neither
+    # depends on phi, so both are built once, before the enumeration.
+    terms = []
+    rhs = 0
+    shifted1 = [_shift_bar(x, a + b) for x in bars1]
+    for p, (i, j) in enumerate(pairs_phi):
+        for t, (jj, k) in enumerate(pairs_psi):
+            if jj == j and _hom_nonzero(shifted1[i], bars1[k]):
+                terms.append((p, t, i * n1 + k))
+    for i in range(n1):
+        if eta1[i]:
+            rhs |= 1 << (i * n1 + i)
+    if symmetric:
+        shifted2 = [_shift_bar(y, a + b) for y in bars2]
+        for p, (i, k) in enumerate(pairs_phi):
+            for t, (j, ii) in enumerate(pairs_psi):
+                if ii == i and _hom_nonzero(shifted2[j], bars2[k]):
+                    terms.append((p, t, n1 * n1 + j * n2 + k))
+        for j in range(n2):
+            if eta2[j]:
+                rhs |= 1 << (n1 * n1 + j * n2 + j)
+    # enumerate phi assignments; for each, psi must solve the linear system
     for bits in range(1 << len(pairs_phi)):
-        phi = {}
-        for t, (i, j) in enumerate(pairs_phi):
-            if (bits >> t) & 1:
-                phi[(i, j)] = 1
-        # unknowns: psi entries on pairs_psi; cols[t] is the set of equations
-        # that entry t enters, rhs the set of equations whose right side is 1
         cols = [0] * len(pairs_psi)
-        rhs = 0
-        eq = 0
-        # psi . S^b phi = eta_{a+b} on B1
-        for i in range(n1):
-            for k in range(n1):
-                for t, (j, kk) in enumerate(pairs_psi):
-                    if kk != k:
-                        continue
-                    if phi.get((i, j), 0):
-                        xs = _shift_bar(bars1[i], a + b)
-                        if _hom_nonzero(xs, bars1[k]):
-                            cols[t] ^= 1 << eq
-                if i == k and eta1[i]:
-                    rhs |= 1 << eq
-                eq += 1
-        if symmetric:
-            # phi . S^a psi = eta_{a+b} on B2: linear in psi as well
-            for j in range(n2):
-                for k in range(n2):
-                    for t, (jj, i) in enumerate(pairs_psi):
-                        if jj != j:
-                            continue
-                        if phi.get((i, k), 0):
-                            ys = _shift_bar(bars2[j], a + b)
-                            if _hom_nonzero(ys, bars2[k]):
-                                cols[t] ^= 1 << eq
-                    if j == k and eta2[j]:
-                        rhs |= 1 << eq
-                    eq += 1
+        for p, t, eq in terms:
+            if (bits >> p) & 1:
+                cols[t] ^= 1 << eq
         if gf2.solve(cols, rhs) is not None:
             return True
     return False

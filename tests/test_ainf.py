@@ -492,10 +492,11 @@ def _mu_elems_expansion(A, factors):
 
 
 def test_mu_elems_single_terms_match_expansion():
-    """Single-term factors (one lookup) agree with the product expansion,
-    exponents and precision alike, and raise CoverageError on the same
-    inputs; the coefficients mix 1, exact monomials, zero and truncated
-    series from the longitudes model at precision 6."""
+    """Single-term factors (one lookup) and factors of two or three terms
+    (the general path) agree with the product expansion, exponents and
+    precision alike, and raise CoverageError on the same inputs; the
+    coefficients mix 1, exact monomials, zero and truncated series from the
+    longitudes model at precision 6."""
     A = build_torus_longitudes(2, precision=6).category
     truncated = sorted({c for val in A.mu.values() for c in val.values()
                         if c.precision is not None}, key=str)
@@ -503,10 +504,21 @@ def test_mu_elems_single_terms_match_expansion():
     coeffs = [NOV_ONE, N.monomial(F(1, 2)), N.monomial(F(-1, 3)), N.zero(),
               N.zero(F(4))] + truncated
     rng = random.Random(17)
-    seen = {"value": 0, "CoverageError": 0}
+    seen = {"value": 0, "CoverageError": 0, "multi-term": 0}
+
+    def factor(g):
+        # g and up to two more generators of its hom space
+        info = A.gen_info[g]
+        others = [h for h in A.hom(info.source, info.target) if h != g]
+        names = [g] + rng.sample(others, min(len(others), rng.randint(0, 2)))
+        return {h: rng.choice(coeffs) for h in names}
+
     for key in _composable(A, 4):
-        for _ in range(3):
-            factors = [{g: rng.choice(coeffs)} for g in key]
+        for draw in range(6):
+            factors = [{g: rng.choice(coeffs)} for g in key] if draw < 3 else \
+                [factor(g) for g in key]
+            if any(len(f) > 1 for f in factors):
+                seen["multi-term"] += 1
             got = _outcome(A.mu_elems, factors)
             want = _outcome(_mu_elems_expansion, A, factors)
             assert got == want, (key, factors)
