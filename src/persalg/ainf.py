@@ -204,8 +204,9 @@ class TabulatedAInfCategory:
                     rep.failures.append(("filtration", key, h))
                 if self.modulus and (self.gen_info[h].degree - (total_deg + 2 - len(key))) % self.modulus:
                     rep.failures.append(("degree", key, h))
-        for n in range(1, max_arity + 1):
-            for key in self._composable_tuples(n):
+        for tuples in self.composable(sorted(self.gen_info), self._by_source, max_arity):
+            for key in tuples:
+                n = len(key)
                 try:
                     acc: Elem = {}
                     for i in range(n):
@@ -225,14 +226,19 @@ class TabulatedAInfCategory:
                     rep.uncheckable.append((key, exc.args[0]))
         return rep
 
-    def _composable_tuples(self, n: int) -> list[tuple[str, ...]]:
-        """Composable n-tuples, ordered by first generator name, then by the
-        position of each further generator in its source's index."""
-        tuples = [(g,) for g in sorted(self.gen_info)]
+    def composable(self, starts: Sequence[str], leaving: dict[str, Sequence[str]],
+                   n: int) -> list[list[tuple[str, ...]]]:
+        """Composable generator tuples of lengths 1..n, one list per length
+        ([] when n < 1).  The 1-tuples are ``starts``; each next list extends
+        every tuple of the last, in order, by ``leaving[X]`` in list order, X
+        the target of its last generator (no extension when X is not a key)."""
+        if n < 1:
+            return []
+        by_length = [[(g,) for g in starts]]
         for _ in range(n - 1):
-            tuples = [t + (g,) for t in tuples
-                      for g in self._by_source.get(self.gen_info[t[-1]].target, ())]
-        return tuples
+            by_length.append([t + (g,) for t in by_length[-1]
+                              for g in leaving.get(self.gen_info[t[-1]].target, ())])
+        return by_length
 
     # -- serialization ------------------------------------------------------
 
@@ -284,35 +290,9 @@ def bar_tensors(A: TabulatedAInfCategory, B: Sequence[str], K: str, n_max: int
                 ) -> list[tuple[str, ...]]:
     """All tensors gamma_1 (x) a_1 ... a_d (x) gamma_2 with interior objects
     from B and 0 <= d <= n_max, as tuples of generator names."""
-    out = []
-
-    def interiors(chain_objs, length):
-        if length == 0:
-            yield []
-            return
-        last = chain_objs[-1]
-        for nxt in B:
-            hom = A.hom(last, nxt)
-            if hom is None:
-                continue
-            for g in hom:
-                for rest in interiors(chain_objs + [nxt], length - 1):
-                    yield [g] + rest
-
-    for d in range(0, n_max + 1):
-        for L0 in B:
-            h1 = A.hom(K, L0)
-            if h1 is None:
-                continue
-            for g1 in h1:
-                for mid in interiors([L0], d):
-                    Ld = A.gen_info[mid[-1]].target if mid else L0
-                    h2 = A.hom(Ld, K)
-                    if h2 is None:
-                        continue
-                    for g2 in h2:
-                        out.append((g1, *mid, g2))
-    return out
+    into_B = {X: [g for Y in B for g in A.hom(X, Y) or ()] for X in (K, *B)}
+    return [t + (g2,) for tuples in A.composable(into_B[K], into_B, n_max + 1)
+            for t in tuples for g2 in A.hom(A.gen_info[t[-1]].target, K) or ()]
 
 
 def tensor_level(A: TabulatedAInfCategory, t: tuple[str, ...]) -> Fraction:
@@ -340,45 +320,44 @@ def bar_differential(A: TabulatedAInfCategory, t: tuple[str, ...]
     return nonzero(out)
 
 
+def tensor_complex(A: TabulatedAInfCategory, tensors: Sequence[tuple[str, ...]],
+                   degree, d) -> FloerComplex:
+    """The Floer complex with one generator per tensor t, of degree
+    ``degree(A, t)`` and level ``tensor_level(A, t)``, and differential
+    ``d(A, t)`` ({tensor: coefficient}, keys among ``tensors``)."""
+    index = {t: i for i, t in enumerate(tensors)}
+    gens = [Gen("(" + ")(".join(t) + ")", degree(A, t), tensor_level(A, t))
+            for t in tensors]
+    diff: dict[int, dict[int, NovikovElement]] = {}
+    for i, t in enumerate(tensors):
+        row: dict[int, NovikovElement] = {}
+        for key, c in d(A, t).items():
+            j = index.get(key)
+            if j is None:
+                raise AssertionError(f"the differential leaves the truncation at {key}")
+            row[j] = c
+        diff[i] = row  # FloerComplex drops empty rows
+    return FloerComplex(gens, diff, A.modulus, validate=False)
+
+
 def bar_complex(A: TabulatedAInfCategory, B: Sequence[str], K: str, n_max: int
                 ) -> tuple[FloerComplex, FloerMap, list[tuple[str, ...]]]:
     """The truncation F^{n_max} bar(K,K) as a Floer complex, the contraction
     map mu to hom(K,K), and the tensor list indexing the generators."""
     tensors = bar_tensors(A, B, K, n_max)
-    t_index = {t: i for i, t in enumerate(tensors)}
-    gens = [Gen("(" + ")(".join(t) + ")", tensor_degree(A, t), tensor_level(A, t))
-            for t in tensors]
-    diff: dict[int, dict[int, NovikovElement]] = {}
-    for t, i in t_index.items():
-        row: dict[int, NovikovElement] = {}
-        for key, c in bar_differential(A, t).items():
-            j = t_index.get(key)
-            if j is None:
-                raise AssertionError(f"bar differential leaves the truncation: {key}")
-            old = row.get(j)
-            row[j] = c if old is None else old + c
-        if row:
-            diff[i] = row
-    barC = FloerComplex(gens, diff, A.modulus, validate=False)
+    barC = tensor_complex(A, tensors, tensor_degree, bar_differential)
     # target: hom(K, K) as a Floer complex with differential mu_1
     kk = A.hom(K, K)
     if kk is None:
         raise CoverageError((1, (K, K)))
     tgt_gens = [Gen(g, A.gen_info[g].degree, A.gen_info[g].level) for g in kk]
     tgt_idx = {g: i for i, g in enumerate(kk)}
-    tgt_diff: dict[int, dict[int, NovikovElement]] = {}
-    for g in kk:
-        val = A.mu_gens((g,))
-        row = {tgt_idx[h]: c for h, c in val.items() if c}
-        if row:
-            tgt_diff[tgt_idx[g]] = row
+    # FloerComplex and FloerMap drop zero entries and empty rows themselves
+    tgt_diff = {tgt_idx[g]: {tgt_idx[h]: c for h, c in A.mu_gens((g,)).items()}
+                for g in kk}
     target = FloerComplex(tgt_gens, tgt_diff, A.modulus, validate=False)
-    mat: dict[int, dict[int, NovikovElement]] = {}
-    for t, i in t_index.items():
-        val = A.mu_gens(t)
-        row = {tgt_idx[h]: c for h, c in val.items() if c}
-        if row:
-            mat[i] = row
+    mat = {i: {tgt_idx[h]: c for h, c in A.mu_gens(t).items()}
+           for i, t in enumerate(tensors)}
     mu_map = FloerMap(barC, target, mat, shift=0, validate=False)
     return barC, mu_map, tensors
 
@@ -605,14 +584,15 @@ def twist(A: TabulatedAInfCategory, Y: str, X: TwistedComplex) -> TwistedComplex
     q: dict[tuple[int, int], Elem] = {}
     # Y-block: coefficients of the module differential mu(g, q-chains)
     for a, (i, g) in enumerate(y_summands):
-        for b, (j, g2) in enumerate(y_summands):
-            if not a < b:
-                continue
-            acc: Elem = {}
-            for chain in _index_chains(i, j, nX):
-                if len(chain) > 1 and (qs := _q_entries(X.q, chain)) is not None:
-                    add_into(acc, A.mu_elems([A.gen_elem(g)] + qs))
-            if coeff := acc.get(g2):
+        sums: dict[int, Elem] = {}  # X summand j -> sum over the q-chains i..j
+        for b in range(a + 1, nY):
+            j, g2 = y_summands[b]
+            if j not in sums:
+                acc = sums[j] = {}
+                for chain in _index_chains(i, j, nX):
+                    if len(chain) > 1 and (qs := _q_entries(X.q, chain)) is not None:
+                        add_into(acc, A.mu_elems([A.gen_elem(g)] + qs))
+            if coeff := sums[j].get(g2):
                 q[(a, b)] = {A.units[Y]: coeff}
     # xi: diagonal inclusion of the generator
     for a, (i, g) in enumerate(y_summands):
@@ -690,13 +670,6 @@ def extract_unit_tensors(A: TabulatedAInfCategory, K: str, TC: TwistedComplex,
 
 # -- lambda map homotopy -----------------------------------------------------------
 
-def _yoneda_module_mu(A: TabulatedAInfCategory, X: str):
-    """mu^M for the Yoneda module M = hom(-, X): module element last."""
-    def mu_M(xs: Sequence[Elem], m: Elem) -> Elem:
-        return A.mu_elems(list(xs) + [m])
-    return mu_M
-
-
 def verify_lambda_homotopy(A: TabulatedAInfCategory, L: str, X: str,
                            l_max: int = 2, corrupt=None) -> AinfReport:
     """Check theta(lambda(c)) = c and (lambda theta + id)(phi) =
@@ -706,10 +679,10 @@ def verify_lambda_homotopy(A: TabulatedAInfCategory, L: str, X: str,
     ``corrupt`` optionally post-composes mu^M with a perturbation (negative
     control in tests)."""
     rep = AinfReport()
-    mu_M_base = _yoneda_module_mu(A, X)
 
-    def mu_M(xs, m):
-        out = mu_M_base(xs, m)
+    def mu_M(xs: Sequence[Elem], m: Elem) -> Elem:
+        """mu^M for the Yoneda module M = hom(-, X): module element last."""
+        out = A.mu_elems(list(xs) + [m])
         if corrupt is not None:
             out = add(out, corrupt(xs, m))
         return out
@@ -731,9 +704,11 @@ def verify_lambda_homotopy(A: TabulatedAInfCategory, L: str, X: str,
 
     # homotopy identity evaluated on elementary pre-morphisms phi
     # phi = delta on (l0-tuple t0) |-> m0
-    for l0, t0, m0 in _premorphism_basis(A, L, X, l_max):
+    evals = _eval_tuples(A, L, l_max)
+    basis = [(l0, xs + (y,), m0) for l0, xs, y in evals for m0 in A.hom(L, X) or []]
+    for l0, t0, m0 in basis:
         phi = _ElementaryPremorphism(A, L, X, l0, t0, m0, mu_M)
-        for l, xs_names, y_name in _eval_tuples(A, L, l_max):
+        for l, xs_names, y_name in evals:
             try:
                 lhs = phi.lam_theta(xs_names, y_name)
                 lhs = add(lhs, phi.apply(xs_names, y_name))  # + id
@@ -748,30 +723,17 @@ def verify_lambda_homotopy(A: TabulatedAInfCategory, L: str, X: str,
     return rep
 
 
-def _premorphism_basis(A: TabulatedAInfCategory, L: str, X: str, l_max: int):
-    for l0 in range(0, l_max + 1):
-        for xs, y in _tuples_ending_at(A, L, l0):
-            for m0 in A.hom(L, X) or []:
-                yield l0, tuple(xs) + (y,), m0
-
-
-def _tuples_ending_at(A: TabulatedAInfCategory, L: str, l: int):
-    """(x_1..x_l, y) with y in hom(X_l, L) and the x's composable."""
-    if l == 0:
-        for obj in A.objects:
-            for y in A.hom(obj, L) or []:
-                yield (), y
-        return
-    for xs in A._composable_tuples(l):
-        tail = A.gen_info[xs[-1]].target
-        for y in A.hom(tail, L) or []:
-            yield xs, y
-
-
-def _eval_tuples(A: TabulatedAInfCategory, L: str, l_max: int):
-    for l in range(0, l_max + 1):
-        for xs, y in _tuples_ending_at(A, L, l):
-            yield l, xs, y
+def _eval_tuples(A: TabulatedAInfCategory, L: str, l_max: int
+                 ) -> list[tuple[int, tuple[str, ...], str]]:
+    """(l, (x_1..x_l), y) for l <= l_max: the x's composable and y in
+    hom(X_l, L) (in hom(X, L) for any object X when l = 0)."""
+    if l_max < 0:
+        return []
+    out = [(0, (), y) for X in A.objects for y in A.hom(X, L) or []]
+    for tuples in A.composable(sorted(A.gen_info), A._by_source, l_max):
+        out += [(len(xs), xs, y) for xs in tuples
+                for y in A.hom(A.gen_info[xs[-1]].target, L) or []]
+    return out
 
 
 class _ElementaryPremorphism:
@@ -865,14 +827,21 @@ def verify_abouzaid_diagram(A: TabulatedAInfCategory, B: Sequence[str], K: str,
     the diagram (lambda . mu^bar, mu_2(lambda-bar, xi), H_{d_bar}, mu_1 H)."""
     rep = AinfReport()
     mu = A.mu_gens
+    evals = _eval_tuples(A, K, l_max)
     for t in bar_tensors(A, B, K, n_max):
         gamma1, interior, gamma2 = t[0], t[1:-1], t[-1]
-        for l, xs, y in _eval_tuples(A, K, l_max):
+        # mu(t) and d_bar(t) depend on t alone; an uncovered one is raised
+        # afresh at its own term, so each report keeps its first gap
+        mu_t, mu_t_gap = _covered(mu, t)
+        d_t, d_t_gap = _covered(bar_differential, A, t)
+        for l, xs, y in evals:
             try:
                 total: Elem = {}
                 xy = xs + (y,)
                 # T1 = mu_{l+2}(xs, y, mu_{d+2}(t))
-                for h, c in mu(t).items():
+                if mu_t_gap is not None:
+                    raise CoverageError(*mu_t_gap)
+                for h, c in mu_t.items():
                     accumulate(total, mu(xy + (h,)), c)
                 # T2 = sum_{j,i} mu(x_1..x_j, mu(x_{j+1}..y, gamma1, a_1..a_i),
                 #                  a_{i+1}..a_d, gamma2)
@@ -881,7 +850,9 @@ def verify_abouzaid_diagram(A: TabulatedAInfCategory, B: Sequence[str], K: str,
                         for h, c in mu(xy[j:] + (gamma1,) + interior[:i]).items():
                             accumulate(total, mu(xs[:j] + (h,) + interior[i:] + (gamma2,)), c)
                 # T3 = H_{d_bar(t)}
-                for key, c in bar_differential(A, t).items():
+                if d_t_gap is not None:
+                    raise CoverageError(*d_t_gap)
+                for key, c in d_t.items():
                     accumulate(total, mu(xy + key), c)
                 # T4 = mu_1^mod(H_t) expanded
                 # (a) mu_{i+1}(x_1..x_i, mu_{l-i+d+3}(x_{i+1}..y, t))
@@ -904,6 +875,14 @@ def verify_abouzaid_diagram(A: TabulatedAInfCategory, B: Sequence[str], K: str,
             except CoverageError as exc:
                 rep.uncheckable.append(((t, xs, y), exc.args[0]))
     return rep
+
+
+def _covered(f, *args) -> tuple[Optional[dict], Optional[tuple]]:
+    """(f(*args), None), or (None, the CoverageError's args) when uncovered."""
+    try:
+        return f(*args), None
+    except CoverageError as exc:
+        return None, exc.args
 
 
 # -- shifted category -------------------------------------------------------------

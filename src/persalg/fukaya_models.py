@@ -66,8 +66,10 @@ class FukayaModel:
     precision: Optional[Fraction] = None
 
     def oc_tensor(self, t: tuple) -> dict[str, NovikovElement]:
+        """OC of the tensor ``t``; CoverageError when untabulated.  The result
+        is the table's own entry: it is shared and must not be mutated."""
         if t in self.oc_table:
-            return dict(self.oc_table[t])
+            return self.oc_table[t]
         raise CoverageError(("OC", t))
 
 

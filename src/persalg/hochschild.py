@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .ainf import TabulatedAInfCategory, tensor_level
-from .filtered_complex import Gen
+from .ainf import TabulatedAInfCategory, tensor_complex, tensor_level
 from .novikov import NovikovElement
 from .novikov_complex import ConciseBarcode, FloerComplex, concise_barcode, death_level
 from .sparse import add_into, level, nonzero
@@ -102,53 +101,20 @@ def is_cycle(A: TabulatedAInfCategory, c: Chain) -> bool:
 def hochschild_tensors(A: TabulatedAInfCategory, objects: Sequence[str],
                        n_max: int) -> list[tuple[str, ...]]:
     """All reduced cyclic tensors of length <= n_max over the given objects."""
-    out = []
-    by_pair = {pair: names for pair, names in A.homs.items()
-               if pair[0] in objects and pair[1] in objects}
-
-    def extend(chain, length):
-        if chain:
-            tail = A.gen_info[chain[-1]].target
-            if len(chain) == length:
-                if tail == A.gen_info[chain[0]].source:
-                    out.append(tuple(chain))
-                return
-            for (src, tgt), names in by_pair.items():
-                if src != tail:
-                    continue
-                for g in names:
-                    if g in A.unit_names:
-                        continue
-                    chain.append(g)
-                    extend(chain, length)
-                    chain.pop()
-
-    for length in range(1, n_max + 1):
-        for (src, tgt), names in by_pair.items():
-            for g0 in names:
-                extend([g0], length)
-    return out
+    starts, leaving = [], {}
+    for (src, tgt), names in A.homs.items():
+        if src in objects and tgt in objects:
+            starts += names
+            leaving.setdefault(src, []).extend(g for g in names if g not in A.unit_names)
+    return [t for tuples in A.composable(starts, leaving, n_max) for t in tuples
+            if A.gen_info[t[-1]].target == A.gen_info[t[0]].source]
 
 
 def hochschild_complex(A: TabulatedAInfCategory, objects: Sequence[str],
                        n_max: int) -> tuple[FloerComplex, list[tuple[str, ...]]]:
     """F^{n_max} CC over the given objects as a Floer complex."""
     tensors = hochschild_tensors(A, objects, n_max)
-    index = {t: i for i, t in enumerate(tensors)}
-    gens = [Gen("(" + ")(".join(t) + ")", chain_degree(A, t), tensor_level(A, t))
-            for t in tensors]
-    diff: dict[int, dict[int, NovikovElement]] = {}
-    for t, i in index.items():
-        row: dict[int, NovikovElement] = {}
-        for key, c in dcc_tensor(A, t).items():
-            j = index.get(key)
-            if j is None:
-                raise AssertionError(f"d_CC leaves the truncation at {key}")
-            old = row.get(j)
-            row[j] = c if old is None else old + c
-        if row:
-            diff[i] = row
-    return FloerComplex(gens, diff, A.modulus, validate=False), tensors
+    return tensor_complex(A, tensors, chain_degree, dcc_tensor), tensors
 
 
 def hochschild_barcode(A: TabulatedAInfCategory, objects: Sequence[str],

@@ -555,3 +555,112 @@ def test_lambda_report_pinned_sphere2():
     assert rep.uncheckable[0] == ((0, ("e1",), "n1", (), "pt1"), (2, ("pt1", "n1")))
     assert rep.uncheckable[-1] == ((1, ("s2'", "s2"), "s2'", ("s2'",), "s2"),
                                    (2, ("s2'", "s2")))
+
+
+# -- composable-tuple orders against recursive enumerators ----------------------
+
+def _bar_tensors_recursive(A, B, K, n_max):
+    """gamma_1 (x) a_1 ... a_d (x) gamma_2 by depth-first recursion over the
+    interior objects, d = 0..n_max."""
+    out = []
+
+    def interiors(last, length):
+        if length == 0:
+            yield []
+            return
+        for nxt in B:
+            for g in A.hom(last, nxt) or []:
+                for rest in interiors(nxt, length - 1):
+                    yield [g] + rest
+
+    for d in range(n_max + 1):
+        for L0 in B:
+            for g1 in A.hom(K, L0) or []:
+                for mid in interiors(L0, d):
+                    Ld = A.gen_info[mid[-1]].target if mid else L0
+                    for g2 in A.hom(Ld, K) or []:
+                        out.append((g1, *mid, g2))
+    return out
+
+
+def _hochschild_tensors_recursive(A, objects, n_max):
+    """Cyclic tensors of length <= n_max by depth-first extension, scanning
+    every hom pair inside ``objects`` at each step; no unit after slot 1."""
+    out = []
+    pairs = {p: names for p, names in A.homs.items()
+             if p[0] in objects and p[1] in objects}
+
+    def extend(chain, length):
+        tail = A.gen_info[chain[-1]].target
+        if len(chain) == length:
+            if tail == A.gen_info[chain[0]].source:
+                out.append(tuple(chain))
+            return
+        for (src, _), names in pairs.items():
+            if src == tail:
+                for g in names:
+                    if g not in A.unit_names:
+                        extend(chain + [g], length)
+
+    for length in range(1, n_max + 1):
+        for names in pairs.values():
+            for g0 in names:
+                extend([g0], length)
+    return out
+
+
+def _composable_recursive(A, max_arity):
+    """Composable tuples by arity, then first generator name, then by the
+    order of each further generator among the generators of its source."""
+    def extend(t, n):
+        if len(t) == n:
+            yield t
+            return
+        for g in A.gen_info:
+            if A.gen_info[g].source == A.gen_info[t[-1]].target:
+                yield from extend(t + (g,), n)
+
+    return [t for n in range(1, max_arity + 1)
+            for g in sorted(A.gen_info) for t in extend((g,), n)]
+
+
+def _order_models():
+    yield build_single_equator()
+    yield build_sphere(2)
+    yield build_sphere(3, F(1, 100))
+    yield build_torus_bxy()
+    for n in (2, 3):
+        yield build_torus_longitudes(n, precision=6)
+    yield build_torus_grid(2)
+
+
+def test_enumeration_orders_match_recursive_references():
+    """bar_tensors, hochschild_tensors and verify's key order are the
+    depth-first orders of the recursive enumerators, on proper and permuted
+    object families, a K outside B, and n_max = 0."""
+    from persalg.ainf import bar_tensors
+    from persalg.hochschild import hochschild_tensors
+
+    for M in _order_models():
+        A = M.category
+        objs = A.objects
+        families = [objs, objs[::-1], objs[:1], objs[1:], []]
+        for B in families:
+            for K in (objs[0], objs[-1]):
+                for n in (0, 1, 2):
+                    assert bar_tensors(A, B, K, n) == _bar_tensors_recursive(A, B, K, n), \
+                        (M.name, B, K, n)
+            for n in (0, 1, 2, 3):
+                assert hochschild_tensors(A, B, n) == \
+                    _hochschild_tensors_recursive(A, B, n), (M.name, B, n)
+        keys = _composable_recursive(A, 3)
+        assert [t for tuples in A.composable(sorted(A.gen_info), A._by_source, 3)
+                for t in tuples] == keys
+        rep = A.verify(3)
+        checked, gaps = rep.checked, [k for k, _ in rep.uncheckable]
+        relation = [f[1] for f in rep.failures if f[0] == "relation"]
+        assert sorted(checked + gaps + relation) == sorted(keys)
+        for got in (checked, gaps):
+            seen = set(got)
+            assert got == [k for k in keys if k in seen]
+        assert A.composable(sorted(A.gen_info), A._by_source, 0) == []
