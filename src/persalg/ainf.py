@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .filtered_complex import Gen
 from .novikov import NOV_ONE, NovikovElement
@@ -31,13 +31,9 @@ from .novikov_complex import (
     FloerMap,
     reach_gap_floer,
 )
-from .sparse import accumulate, add, add_into, expand, level, nonzero
+from .sparse import accumulate, add, add_into, expand, is_zero, level, nonzero
 
 Elem = dict  # {gen name: NovikovElement}
-
-
-def elem_is_zero(a: Elem) -> bool:
-    return not any(bool(v) for v in a.values())
 
 
 @dataclass(frozen=True)
@@ -284,6 +280,24 @@ class TabulatedAInfCategory:
         )
 
 
+# -- block contractions -----------------------------------------------------------
+
+def contractions(mu: Callable[[tuple], Elem], t: tuple[str, ...], whole: bool = True
+                 ) -> Iterator[tuple[tuple[str, ...], NovikovElement]]:
+    """(t[:i] + (h,) + t[j+1:], c) for each consecutive block t[i..j] and
+    each term c h of mu(t[i..j]), in the order i, then j, then mu's terms.
+    ``whole=False`` skips the block t itself, without evaluating mu on it.
+    Blocks are evaluated lazily, so a caller that stops at the first
+    CoverageError sees the same one as a plain i/j loop."""
+    n = len(t)
+    for i in range(n):
+        head = t[:i]
+        for j in range(i + 1, n + 1 if whole or i else n):
+            tail = t[j:]
+            for h, c in mu(t[i:j]).items():
+                yield head + (h,) + tail, c
+
+
 # -- bar bimodule ---------------------------------------------------------------
 
 def bar_tensors(A: TabulatedAInfCategory, B: Sequence[str], K: str, n_max: int
@@ -306,17 +320,12 @@ def tensor_degree(A: TabulatedAInfCategory, t: tuple[str, ...]) -> int:
 
 def bar_differential(A: TabulatedAInfCategory, t: tuple[str, ...]
                      ) -> dict[tuple[str, ...], NovikovElement]:
-    """mu^bar_{0|1|0}: all consecutive proper block contractions."""
-    n = len(t)
+    """mu^bar_{0|1|0}: all consecutive proper block contractions (the full
+    contraction is the map mu, not d_bar)."""
     out: dict[tuple, NovikovElement] = {}
-    for i in range(n):
-        for j in range(i, n):
-            if i == 0 and j == n - 1:
-                continue  # the full contraction is the map mu, not d_bar
-            for h, c in A.mu_gens(t[i:j + 1]).items():
-                key = t[:i] + (h,) + t[j + 1:]
-                old = out.get(key)
-                out[key] = c if old is None else old + c
+    for key, c in contractions(A.mu_gens, t, whole=False):
+        old = out.get(key)
+        out[key] = c if old is None else old + c
     return nonzero(out)
 
 
@@ -383,7 +392,7 @@ def verify_unit_witness(A: TabulatedAInfCategory, B: Sequence[str], K: str,
         if c:
             add_into(dtot, bar_differential(A, t), c)
             add_into(mu_tot, A.mu_gens(t), c)
-    if any(bool(v) for v in dtot.values()):
+    if not is_zero(dtot):
         raise ValueError("witness chain is not a d_bar cycle")
     diff = add(mu_tot, A.unit(K))
     if diff:
@@ -397,20 +406,14 @@ def cone_differential(A: TabulatedAInfCategory, x: dict[tuple, NovikovElement]
                       ) -> dict[tuple, NovikovElement]:
     """Differential of Cone(mu): all consecutive block contractions, the full
     one landing in the length-1 part."""
-    mu = A.mu_gens
     out: dict[tuple, NovikovElement] = {}
     for t, c in x.items():
         if not c:
             continue
-        n = len(t)
-        for i in range(n):
-            head = t[:i]
-            for j in range(i, n):
-                for h, v in mu(t[i:j + 1]).items():
-                    key = head + (h,) + t[j + 1:]
-                    p = c * v
-                    old = out.get(key)
-                    out[key] = p if old is None else old + p
+        for key, v in contractions(A.mu_gens, t):
+            p = c * v
+            old = out.get(key)
+            out[key] = p if old is None else old + p
     return nonzero(out)
 
 
@@ -460,7 +463,7 @@ class TwistedComplex:
 
     def __post_init__(self):
         self.summands = [(o, Fraction(r), int(t)) for o, r, t in self.summands]
-        self.q = {k: v for k, v in self.q.items() if not elem_is_zero(v)}
+        self.q = {k: v for k, v in self.q.items() if not is_zero(v)}
         A = self.category
         for (i, j), val in self.q.items():
             if not i < j:
@@ -488,11 +491,9 @@ def maurer_cartan_defect(TC: TwistedComplex) -> dict[tuple[int, int], Elem]:
     for i in range(n):
         for j in range(i + 1, n):
             acc: Elem = {}
-            for chain in _index_chains(i, j, n):
-                factors = _q_entries(TC.q, chain)
-                if factors is not None:
-                    accumulate(acc, A.mu_elems(factors))
-            if not elem_is_zero(acc):
+            for qs in _q_chains(TC.q, i, j):
+                accumulate(acc, A.mu_elems(qs))
+            if not is_zero(acc):
                 out[(i, j)] = acc
     return out
 
@@ -501,30 +502,19 @@ def maurer_cartan_check(TC: TwistedComplex) -> bool:
     return not maurer_cartan_defect(TC)
 
 
-def _index_chains(i: int, j: int, n: int):
-    """All strictly increasing chains i = c_0 < ... < c_k = j."""
-    def rec(cur):
-        last = cur[-1]
-        if last == j:
-            yield list(cur)
-            return
-        for nxt in range(last + 1, j + 1):
-            cur.append(nxt)
-            yield from rec(cur)
-            cur.pop()
-    yield from rec([i])
-
-
-def _q_entries(q: dict[tuple[int, int], Elem], chain: list[int]) -> Optional[list[Elem]]:
-    """The entries q[c_0, c_1], q[c_1, c_2], ... along ``chain``; None when
-    one of them is absent (zero)."""
-    out = []
-    for key in zip(chain, chain[1:]):
-        ent = q.get(key)
-        if ent is None:
-            return None
-        out.append(ent)
-    return out
+def _q_chains(q: dict[tuple[int, int], Elem], i: int, j: int) -> Iterator[list[Elem]]:
+    """The entries [q[c_0, c_1], ..., q[c_{k-1}, c_k]] along each chain
+    i = c_0 < ... < c_k = j whose entries are all present (nonzero), in
+    lexicographic order of the chains; [] once, for the empty chain, when
+    i == j.  Only present entries are followed."""
+    if i == j:
+        yield []
+        return
+    for nxt in range(i + 1, j + 1):
+        ent = q.get((i, nxt))
+        if ent is not None:
+            for rest in _q_chains(q, nxt, j):
+                yield [ent] + rest
 
 
 def twisted_cone(f: dict[tuple[int, int], Elem], source: TwistedComplex,
@@ -542,7 +532,7 @@ def twisted_cone(f: dict[tuple[int, int], Elem], source: TwistedComplex,
     for (i, j), v in target.q.items():
         q[(nA + i, nA + j)] = dict(v)
     for (i, j), v in f.items():
-        if not elem_is_zero(v):
+        if not is_zero(v):
             q[(i, nA + j)] = dict(v)
     return TwistedComplex(A, summands, q)
 
@@ -564,14 +554,13 @@ def twist(A: TabulatedAInfCategory, Y: str, X: TwistedComplex) -> TwistedComplex
     Requires mu_1 = 0 on the hom spaces hom(Y, O_i) (true in all tabulated
     models); the Y-block differential then comes from contractions of X's q.
     """
-    nX = len(X.summands)
     y_summands: list[tuple[int, str]] = []  # (X summand index, generator)
     for i, (o, r, t) in enumerate(X.summands):
         hom = A.hom(Y, o)
         if hom is None:
             raise CoverageError((1, (Y, o)))
         for g in hom:
-            if not elem_is_zero(A.mu_gens((g,))):
+            if not is_zero(A.mu_gens((g,))):
                 raise ValueError("twist requires mu_1 = 0 on hom(Y, X summands)")
             y_summands.append((i, g))
     summands = []
@@ -589,8 +578,8 @@ def twist(A: TabulatedAInfCategory, Y: str, X: TwistedComplex) -> TwistedComplex
             j, g2 = y_summands[b]
             if j not in sums:
                 acc = sums[j] = {}
-                for chain in _index_chains(i, j, nX):
-                    if len(chain) > 1 and (qs := _q_entries(X.q, chain)) is not None:
+                for qs in _q_chains(X.q, i, j):
+                    if qs:  # the empty chain at i == j is not a q-chain
                         add_into(acc, A.mu_elems([A.gen_elem(g)] + qs))
             if coeff := sums[j].get(g2):
                 q[(a, b)] = {A.units[Y]: coeff}
@@ -627,10 +616,7 @@ def twisted_hom_complex(A: TabulatedAInfCategory, Q: str, TC: TwistedComplex
             old = row.get(tgt)
             row[tgt] = c if old is None else old + c
         for j in range(i + 1, n):
-            for chain in _index_chains(i, j, n):
-                qs = _q_entries(TC.q, chain)
-                if qs is None:
-                    continue
+            for qs in _q_chains(TC.q, i, j):
                 for h, c in A.mu_elems([A.gen_elem(g)] + qs).items():
                     tgt = index[(j, h)]
                     old = row.get(tgt)
@@ -652,16 +638,13 @@ def extract_unit_tensors(A: TabulatedAInfCategory, K: str, TC: TwistedComplex,
     tensors: dict[tuple, NovikovElement] = {}
     for i in range(n):
         fi = f.get(i)
-        if fi is None or elem_is_zero(fi):
+        if fi is None or is_zero(fi):
             continue
         for j in range(i, n):
             gj = g.get(j)
-            if gj is None or elem_is_zero(gj):
+            if gj is None or is_zero(gj):
                 continue
-            for chain in (_index_chains(i, j, n) if i < j else [[i]]):
-                qs = _q_entries(TC.q, chain)
-                if qs is None:
-                    continue
+            for qs in _q_chains(TC.q, i, j):
                 factors = [fi] + qs + [gj]
                 accumulate(total, A.mu_elems(factors))
                 add_into(tensors, dict(expand(factors)))
@@ -687,13 +670,29 @@ def verify_lambda_homotopy(A: TabulatedAInfCategory, L: str, X: str,
             out = add(out, corrupt(xs, m))
         return out
 
-    e_L = A.unit(L)
+    e_L = A.units[L]
+
+    def d_mod(F: Callable[[tuple], Elem], args: tuple[str, ...]) -> Elem:
+        """(mu_1^mod F) on ``args``, F a pre-morphism on input tuples whose
+        last entry is the Yoneda-module slot: mu^M(args[:i], F(args[i:])),
+        then F(args[:i], mu(args[i:])), then F on the contractions inside
+        args[:-1], each summed by rule D."""
+        out: Elem = {}
+        for i in range(len(args)):
+            if inner := F(args[i:]):
+                accumulate(out, mu_M([A.gen_elem(g) for g in args[:i]], inner))
+        for i in range(len(args)):
+            for h, c in A.mu_gens(args[i:]).items():
+                accumulate(out, F(args[:i] + (h,)), c)
+        for key, c in contractions(A.mu_gens, args[:-1]):
+            accumulate(out, F(key + args[-1:]), c)
+        return out
 
     # theta . lambda = id on module elements
     for m_name in A.hom(L, X) or []:
         m = A.gen_elem(m_name)
         try:
-            got = mu_M([e_L], m)
+            got = mu_M([A.gen_elem(e_L)], m)
         except CoverageError as exc:
             rep.uncheckable.append((("theta.lambda", m_name), exc.args[0]))
             continue
@@ -702,18 +701,26 @@ def verify_lambda_homotopy(A: TabulatedAInfCategory, L: str, X: str,
         else:
             rep.checked.append(("theta.lambda", m_name))
 
-    # homotopy identity evaluated on elementary pre-morphisms phi
-    # phi = delta on (l0-tuple t0) |-> m0
+    # homotopy identity evaluated on elementary pre-morphisms phi:
+    # phi_{l0|1}(t0) = m0 and zero elsewhere; H = phi(., e_L)
     evals = _eval_tuples(A, L, l_max)
     basis = [(l0, xs + (y,), m0) for l0, xs, y in evals for m0 in A.hom(L, X) or []]
     for l0, t0, m0 in basis:
-        phi = _ElementaryPremorphism(A, L, X, l0, t0, m0, mu_M)
+        def phi(names: tuple[str, ...], t0=t0, m0=m0) -> Elem:
+            return {m0: NOV_ONE} if names == t0 else {}
+
+        def H(names: tuple[str, ...], phi=phi) -> Elem:
+            return phi(names + (e_L,))
+
+        theta = phi((e_L,))
         for l, xs_names, y_name in evals:
+            xy = xs_names + (y_name,)
             try:
-                lhs = phi.lam_theta(xs_names, y_name)
-                lhs = add(lhs, phi.apply(xs_names, y_name))  # + id
-                rhs = add(phi.mu1_H(xs_names, y_name),
-                               phi.H_mu1(xs_names, y_name))
+                # lambda(theta(phi)) + phi on (xs, y)
+                lhs = A.mu_elems([A.gen_elem(g) for g in xy] + [theta]) if theta else {}
+                lhs = add(lhs, phi(xy))
+                # mu_1 H + H mu_1, where (H mu_1 phi)(xs, y) = (mu_1 phi)(xs, y, e_L)
+                rhs = add(d_mod(H, xy), d_mod(phi, xy + (e_L,)))
                 if add(lhs, rhs):
                     rep.failures.append(("homotopy", (l0, t0, m0), (xs_names, y_name)))
                 else:
@@ -734,87 +741,6 @@ def _eval_tuples(A: TabulatedAInfCategory, L: str, l_max: int
         out += [(len(xs), xs, y) for xs in tuples
                 for y in A.hom(A.gen_info[xs[-1]].target, L) or []]
     return out
-
-
-class _ElementaryPremorphism:
-    """phi with a single nonzero component: phi_{l0|1}(t0) = m0."""
-
-    def __init__(self, A, L, X, l0, t0, m0, mu_M):
-        self.A = A
-        self.L = L
-        self.X = X
-        self.l0 = l0
-        self.t0 = tuple(t0)
-        self.m0 = m0
-        self.mu_M = mu_M
-
-    def _component(self, names: tuple[str, ...]) -> Elem:
-        if len(names) == self.l0 + 1 and names == self.t0:
-            return self.A.gen_elem(self.m0)
-        return {}
-
-    def apply(self, xs: tuple[str, ...], y: str) -> Elem:
-        return self._component(tuple(xs) + (y,))
-
-    def theta(self) -> Elem:
-        eL = self.A.units[self.L]
-        return self._component((eL,))
-
-    def lam_theta(self, xs: tuple[str, ...], y: str) -> Elem:
-        c = self.theta()
-        if elem_is_zero(c):
-            return {}
-        factors = [self.A.gen_elem(g) for g in xs] + [self.A.gen_elem(y), c]
-        return self.A.mu_elems(factors)
-
-    def H_apply(self, names: tuple[str, ...]) -> Elem:
-        eL = self.A.units[self.L]
-        return self._component(tuple(names) + (eL,))
-
-    def mu1_H(self, xs: tuple[str, ...], y: str) -> Elem:
-        A = self.A
-        out: Elem = {}
-        l = len(xs)
-        # mu^M(x_1..x_i, H(x_{i+1}..y))
-        for i in range(l + 1):
-            inner = self.H_apply(xs[i:] + (y,))
-            if not inner:
-                continue
-            accumulate(out, self.mu_M([A.gen_elem(g) for g in xs[:i]], inner))
-        # H(x_1..x_i, mu^{Y(L)}(x_{i+1}..y)) : mu of the Yoneda module on L
-        for i in range(l + 1):
-            for h, c in A.mu_gens(xs[i:] + (y,)).items():
-                accumulate(out, self.H_apply(xs[:i] + (h,)), c)
-        # inner contractions
-        for j in range(l):
-            for k in range(1, l - j + 1):
-                for h, c in A.mu_gens(xs[j:j + k]).items():
-                    accumulate(out, self.H_apply(xs[:j] + (h,) + xs[j + k:] + (y,)), c)
-        return out
-
-    def H_mu1(self, xs: tuple[str, ...], y: str) -> Elem:
-        # H(mu_1^mod phi) = (mu_1^mod phi)_{l+1|1}(xs, y, e_L); expand the
-        # three sums of mu_1^mod applied to phi at inputs (xs, y, e_L)
-        A = self.A
-        full = xs + (y, A.units[self.L])
-        n = len(full)
-        out: Elem = {}
-        # mu^M(x_1..x_i, phi(rest))
-        for i in range(n):
-            inner = self._component(full[i:])
-            if not inner:
-                continue
-            accumulate(out, self.mu_M([A.gen_elem(g) for g in full[:i]], inner))
-        # phi(x_1..x_i, mu^{Y(L)}(rest))
-        for i in range(n):
-            for h, c in A.mu_gens(full[i:]).items():
-                accumulate(out, self._component(full[:i] + (h,)), c)
-        # inner contractions strictly inside the x-part of (xs, y, e_L)
-        for j in range(n - 1):
-            for k in range(1, n - j):
-                for h, c in A.mu_gens(full[j:j + k]).items():
-                    accumulate(out, self._component(full[:j] + (h,) + full[j + k:]), c)
-        return out
 
 
 # -- Abouzaid diagram -----------------------------------------------------------
@@ -864,10 +790,8 @@ def verify_abouzaid_diagram(A: TabulatedAInfCategory, B: Sequence[str], K: str,
                     for h, c in mu(xy[i:]).items():
                         accumulate(total, mu(xs[:i] + (h,) + t), c)
                 # (c) inner contractions of the x-part
-                for j in range(l):
-                    for k in range(1, l - j + 1):
-                        for h, c in mu(xs[j:j + k]).items():
-                            accumulate(total, mu(xs[:j] + (h,) + xy[j + k:] + t), c)
+                for key, c in contractions(mu, xs):
+                    accumulate(total, mu(key + (y,) + t), c)
                 if total:
                     rep.failures.append((t, xs, y, total))
                 else:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .ainf import TabulatedAInfCategory, tensor_complex, tensor_level
+from .ainf import TabulatedAInfCategory, contractions, tensor_complex, tensor_level
 from .novikov import NovikovElement
 from .novikov_complex import ConciseBarcode, FloerComplex, concise_barcode, death_level
 from .sparse import add_into, level, nonzero
@@ -67,12 +67,9 @@ def dcc_tensor(A: TabulatedAInfCategory, t: tuple[str, ...]) -> Chain:
         old = out.get(red)
         out[red] = coeff if old is None else old + coeff
 
-    # interior blocks: slots i..j with 1 <= i <= j <= k-1 (0-based: 1..k-1)
-    for i in range(1, k):
-        for j in range(i, k):
-            val = A.mu_gens(t[i:j + 1])
-            for h, c in val.items():
-                add(t[:i] + (h,) + t[j + 1:], c)
+    # interior blocks: the contractions of the slots after the module slot
+    for key, c in contractions(A.mu_gens, t[1:]):
+        add(t[:1] + key, c)
     # module blocks: mu(t[k-r:], t[0], t[1:l+1]) wrapping through slot 1
     for r in range(0, k):
         for l in range(0, k - r):

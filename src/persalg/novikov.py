@@ -321,17 +321,6 @@ def series_divisor_sum(n_param: int, precision) -> NovikovElement:
     return NovikovElement(tuple(exps), prec)
 
 
-def series_generate(kind: str, precision, **params) -> NovikovElement:
-    """Dispatcher used by the CLI; see the individual generators."""
-    if kind == "odd_squares":
-        return series_odd_squares(precision)
-    if kind == "theta":
-        return series_theta(params["beta"], params.get("scale", 1), precision)
-    if kind == "divisor_sum":
-        return series_divisor_sum(params["n"], precision)
-    raise ValueError(f"unknown series kind {kind!r}")
-
-
 def inversion_recursion(exponent_set: Iterable[int], n_max: int) -> list[int]:
     """The g_n recursion: g_0 = 1, g_n = sum_{e in E\\{0}, e<=n} g_{n-e} mod 2.
 

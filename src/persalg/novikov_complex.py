@@ -101,7 +101,7 @@ class FloerComplex:
             acc: dict[int, NovikovElement] = {}
             for j, P in self.diff.get(i, {}).items():
                 sparse.add_into(acc, self.diff.get(j, {}), P)
-            if any(bool(v) for v in acc.values()):
+            if not sparse.is_zero(acc):
                 raise ValueError(f"d^2 != 0 at generator {self.gens[i].name}")
 
     def apply(self, vec: dict[int, NovikovElement]) -> dict[int, NovikovElement]:
@@ -369,7 +369,7 @@ def death_level(C: FloerComplex, w: dict[int, NovikovElement],
     """
     red = reduce_floer(C, working_precision)
     pair_coeffs, unp_coeffs = express_in_reduction(red, w, working_precision)
-    if any(bool(q) for q in unp_coeffs.values()):
+    if not sparse.is_zero(unp_coeffs):
         return INF
     if not pair_coeffs:
         return None  # w == 0

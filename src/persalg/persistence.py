@@ -427,31 +427,23 @@ def _retract_candidates(barsR, barsX):
     return sorted(c for c in cands if c >= 0)
 
 
-def _hom_nonzero(src: Bar, dst: Bar) -> bool:
-    # src = [b1,d1), dst = [b2,d2): nonzero iff b2 <= b1 < d2 <= d1
-    if dst.birth > src.birth:
+def _hom_nonzero(src: Bar, dst: Bar, s) -> bool:
+    # S^s src = [b1+s,d1+s), dst = [b2,d2): nonzero iff b2 <= b1+s < d2 <= d1+s
+    b1 = src.birth + s
+    if dst.birth > b1:
         return False
-    if dst.death != INF and src.birth >= dst.death:
+    if dst.death != INF and b1 >= dst.death:
         return False
     if dst.death == INF:
         return src.death == INF
-    return src.death == INF or dst.death <= src.death
-
-
-def _shift_bar(x: Bar, s) -> Bar:
-    return Bar(x.birth + s, x.death + s if x.death != INF else INF, x.degree)
+    return src.death == INF or dst.death <= src.death + s
 
 
 def _allowed_pairs(bars_src, bars_dst, shift):
     """Indices (i,j) where a degree-0 morphism S^shift src_i -> dst_j can be
     nonzero."""
-    out = []
-    for i, x in enumerate(bars_src):
-        xs = _shift_bar(x, shift)
-        for j, y in enumerate(bars_dst):
-            if x.degree == y.degree and _hom_nonzero(xs, y):
-                out.append((i, j))
-    return out
+    return [(i, j) for i, x in enumerate(bars_src) for j, y in enumerate(bars_dst)
+            if x.degree == y.degree and _hom_nonzero(x, y, shift)]
 
 
 def _eta_matrix(bars, shift):
@@ -479,8 +471,9 @@ def oracle_retract_feasible(R: Barcode, X: Barcode, r) -> bool:
 def _oracle_slice_feasible(bars1, bars2, a, b, symmetric: bool) -> bool:
     pairs_phi = _allowed_pairs(bars1, bars2, a)
     pairs_psi = _allowed_pairs(bars2, bars1, b)
-    eta1 = _eta_matrix(bars1, a + b)
-    eta2 = _eta_matrix(bars2, a + b)
+    ab = a + b
+    eta1 = _eta_matrix(bars1, ab)
+    eta2 = _eta_matrix(bars2, ab)
     n1, n2 = len(bars1), len(bars2)
     if not pairs_phi and any(eta1):
         return False
@@ -492,19 +485,17 @@ def _oracle_slice_feasible(bars1, bars2, a, b, symmetric: bool) -> bool:
     # depends on phi, so both are built once, before the enumeration.
     terms = []
     rhs = 0
-    shifted1 = [_shift_bar(x, a + b) for x in bars1]
     for p, (i, j) in enumerate(pairs_phi):
         for t, (jj, k) in enumerate(pairs_psi):
-            if jj == j and _hom_nonzero(shifted1[i], bars1[k]):
+            if jj == j and _hom_nonzero(bars1[i], bars1[k], ab):
                 terms.append((p, t, i * n1 + k))
     for i in range(n1):
         if eta1[i]:
             rhs |= 1 << (i * n1 + i)
     if symmetric:
-        shifted2 = [_shift_bar(y, a + b) for y in bars2]
         for p, (i, k) in enumerate(pairs_phi):
             for t, (j, ii) in enumerate(pairs_psi):
-                if ii == i and _hom_nonzero(shifted2[j], bars2[k]):
+                if ii == i and _hom_nonzero(bars2[j], bars2[k], ab):
                     terms.append((p, t, n1 * n1 + j * n2 + k))
         for j in range(n2):
             if eta2[j]:

@@ -59,6 +59,11 @@ def nonzero(vec: Vec) -> Vec:
     return {k: v for k, v in vec.items() if v}
 
 
+def is_zero(vec: Vec) -> bool:
+    """True when every entry of ``vec`` vanishes (also when it has none)."""
+    return not any(vec.values())
+
+
 def add(a: Vec, b: Vec) -> Vec:
     """a + b as a new vector without vanished entries."""
     out = dict(a)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction as F
@@ -7,8 +8,10 @@ import pytest
 from persalg.ainf import (
     HomGen,
     TabulatedAInfCategory,
+    _q_chains,
     bar_complex,
     cone_differential,
+    contractions,
     contracting_homotopy,
     extract_unit_tensors,
     maurer_cartan_check,
@@ -531,12 +534,21 @@ def test_mu_elems_single_terms_match_expansion():
 
 # -- pinned diagram-check reports ------------------------------------------------
 
+def _report_digest(rep):
+    """sha256 of the full report: checked, uncheckable and failures, in
+    order, by repr."""
+    text = repr((rep.checked, rep.uncheckable, rep.failures))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_abouzaid_report_pinned_single(single):
     rep = verify_abouzaid_diagram(single.category, ["L"], "L", 3, l_max=2)
     assert (len(rep.checked), len(rep.uncheckable), len(rep.failures)) == (832, 8, 0)
     pt = "pt_L"
     assert rep.uncheckable[0] == (((pt,) * 4, (pt, pt), pt), (7, (pt,) * 7))
     assert rep.uncheckable[-1] == (((pt,) * 5, (pt, pt), pt), (7, (pt,) * 7))
+    assert _report_digest(rep) == \
+        "18af249c2c9f260de8ed3fe9b22249002b718ef9fb189c2a84c80e0957f573e9"
 
 
 def test_abouzaid_report_pinned_sphere2():
@@ -546,6 +558,8 @@ def test_abouzaid_report_pinned_sphere2():
     assert rep.uncheckable[0] == ((("e1", "e1"), ("n1",), "n1'"), (2, ("n1", "n1'")))
     assert rep.uncheckable[-1] == ((("s2'", "pt2", "pt2", "s2"), ("s2'",), "s2"),
                                    (4, ("s2'", "pt2", "pt2", "s2")))
+    assert _report_digest(rep) == \
+        "90904f5e36fd0abe2f1afae23376803e3a402ebcd8ca214b1b8e83f55a89035e"
 
 
 def test_lambda_report_pinned_sphere2():
@@ -555,6 +569,111 @@ def test_lambda_report_pinned_sphere2():
     assert rep.uncheckable[0] == ((0, ("e1",), "n1", (), "pt1"), (2, ("pt1", "n1")))
     assert rep.uncheckable[-1] == ((1, ("s2'", "s2"), "s2'", ("s2'",), "s2"),
                                    (2, ("s2'", "s2")))
+    assert _report_digest(rep) == \
+        "a1172bc7a8e9aacae48f9eb7218231b689be7ed7f7bc3b62e71e5f3c215986ed"
+
+
+def test_lambda_report_pinned_single(single):
+    rep = verify_lambda_homotopy(single.category, "L", "L", l_max=3)
+    assert (len(rep.checked), len(rep.uncheckable), len(rep.failures)) == (1802, 0, 0)
+    assert _report_digest(rep) == \
+        "869dd2e54471eb7e363ce0204f527d674e9fdfb1669047068dd01b477a05d31a"
+
+
+# -- block contractions and q-chains against plain enumerations -----------------
+
+def _contractions_loop(mu, t, whole):
+    """The nested i/j loop over the blocks t[i..j], then mu's terms."""
+    n = len(t)
+    for i in range(n):
+        for j in range(i, n):
+            if not whole and (i, j) == (0, n - 1):
+                continue
+            for h, c in mu(t[i:j + 1]).items():
+                yield t[:i] + (h,) + t[j + 1:], c
+
+
+def _drain(items):
+    """(key, exponents, precision) up to the first CoverageError, and its
+    args (None when there is none)."""
+    out = []
+    try:
+        for key, c in items:
+            out.append((key, c.exponents, c.precision))
+    except CoverageError as exc:
+        return out, exc.args
+    return out, None
+
+
+def test_contractions_match_nested_loop(single, sphere2):
+    """contractions yields the nested loop's (key, coefficient) sequence, in
+    order and up to the same first CoverageError, with and without the
+    whole-tensor block; without it, mu is never evaluated on the tensor."""
+    seen = {"value": 0, "CoverageError": 0}
+    for M, seed in ((single, 3), (sphere2, 4)):
+        A = M.category
+        tuples = list(_composable(A, 5))
+        rng = random.Random(seed)
+        for t in rng.sample(tuples, min(len(tuples), 300)):
+            for whole in (True, False):
+                asked = []
+
+                def mu(key):
+                    asked.append(key)
+                    return A.mu_gens(key)
+
+                got = _drain(contractions(mu, t, whole))
+                assert got == _drain(_contractions_loop(A.mu_gens, t, whole)), (t, whole)
+                assert whole or t not in asked
+                seen["value" if got[1] is None else "CoverageError"] += 1
+    assert all(seen.values())
+
+
+def _index_chain_entries(q, i, j):
+    """Every chain i = c_0 < ... < c_k = j by recursion, then its q entries
+    looked up; chains with a missing entry dropped."""
+    def chains(cur):
+        if cur[-1] == j:
+            yield cur
+            return
+        for nxt in range(cur[-1] + 1, j + 1):
+            yield from chains(cur + [nxt])
+
+    out = []
+    for chain in chains([i]):
+        keys = list(zip(chain, chain[1:]))
+        if all(k in q for k in keys):
+            out.append([q[k] for k in keys])
+    return out
+
+
+def test_q_chains_match_index_chain_enumeration():
+    """_q_chains gives the entry lists of the recursive index-chain
+    enumeration, in its order, for all i <= j on random q patterns (missing
+    entries and i == j included)."""
+    rng = random.Random(11)
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        density = rng.choice([0.2, 0.5, 0.8, 1.0])
+        q = {(a, b): {f"q{a}{b}": NOV_ONE} for a in range(n) for b in range(a + 1, n)
+             if rng.random() < density}
+        for i in range(n):
+            for j in range(i, n):
+                got = list(_q_chains(q, i, j))
+                want = _index_chain_entries(q, i, j)
+                assert got == want, (q, i, j)
+                assert all(a is b for x, y in zip(got, want) for a, b in zip(x, y))
+
+
+def test_bar_complex_coverage_gap_pinned():
+    """bar_complex reports the first uncovered proper block; mu on a whole
+    tensor is the contraction map and is not evaluated by d_bar."""
+    cases = [(build_sphere(2).category, ["L1", "L2"], "L2", (2, ("n1'", "pt1"))),
+             (build_torus_bxy().category, ["Lx", "Ly"], "Lx", (2, ("pt_x", "a_xy")))]
+    for A, B, K, gap in cases:
+        with pytest.raises(CoverageError) as exc:
+            bar_complex(A, B, K, 1)
+        assert exc.value.args[0] == gap
 
 
 # -- composable-tuple orders against recursive enumerators ----------------------

@@ -11,7 +11,6 @@ from persalg.novikov import (
     NovikovElement,
     inversion_recursion,
     series_divisor_sum,
-    series_generate,
     series_odd_squares,
     series_theta,
 )
@@ -154,14 +153,6 @@ def test_series_divisor_lowest_term():
     for N in (2, 3, 4, 5):
         s = series_divisor_sum(N, 1)
         assert s.valuation == F(1, N)
-
-
-def test_series_generate_dispatch():
-    assert series_generate("odd_squares", 10) == series_odd_squares(10)
-    assert series_generate("theta", 2, beta=F(1, 4), scale=1) == series_theta(F(1, 4), 1, 2)
-    assert series_generate("divisor_sum", 2, n=3) == series_divisor_sum(3, 2)
-    with pytest.raises(ValueError):
-        series_generate("nope", 1)
 
 
 def test_text_round_trip():

@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 from persalg.novikov import NOV_ONE, NovikovElement as N
-from persalg.sparse import accumulate, add, add_into, apply, expand, level, nonzero
+from persalg.sparse import accumulate, add, add_into, apply, expand, is_zero, level, nonzero
 
 
 def _abw():
@@ -76,3 +76,10 @@ def test_expand_skips_vanishing_products():
     assert list(expand([one_t, {"c": N.zero(F(2))}])) == []
     got = list(expand([one_t, {"c": N.monomial(2), "d": N.zero(F(2))}]))
     assert [(k, v.exponents) for k, v in got] == [(("a", "c"), (2,)), (("b", "c"), (3,))]
+
+
+def test_is_zero():
+    a, b, _ = _abw()
+    assert is_zero({})
+    assert is_zero({"x": N.zero(), "y": a + b})
+    assert not is_zero({"x": N.zero(), "y": a})
