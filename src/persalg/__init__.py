@@ -4,6 +4,7 @@ Subpackages
 -----------
 novikov           exact Z2 Novikov arithmetic with rational exponents
 gf2               GF(2) linear algebra over int bitmasks (the elimination kernel)
+lattice           exact rationals as integers over one common scale
 persistence       barcodes and interleaving-type distances
 filtered_complex  filtered Z2 chain complexes, cones, cone-length
 novikov_complex   Floer-type complexes over the Novikov field

@@ -25,12 +25,14 @@ All GF(2) elimination (reduction, rank, kernel, solve, inverse) goes through
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import gf2
+from .lattice import common_scale, over
 from .persistence import (
     INF,
     Bar,
@@ -245,20 +247,34 @@ class ElementaryDecomposition:
     pairs: list[tuple[int, int, Fraction, Fraction, int]]  # a_vec, b_vec, va, vb, deg_a
     singles: list[tuple[int, Fraction, int]]  # c_vec, vc, deg_c
 
+    def basis(self) -> list[tuple[str, int, Fraction, int]]:
+        """The new basis as (name, vector, level, degree): pair k gives
+        p{k}_a and p{k}_b at positions 2k and 2k + 1, then single k gives s{k}."""
+        db = self.complex.d_degree
+        out = []
+        for k, (a_vec, b_vec, va, vb, deg) in enumerate(self.pairs):
+            out.append((f"p{k}_a", a_vec, va, deg))
+            out.append((f"p{k}_b", b_vec, vb, deg - db))
+        out.extend((f"s{k}", c_vec, vc, deg)
+                   for k, (c_vec, vc, deg) in enumerate(self.singles))
+        return out
 
-def _level_key(C: FilteredComplex) -> Callable[[Fraction], int]:
-    """An exact integer sort key for the levels of C: each level over their
-    common denominator.  Far cheaper to compare than the Fractions."""
-    scale = math.lcm(*{g.level.denominator for g in C.gens})
-    return lambda level: level.numerator * (scale // level.denominator)
+
+def _truncation(dec: ElementaryDecomposition, delta: Fraction) -> list[int]:
+    """The positions in ``dec.basis()`` kept by the delta-truncation: both
+    sides of each pair of gap > delta, and every single."""
+    n = 2 * len(dec.pairs)
+    return [p for p in range(n + len(dec.singles))
+            if p >= n or dec.pairs[p // 2][3] - dec.pairs[p // 2][2] > delta]
 
 
 def decompose_elementary(C: FilteredComplex) -> ElementaryDecomposition:
     """Filtered Gaussian reduction; ties broken by generator index."""
     n = C.dim()
+    D = common_scale(g.level for g in C.gens)
+    levels = [over(g.level, D) for g in C.gens]
     # the stable sort breaks ties by index
-    key = _level_key(C)
-    order = sorted(range(n), key=lambda i: key(C.gens[i].level))
+    order = sorted(range(n), key=levels.__getitem__)
     # the permutations from generator to position coordinates and back
     to_pos = [0] * n
     for p, g in enumerate(order):
@@ -374,33 +390,19 @@ def truncate(C: FilteredComplex, delta) -> tuple[FilteredComplex, FilteredMap, F
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     dec = decompose_elementary(C)
-    kept: list[tuple[str, int, Fraction, int]] = []  # name, vec, level, degree
-    diff: dict[int, list[int]] = {}
-    db = C.d_degree
-    for k, (a_vec, b_vec, va, vb, deg) in enumerate(dec.pairs):
-        if vb - va > delta:
-            ia = len(kept)
-            kept.append((f"p{k}_a", a_vec, va, deg))
-            ib = len(kept)
-            kept.append((f"p{k}_b", b_vec, vb, deg - db))
-            diff[ib] = [ia]
-    for k, (c_vec, vc, deg) in enumerate(dec.singles):
-        kept.append((f"s{k}", c_vec, vc, deg))
-    gens = [Gen(nm, dg, lv) for nm, _, lv, dg in kept]
+    basis = dec.basis()
+    kept = _truncation(dec, delta)
+    gens = [Gen(basis[p][0], basis[p][3], basis[p][2]) for p in kept]
+    # the b side of a kept pair comes right after its a side
+    n_paired = 2 * len(dec.pairs)
+    diff = {i: [i - 1] for i, p in enumerate(kept) if p < n_paired and p % 2}
     V = FilteredComplex(gens, diff, C.modulus, C.cohomological)
-    section = FilteredMap(V, C, {i: vec for i, (_, vec, _, _) in enumerate(kept)})
-    # projection: express original basis in the new full basis, drop removed
-    full: list[tuple[int, Optional[int]]] = []  # (vec over C, index in V or None)
-    names = {nm: i for i, (nm, _, _, _) in enumerate(kept)}
-    for k, (a_vec, b_vec, va, vb, deg) in enumerate(dec.pairs):
-        keep = vb - va > delta
-        full.append((a_vec, names.get(f"p{k}_a") if keep else None))
-        full.append((b_vec, names.get(f"p{k}_b") if keep else None))
-    for k, (c_vec, vc, deg) in enumerate(dec.singles):
-        full.append((c_vec, names[f"s{k}"]))
-    # original e_i = sum_j inv[i][j] newbasis_j; project to kept coords
-    inv = gf2.invert([vec for vec, _ in full])
-    kept_cols = [0 if tgt is None else 1 << tgt for _, tgt in full]
+    section = FilteredMap(V, C, {i: basis[p][1] for i, p in enumerate(kept)})
+    # original e_i = sum_j inv[i][j] basis_j; project to the kept coordinates
+    inv = gf2.invert([vec for _, vec, _, _ in basis])
+    kept_cols = [0] * len(basis)
+    for i, p in enumerate(kept):
+        kept_cols[p] = 1 << i
     projection = FilteredMap(C, V, {i: gf2.apply(kept_cols, x) for i, x in enumerate(inv)})
     return V, section, projection
 
@@ -498,16 +500,13 @@ def cone_length(C: FilteredComplex, eps, mode: str = "to_target") -> tuple[int, 
     count = bar_count(B, 2 * eps)
     n_inf = sum(1 for b in B.bars if b.infinite)
     value = 2 * count - n_inf
-    items = []  # (level, tiebreak, name, degree)
-    for k, (_, _, va, vb, deg) in enumerate(dec.pairs):
-        if vb - va > 2 * eps:
-            items.append((va, 0, f"p{k}_a", deg))
-            items.append((vb, 1, f"p{k}_b", deg - C.d_degree))
-    for k, (_, vc, deg) in enumerate(dec.singles):
-        items.append((vc, 0, f"s{k}", deg))
-    key = _level_key(C)
-    items.sort(key=lambda t: (key(t[0]), t[1]))
-    steps = [ConeStep(nm, lv, dg, Fraction(0)) for lv, _, nm, dg in items]
+    basis = dec.basis()
+    n_paired = 2 * len(dec.pairs)
+    D = common_scale(g.level for g in C.gens)
+    # level order, the b side of a pair after its a side at equal level
+    order = sorted(_truncation(dec, 2 * eps),
+                   key=lambda p: (over(basis[p][2], D), p % 2 if p < n_paired else 0))
+    steps = [ConeStep(basis[p][0], basis[p][2], basis[p][3], Fraction(0)) for p in order]
     if mode == "to_zero":
         steps = steps[::-1]
     assert len(steps) == value
@@ -559,10 +558,6 @@ def retract_cone_length_over(A: FilteredComplex, G: FilteredComplex, eps,
 
 
 # -- brute-force decomposition search ----------------------------------------
-
-def _barcode_key(B: Barcode):
-    return tuple(sorted((b.birth, b.death, b.degree) for b in B.bars))
-
 
 def _zero_complex(modulus: int, cohomological: bool) -> FilteredComplex:
     return FilteredComplex((), {}, modulus, cohomological)
@@ -642,20 +637,18 @@ def min_cone_decomposition(target: Barcode, family: Sequence[FilteredComplex],
                 pieces.append((id(F), alpha, t, shift_translate(F, alpha, t)))
     attachables = [p[3] for p in pieces]
     if tensor_rank > 1:
-        import itertools as _it
-
         by_family: dict[int, list[FilteredComplex]] = {}
         for fid, alpha, t, Ft in pieces:
             by_family.setdefault(fid, []).append(Ft)
         for fid, opts in by_family.items():
             for r in range(2, tensor_rank + 1):
-                for combo in _it.combinations_with_replacement(opts, r):
+                for combo in itertools.combinations_with_replacement(opts, r):
                     attachables.append(direct_sum(*combo))
 
     start = _zero_complex(modulus, cohom)
     frontier: list[FilteredComplex] = [start]
     start_bc = homology_barcode(start)
-    seen = {_barcode_key(start_bc)}
+    seen = {start_bc}
     nodes = 0
     if dist(target, start_bc) <= eps:
         return 0
@@ -670,10 +663,9 @@ def min_cone_decomposition(target: Barcode, family: Sequence[FilteredComplex],
                     fmap = FilteredMap(Ft, X, mat, shift=0, validate=False)
                     Y = cone(fmap, 0)
                     bc = homology_barcode(Y)
-                    key = _barcode_key(bc)
-                    if key in seen:
+                    if bc in seen:
                         continue
-                    seen.add(key)
+                    seen.add(bc)
                     if dist(target, bc) <= eps:
                         return depth
                     nxt.append(Y)
@@ -714,22 +706,13 @@ def stability_reduce(C: FilteredComplex, dprime: dict[int, Iterable[int]], delta
 
     # change to the d-elementary basis
     dec = decompose_elementary(C)
-    new_basis: list[tuple[str, int, Fraction, int]] = []  # name, vec, level, degree
-    for k, (a_vec, b_vec, va, vb, deg) in enumerate(dec.pairs):
-        new_basis.append((f"p{k}_a", a_vec, va, deg))
-        new_basis.append((f"p{k}_b", b_vec, vb, deg - C.d_degree))
-    for k, (c_vec, vc, deg) in enumerate(dec.singles):
-        new_basis.append((f"s{k}", c_vec, vc, deg))
+    new_basis = dec.basis()
     inv = gf2.invert([vec for _, vec, _, _ in new_basis])
     D_new = [gf2.apply(inv, gf2.apply(D, vec)) for _, vec, _, _ in new_basis]
-    levels = [lv for _, _, lv, _ in new_basis]
-    degrees = [dg for _, _, _, dg in new_basis]
-    names = [nm for nm, _, _, _ in new_basis]
     alive = list(range(len(new_basis)))
 
     def eliminate(ia: int, ib: int):
         """Cancel the D-pair (a' = D(b), b) from the alive complex."""
-        nonlocal D_new
         # j1: for x with <D x, a> = 1, send x to x + b; then D stays within
         # the complement; p1 projection: drop coordinates a and b after
         # substituting a -> D'(b) (i.e. a' -> 0).
@@ -754,12 +737,12 @@ def stability_reduce(C: FilteredComplex, dprime: dict[int, Iterable[int]], delta
     # The d-pairs are (a, b) = (2k, 2k+1) in the new basis.  Levels never
     # change and the pairs are disjoint, so eliminating the shortest remaining
     # short pair, round after round, is one pass in (gap, index) order.
-    gaps = [(levels[2 * k + 1] - levels[2 * k], 2 * k) for k in range(len(dec.pairs))]
+    gaps = [(vb - va, 2 * k) for k, (_, _, va, vb, _) in enumerate(dec.pairs)]
     for _, ia in sorted(g for g in gaps if is_short(g[0])):
         eliminate(ia, ia + 1)
 
     remap = {old: new for new, old in enumerate(alive)}
-    gens = [Gen(names[i], degrees[i], levels[i]) for i in alive]
+    gens = [Gen(new_basis[i][0], new_basis[i][3], new_basis[i][2]) for i in alive]
     diff: dict[int, int] = {}
     for old in alive:
         mask = 0

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
+from .lattice import common_scale, over
+
 INF = float("inf")
 _new = object.__new__
 _set = object.__setattr__
@@ -175,7 +177,7 @@ class NovikovElement:
         below p = min(precision, precision of x) in one pass, exponents in
         increasing order: c_q = [q == 0] + sum_{e in x} c_{q-e} over Z2.  Only
         0 and q + e < p with c_q = 1 can be exponents, so only those are
-        visited (as integers over the common denominator of x).
+        visited (as integers over the common scale of x, ``persalg.lattice``).
         """
         if not self.exponents:
             raise ZeroDivisionError("cannot invert the zero Novikov element")
@@ -189,8 +191,8 @@ class NovikovElement:
         if self.precision is not None:
             p = min(p, self.precision - v)
         xs = [e - v for e in self.exponents[1:] if e - v < p]
-        den = math.lcm(*(e.denominator for e in xs))
-        steps = [e.numerator * (den // e.denominator) for e in xs]
+        den = common_scale(xs)
+        steps = [over(e, den) for e in xs]
         limit = math.ceil(p * den)  # q < p  <=>  q * den < limit
         ones: dict[int, None] = {}  # insertion-ordered: increasing exponents
         seen = {0}

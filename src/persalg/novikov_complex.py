@@ -8,10 +8,10 @@ the entry of minimal normalized valuation (ties by generator index).  The
 result is the concise barcode: finite bar lengths plus per-degree counts of
 infinite bars.
 
-Every level and entry exponent of a complex lies in (1/D)Z for D the lcm of
-their denominators, and sums, differences and inverses of such exponents stay
-there.  So the reduction compares normalized valuations as the exact integers
-``nv * D``; only the recorded bar lengths are Fractions again.
+Every level and entry exponent of a complex lies in (1/D)Z for D their
+common scale (``persalg.lattice``), and sums, differences and inverses of such
+exponents stay there.  So the reduction compares normalized valuations as the
+exact integers ``nv * D``; only the recorded bar lengths are Fractions again.
 
 Division by pivots brings in infinite Novikov series, so the reduction runs
 at a working precision; a ``PrecisionError`` is raised whenever a pivoting
@@ -25,13 +25,13 @@ is reduced once however many bar counts are read from it.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from . import gf2, sparse
 from .filtered_complex import FilteredComplex, Gen
+from .lattice import common_scale, over
 from .novikov import NOV_ONE, NovikovElement
 from .persistence import INF, json_list
 
@@ -138,19 +138,14 @@ class FloerComplex:
         return FloerComplex(gens, diff, int(data.get("modulus", 2)))
 
 
-def _over(q: Fraction, D: int) -> int:
-    """q * D, for q in (1/D)Z."""
-    return q.numerator * (D // q.denominator)
-
-
 def _lattice(C: FloerComplex) -> tuple[int, list[int]]:
-    """The common denominator D of the levels and entry exponents of C, and
-    each generator's level times D.  The normalized valuation of an entry P
-    from i to j is then ``_over(P.exponents[0], D) + lev[i] - lev[j]`` over D."""
-    D = math.lcm(*{g.level.denominator for g in C.gens},
-                 *{e.denominator for row in C.diff.values()
-                   for P in row.values() for e in P.exponents})
-    return D, [_over(g.level, D) for g in C.gens]
+    """The common scale D of the levels and entry exponents of C, and each
+    generator's level times D.  The normalized valuation of an entry P from
+    i to j is then ``over(P.exponents[0], D) + lev[i] - lev[j]`` over D."""
+    D = common_scale([g.level for g in C.gens] +
+                     [e for row in C.diff.values() for P in row.values()
+                      for e in P.exponents])
+    return D, [over(g.level, D) for g in C.gens]
 
 
 def _auto_precision(C: FloerComplex, D: int, lev: list[int]) -> Fraction:
@@ -159,7 +154,7 @@ def _auto_precision(C: FloerComplex, D: int, lev: list[int]) -> Fraction:
     ent = 0
     for row in C.diff.values():
         for P in row.values():
-            ent = max(ent, abs(_over(P.exponents[0], D)), abs(_over(P.exponents[-1], D)))
+            ent = max(ent, abs(over(P.exponents[0], D)), abs(over(P.exponents[-1], D)))
     return Fraction((span + ent + D) * (C.dim() + 2) + 8 * D, D)
 
 
@@ -203,7 +198,7 @@ def reduce_floer(C: FloerComplex, working_precision=None) -> Reduction:
     for i, row in cols.items():
         for j, P in row.items():
             rows_at[j].add(i)
-            heap.append((_over(P.exponents[0], D) + lev[i] - lev[j], i, j))
+            heap.append((over(P.exponents[0], D) + lev[i] - lev[j], i, j))
     heapq.heapify(heap)
     alive = set(range(n))
     pairs: list[tuple[int, int, Fraction]] = []
@@ -220,7 +215,7 @@ def reduce_floer(C: FloerComplex, working_precision=None) -> Reduction:
         nv, bi, aj = heapq.heappop(heap)
         P = cols[bi].get(aj)
         if (bi not in alive or aj not in alive or P is None
-                or _over(P.exponents[0], D) + lev[bi] - lev[aj] != nv):
+                or over(P.exponents[0], D) + lev[bi] - lev[aj] != nv):
             continue
         pairs.append((bi, aj, Fraction(nv, D)))
         alive.discard(bi)
@@ -241,7 +236,7 @@ def reduce_floer(C: FloerComplex, working_precision=None) -> Reduction:
                 else:
                     row[k] = val
                     rows_at[k].add(x)
-                    heapq.heappush(heap, (_over(val.exponents[0], D) + lev[x] - lev[k], x, k))
+                    heapq.heappush(heap, (over(val.exponents[0], D) + lev[x] - lev[k], x, k))
             sparse.add_into(basis[x], basis[bi], coef)  # the column operation on the basis
         for x in rows_at.pop(bi, set()) & alive:
             cols[x].pop(bi, None)
@@ -282,7 +277,7 @@ def counting_lemma_bound(C: FloerComplex) -> tuple[Fraction, Fraction]:
     and every differential entry has normalized valuation >= v, then there
     are (m - r)/2 finite bars, each of length >= v.  Returns ((m-r)/2, v)."""
     D, lev = _lattice(C)
-    vmin = min((_over(P.exponents[0], D) + lev[i] - lev[j]
+    vmin = min((over(P.exponents[0], D) + lev[i] - lev[j]
                 for i, row in C.diff.items() for j, P in row.items()), default=0)
     r = concise_barcode(C).infinite_total()
     return Fraction(C.dim() - r, 2), Fraction(vmin, D)
@@ -322,7 +317,7 @@ def express_in_reduction(red: Reduction, w: dict[int, NovikovElement],
         for r, P in vec.items():
             if r in used_rows or not P:
                 continue
-            nv = _over(P.exponents[0], D) - lev[r]
+            nv = over(P.exponents[0], D) - lev[r]
             if pivot is None or (nv, r) < pivot[:2]:
                 pivot = (nv, r, P)
         if pivot is None:

@@ -12,7 +12,7 @@ grading modulus.  Four distances are provided:
 * ``shift_invariant`` -- the shift-stabilized version of any of the above.
 
 The distances run on integers: both barcodes' finite endpoints are scaled
-by one S = 2 * lcm(denominators), and only the result becomes a Fraction.
+by S = 2 * ``lattice.common_scale``, and only the result becomes a Fraction.
 Each feasibility test is one bipartite matching (``_matching``, iterative).
 For fixed a, (a,b)-feasibility is monotone in b (the window [-b, a] and the
 threshold a+b only relax as b grows), so ``dint_variant`` binary-searches b.
@@ -23,13 +23,13 @@ enumerate GF(2) morphisms on Fractions, off the integer path and matcher.
 from __future__ import annotations
 
 import itertools
-import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from . import gf2
+from .lattice import common_scale, over
 
 INF = float("inf")
 
@@ -56,7 +56,8 @@ class Bar:
 
     @property
     def infinite(self) -> bool:
-        return self.death == INF
+        # __post_init__ keeps death a Fraction unless it equals INF
+        return not isinstance(self.death, Fraction)
 
 
 @dataclass(frozen=True)
@@ -158,15 +159,15 @@ def _degree_slices(B1: Barcode, B2: Barcode):
 # Every scaled endpoint is even, so half lengths and midpoints are integers.
 
 def _int_slices(B1: Barcode, B2: Barcode):
-    """The common scale S = 2 * lcm(denominators) and the degree slices as
-    lists of integer bars, sorted by birth."""
-    S = 2 * math.lcm(*{q.denominator for x in B1.bars + B2.bars
-                       for q in (x.birth, x.death) if isinstance(q, Fraction)})
+    """The scale S, twice the common scale of all finite endpoints, and the
+    degree slices as lists of integer bars, sorted by birth."""
+    bars = B1.bars + B2.bars
+    S = 2 * common_scale([x.birth for x in bars] +
+                         [x.death for x in bars if not x.infinite])
 
     def ints(bars):
-        return [(x.birth.numerator * (S // x.birth.denominator),
-                 x.death.numerator * (S // x.death.denominator)
-                 if isinstance(x.death, Fraction) else None) for x in bars]
+        return [(over(x.birth, S), None if x.infinite else over(x.death, S))
+                for x in bars]
     return S, [(ints(s1), ints(s2)) for s1, s2 in _degree_slices(B1, B2)]
 
 
@@ -337,7 +338,7 @@ def retract_complement(R: Barcode, X: Barcode, eps) -> Barcode:
     if not r < eps:
         raise ValueError(f"retract_interleaving(R,X) = {r} is not < eps = {eps}")
     S, slices = _int_slices(R, X)
-    r = r.numerator * (S // r.denominator)
+    r = over(r, S)
     leftover: list[Bar] = []
     for (sR, sX), (_, barsX) in zip(slices, _degree_slices(R, X)):
         adj = _adjacency(sR, sX, r, r, retract=True)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -28,7 +29,12 @@ from persalg.filtered_complex import (
     truncate,
 )
 from persalg.persistence import INF, bar_count, interleaving_distance
-from util import random_complex, random_elementary, random_stability_instance
+from util import (
+    random_basis_change,
+    random_complex,
+    random_elementary,
+    random_stability_instance,
+)
 
 
 def bars_of(C):
@@ -390,3 +396,73 @@ def test_cohomological_flag():
     assert cone_length(C, F(1, 2))[0] == 2
     with pytest.raises(ValueError):
         direct_sum(C, e2(0, 1))  # flags must agree across summands
+
+
+# -- pinned outputs of the elementary-basis constructions ---------------------
+# sha256 digests of the reprs, computed before the constructions shared
+# ElementaryDecomposition.basis(): generator names, order, levels, the
+# differential and the map matrices must not move.
+
+MIXED_DENOMINATORS = (1, 2, 3, 5, 6)
+
+
+TRUNCATE_DIGEST = "8e3430f4c26e53f6ae06a9d24be04bf7fcfd950a5b42a9540ec43f75026e9ea5"
+CONE_LENGTH_DIGEST = "7c5524f126db1226d974b4a0faa1f1104145fd69c7fde2b04487c5c0d01b0e0e"
+STABILITY_REDUCE_DIGEST = "f8606a621a4824af680f9f6bc4dd28cbd06f194dd2aead5ec0efffcf8b6f584e"
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+def _mixed_complex(rng, n_pieces, modulus=0):
+    """A seeded complex whose levels mix the denominators 1, 2, 3, 5 and 6,
+    negative levels included, in a random filtered basis."""
+    pieces = []
+    for i in range(n_pieces):
+        deg = rng.randrange(-2, 3)
+        va = F(rng.randrange(-12, 25), rng.choice(MIXED_DENOMINATORS))
+        if rng.random() < 0.6:
+            gap = F(rng.randrange(0, 13), rng.choice(MIXED_DENOMINATORS))
+            pieces.append(e2(va, va + gap, deg, f"g{i}", modulus))
+        else:
+            pieces.append(e1(va, deg, f"g{i}", modulus))
+    return random_basis_change(rng, direct_sum(*pieces))
+
+
+def _mixed_complexes():
+    rng = random.Random(41)
+    return [_mixed_complex(rng, rng.randrange(1, 9), rng.choice((0, 0, 2)))
+            for _ in range(40)]
+
+
+def test_truncate_pinned():
+    out = []
+    for C in _mixed_complexes():
+        for delta in (0, F(1, 3), F(1, 2), 1, F(5, 2), 7):
+            V, section, projection = truncate(C, delta)
+            out.append((V.to_json(), section.mat, projection.mat))
+    assert _digest(out) == TRUNCATE_DIGEST
+
+
+def test_cone_length_steps_pinned():
+    out = []
+    for C in _mixed_complexes():
+        for eps in (0, F(1, 6), F(1, 2), F(5, 4), 3):
+            for mode in ("to_target", "to_zero"):
+                n, dec = cone_length(C, eps, mode)
+                out.append((n, [(s.object_name, s.shift, s.translation, s.weight)
+                                for s in dec.steps]))
+    assert _digest(out) == CONE_LENGTH_DIGEST
+
+
+def test_stability_reduce_pinned():
+    rng = random.Random(42)
+    out = []
+    for _ in range(60):
+        delta = F(rng.randrange(1, 7), rng.choice((1, 2, 3)))
+        C, dprime = random_stability_instance(rng, delta)
+        for eps in (None, 0, delta / 3):
+            R, counts = stability_reduce(C, dprime, delta, eps)
+            out.append((R.to_json(), counts))
+    assert _digest(out) == STABILITY_REDUCE_DIGEST

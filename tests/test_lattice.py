@@ -1,0 +1,85 @@
+import ast
+from fractions import Fraction as F
+from pathlib import Path
+
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
+
+from persalg.lattice import common_scale, over
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "persalg"
+
+
+def _primes(n: int) -> set[int]:
+    out, p = set(), 2
+    while p * p <= n:
+        while n % p == 0:
+            out.add(p)
+            n //= p
+        p += 1
+    return out | ({n} if n > 1 else set())
+
+
+@seed(20261019)
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.fractions(min_value=-40, max_value=40, max_denominator=60), max_size=10))
+@example([])
+@example([F(-3, 4), F(5, 6), F(2), F(0)])
+def test_common_scale_is_least_and_over_is_exact(qs):
+    D = common_scale(qs)
+    assert type(D) is int and D >= 1
+    assert all((q * D).denominator == 1 for q in qs)
+    for p in _primes(D):
+        assert any((q * (D // p)).denominator != 1 for q in qs)
+    for q in qs:
+        n = over(q, D)
+        assert type(n) is int and n == q * D
+
+
+def _trees():
+    for path in sorted(SRC.glob("*.py")):
+        yield path.name, ast.parse(path.read_text())
+
+
+def _names(node) -> set[str]:
+    """Every name and attribute that the code under node mentions."""
+    return ({n.id for n in ast.walk(node) if isinstance(n, ast.Name)} |
+            {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
+
+
+def test_lattice_is_the_only_rational_to_integer_conversion():
+    """math.lcm calls and .denominator reads belong to persalg.lattice."""
+    found = {}
+    for name, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "denominator":
+                found.setdefault(name, []).append((node.lineno, ".denominator"))
+            if isinstance(node, ast.Call) and "lcm" in _names(node.func):
+                found.setdefault(name, []).append((node.lineno, "lcm"))
+    assert set(found) == {"lattice.py"}, found
+
+
+# functions that certify the integer paths without being routed through them
+ORACLE_ROOTS = {"z2_window_complex", "inversion_recursion"}
+
+
+def test_oracles_do_not_reach_lattice():
+    """No oracle, nor a module function it calls by name, uses the lattice."""
+    roots_seen = set()
+    for name, tree in _trees():
+        funcs = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+        todo = [f for f in funcs if "oracle" in f or f in ORACLE_ROOTS]
+        roots_seen.update(todo)
+        reached = set()
+        while todo:
+            f = todo.pop()
+            if f in reached:
+                continue
+            reached.add(f)
+            names = _names(funcs[f])
+            assert not names & {"lattice", "common_scale", "over"}, (name, f)
+            todo.extend(names & funcs.keys())
+    assert {"oracle_interleaving_distance", "oracle_dint_variant",
+            "oracle_retract_interleaving", "barcode_by_rank_oracle",
+            "oracle_lattice_oc", "z2_window_complex",
+            "inversion_recursion"} <= roots_seen
