@@ -91,9 +91,11 @@ class FilteredComplex:
 
     def validate(self):
         n = len(self.gens)
+        D = common_scale(g.level for g in self.gens)
+        levels = [over(g.level, D) for g in self.gens]
         for i in range(n):
             for j in gf2.bits(self.dmat[i]):
-                if self.gens[j].level > self.gens[i].level:
+                if levels[j] > levels[i]:
                     raise ValueError(
                         f"differential raises filtration: {self.gens[i].name} -> {self.gens[j].name}")
                 if self.modulus:
@@ -208,11 +210,14 @@ class FilteredMap:
             self.validate()
 
     def validate(self):
+        D = common_scale([g.level for g in self.source.gens + self.target.gens] + [self.shift])
+        shift, levels = over(self.shift, D), [over(g.level, D) for g in self.target.gens]
         for i in range(self.source.dim()):
             gi = self.source.gens[i]
+            top = over(gi.level, D) + shift
             for j in gf2.bits(self.mat[i]):
                 gj = self.target.gens[j]
-                if gj.level > gi.level + self.shift:
+                if levels[j] > top:
                     raise ValueError(
                         f"map entry {gi.name}->{gj.name} exceeds declared shift")
                 if self.source.modulus:
@@ -260,12 +265,14 @@ class ElementaryDecomposition:
         return out
 
 
-def _truncation(dec: ElementaryDecomposition, delta: Fraction) -> list[int]:
+def _truncation(dec: ElementaryDecomposition, delta: Fraction, D: int) -> list[int]:
     """The positions in ``dec.basis()`` kept by the delta-truncation: both
-    sides of each pair of gap > delta, and every single."""
+    sides of each pair of gap > delta, and every single.  D is a common
+    scale of the levels; an integer gap is > delta*D iff it is > cut."""
+    cut = math.floor(delta * D)
+    long = [over(vb, D) - over(va, D) > cut for _, _, va, vb, _ in dec.pairs]
     n = 2 * len(dec.pairs)
-    return [p for p in range(n + len(dec.singles))
-            if p >= n or dec.pairs[p // 2][3] - dec.pairs[p // 2][2] > delta]
+    return [p for p in range(n + len(dec.singles)) if p >= n or long[p // 2]]
 
 
 def decompose_elementary(C: FilteredComplex) -> ElementaryDecomposition:
@@ -311,13 +318,17 @@ def homology_barcode(C: FilteredComplex) -> Barcode:
 
 
 def _barcode(dec: ElementaryDecomposition) -> Barcode:
-    bars = []
+    """Trusted construction, sorted once on integer keys over a common scale
+    of the levels, in the public order (an infinite death last)."""
+    D = common_scale(g.level for g in dec.complex.gens)
+    keyed = []
     for _, _, va, vb, deg in dec.pairs:
-        if va < vb:
-            bars.append(Bar(va, vb, deg))
-    for _, vc, deg in dec.singles:
-        bars.append(Bar(vc, INF, deg))
-    return Barcode(tuple(bars), dec.complex.modulus)
+        a, b = over(va, D), over(vb, D)
+        if a < b:
+            keyed.append(((a, False, b, deg), Bar._make(va, vb, deg)))
+    keyed += [((over(vc, D), True, 0, deg), Bar._make(vc, INF, deg)) for _, vc, deg in dec.singles]
+    keyed.sort(key=lambda kb: kb[0])
+    return Barcode._make(tuple(b for _, b in keyed), dec.complex.modulus)
 
 
 def barcode_by_rank_oracle(C: FilteredComplex) -> Barcode:
@@ -391,7 +402,7 @@ def truncate(C: FilteredComplex, delta) -> tuple[FilteredComplex, FilteredMap, F
         raise ValueError("delta must be nonnegative")
     dec = decompose_elementary(C)
     basis = dec.basis()
-    kept = _truncation(dec, delta)
+    kept = _truncation(dec, delta, common_scale(g.level for g in C.gens))
     gens = [Gen(basis[p][0], basis[p][3], basis[p][2]) for p in kept]
     # the b side of a kept pair comes right after its a side
     n_paired = 2 * len(dec.pairs)
@@ -496,21 +507,17 @@ def cone_length(C: FilteredComplex, eps, mode: str = "to_target") -> tuple[int, 
     if mode not in ("to_target", "to_zero"):
         raise ValueError("mode must be to_target or to_zero")
     dec = decompose_elementary(C)
-    B = _barcode(dec)
-    count = bar_count(B, 2 * eps)
-    n_inf = sum(1 for b in B.bars if b.infinite)
-    value = 2 * count - n_inf
     basis = dec.basis()
     n_paired = 2 * len(dec.pairs)
     D = common_scale(g.level for g in C.gens)
     # level order, the b side of a pair after its a side at equal level
-    order = sorted(_truncation(dec, 2 * eps),
+    order = sorted(_truncation(dec, 2 * eps, D),
                    key=lambda p: (over(basis[p][2], D), p % 2 if p < n_paired else 0))
     steps = [ConeStep(basis[p][0], basis[p][2], basis[p][3], Fraction(0)) for p in order]
     if mode == "to_zero":
         steps = steps[::-1]
-    assert len(steps) == value
-    return value, ConeDecomposition(steps, mode)
+    # a step per side of each pair of gap > 2 eps and per single: 2#B^{2eps} - dim H^inf
+    return len(steps), ConeDecomposition(steps, mode)
 
 
 def weighted_cone_length(C: FilteredComplex, eps) -> int:

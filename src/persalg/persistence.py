@@ -13,15 +13,19 @@ grading modulus.  Four distances are provided:
 
 The distances run on integers: both barcodes' finite endpoints are scaled
 by S = 2 * ``lattice.common_scale``, and only the result becomes a Fraction.
+Each metric wraps a kernel on the integer slices (an int, or None for inf),
+which ``shift_invariant`` runs on B1's slices shifted by each candidate.
 Each feasibility test is one bipartite matching (``_matching``, iterative).
 For fixed a, (a,b)-feasibility is monotone in b (the window [-b, a] and the
 threshold a+b only relax as b grows), so ``dint_variant`` binary-searches b.
 Values are certified against brute-force oracles (``oracle_*`` below) that
 enumerate GF(2) morphisms on Fractions, off the integer path and matcher.
+``homology_barcode`` and ``Barcode.shift`` use the trusted ``_make``s.
 """
 
 from __future__ import annotations
 
+import inspect
 import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -50,9 +54,16 @@ class Bar:
         if not self.birth < self.death:
             raise ValueError(f"empty bar [{self.birth}, {self.death})")
 
+    @staticmethod
+    def _make(birth: Fraction, death, degree: int) -> "Bar":
+        """Trusted constructor: a Fraction birth below death (Fraction or INF)."""
+        self = object.__new__(Bar)
+        self.__dict__.update(birth=birth, death=death, degree=degree)
+        return self
+
     @property
     def length(self):
-        return self.death - self.birth if self.death != INF else INF
+        return INF if self.infinite else self.death - self.birth
 
     @property
     def infinite(self) -> bool:
@@ -75,18 +86,20 @@ class Barcode:
         )
         object.__setattr__(self, "bars", bars)
 
+    @staticmethod
+    def _make(bars: tuple[Bar, ...], modulus: int) -> "Barcode":
+        """Trusted constructor: bars sorted, degrees reduced modulo ``modulus``."""
+        self = object.__new__(Barcode)
+        self.__dict__.update(bars=bars, grading_modulus=modulus)
+        return self
+
     def __len__(self):
         return len(self.bars)
 
     def shift(self, s) -> "Barcode":
-        s = Fraction(s)
-        return Barcode(
-            tuple(
-                Bar(b.birth + s, b.death + s if b.death != INF else INF, b.degree)
-                for b in self.bars
-            ),
-            self.grading_modulus,
-        )
+        s = Fraction(s)  # a shift keeps every bar valid and the sort order
+        return Barcode._make(tuple(Bar._make(b.birth + s, INF if b.infinite else b.death + s,
+                                             b.degree) for b in self.bars), self.grading_modulus)
 
     def union(self, other: "Barcode") -> "Barcode":
         if self.grading_modulus != other.grading_modulus:
@@ -99,7 +112,7 @@ class Barcode:
             "bars": [
                 {
                     "birth": str(b.birth),
-                    "death": "inf" if b.death == INF else str(b.death),
+                    "death": "inf" if b.infinite else str(b.death),
                     "degree": b.degree,
                 }
                 for b in self.bars
@@ -108,15 +121,17 @@ class Barcode:
 
     @staticmethod
     def from_json(data: dict) -> "Barcode":
-        bars = tuple(
-            Bar(
-                Fraction(rec["birth"]),
-                INF if rec["death"] == "inf" else Fraction(rec["death"]),
-                int(rec.get("degree", 0)),
-            )
-            for rec in json_list(data, "bars", [])
-        )
-        return Barcode(bars, int(data.get("modulus", 0)))
+        if not isinstance(data, dict):
+            raise ValueError("a barcode must be a JSON object")
+        bars = []
+        for k, rec in enumerate(json_list(data, "bars", [])):
+            if not isinstance(rec, dict):
+                raise ValueError(f"bars[{k}] must be an object")
+            birth, death = _json_number(rec["birth"], f"bars[{k}].birth"), rec["death"]
+            bars.append(Bar(birth, INF if death == "inf" else
+                            _json_number(death, f"bars[{k}].death"),
+                            _json_number(rec.get("degree", 0), f"bars[{k}].degree", int)))
+        return Barcode(tuple(bars), _json_number(data.get("modulus", 0), "modulus", int))
 
 
 EMPTY = Barcode(())
@@ -129,6 +144,16 @@ def json_list(data: dict, key: str, default=None) -> list:
     if not isinstance(value, list):
         raise ValueError(f"{key} must be a list of records")
     return value
+
+
+def _json_number(value, field: str, kind=Fraction):
+    """A JSON string or number read as ``kind`` (Fraction or int).  Any other
+    value, or a number with a fractional part read as an int, is a ValueError
+    naming the field."""
+    if isinstance(value, (str, int)) or isinstance(value, float) and (
+            value.is_integer() or kind is Fraction and abs(value) < INF):
+        return kind(value)
+    raise ValueError(f"{field} must be {'a rational' if kind is Fraction else 'an integer'}")
 
 
 def bar_count(barcode: Barcode, delta, finite_only: bool = False) -> int:
@@ -157,6 +182,9 @@ def _degree_slices(B1: Barcode, B2: Barcode):
 # -- distances on integers ---------------------------------------------------
 # An integer bar is (S*birth, S*death), death None when the bar is infinite.
 # Every scaled endpoint is even, so half lengths and midpoints are integers.
+# A slice shifted by s (shift_invariant) may have odd endpoints, but a shift
+# leaves every length, hence every half length, unchanged, and its midpoints
+# are taken only between the even base differences, so the kernels stay exact.
 
 def _int_slices(B1: Barcode, B2: Barcode):
     """The scale S, twice the common scale of all finite endpoints, and the
@@ -248,18 +276,26 @@ def _least(cands: list[int], feasible: Callable):
     return None
 
 
+def _rational(value, S: int):  # a kernel's value over S
+    return INF if value is None else Fraction(value, S)
+
+
 def interleaving_distance(B1: Barcode, B2: Barcode):
     """Bottleneck distance of the degree-split diagrams; inf on mismatch of
     semi-infinite bar counts (then no eps is feasible).  Feasibility is
     monotone in eps, so each slice binary-searches its turn-on values."""
     S, slices = _int_slices(B1, B2)
+    return _rational(_d_int(slices), S)
+
+
+def _d_int(slices):
     worst = 0
     for sl in slices:
         best = _least(_turn_on(*sl), lambda e: _feasible([sl], e, e))
         if best is None:
-            return INF
+            return None
         worst = max(worst, best)
-    return Fraction(worst, S)
+    return worst
 
 
 def dint_variant(B1: Barcode, B2: Barcode):
@@ -268,9 +304,13 @@ def dint_variant(B1: Barcode, B2: Barcode):
     or 0, or a+b at a bar length.  Each a binary-searches its least feasible
     b (monotone in b, see above); the scan stops once a >= best."""
     S, slices = _int_slices(B1, B2)
+    return _rational(_D_int(slices), S)
+
+
+def _D_int(slices):
     if any(sum(v is None for _, v in s1) != sum(v is None for _, v in s2)
            for s1, s2 in slices):
-        return INF
+        return None
     bars1 = [x for s1, _ in slices for x in s1]
     bars2 = [y for _, s2 in slices for y in s2]
     base = {0} | {abs(w - u) for u, _ in bars1 for w, _ in bars2} | {
@@ -286,7 +326,7 @@ def dint_variant(B1: Barcode, B2: Barcode):
                    lambda b: _feasible(slices, a, b))
         if b is not None:
             best = a + b
-    return INF if best is None else Fraction(best, S)
+    return best
 
 
 def retract_interleaving(R: Barcode, X: Barcode):
@@ -296,30 +336,63 @@ def retract_interleaving(R: Barcode, X: Barcode):
     Feasibility is not monotone in r (the overlap conditions tighten), so
     each slice scans its turn-on values in order."""
     S, slices = _int_slices(R, X)
+    return _rational(_d_rint(slices), S)
+
+
+def _d_rint(slices):
     worst = 0
     for sR, sX in slices:
         best = next((r for r in _turn_on(sR, sX) if
                      _saturated(_adjacency(sR, sX, r, r, retract=True), len(sX))), None)
         if best is None:
-            return INF
+            return None
         worst = max(worst, best)
-    return Fraction(worst, S)
+    return worst
+
+
+_KERNELS = {interleaving_distance: _d_int, dint_variant: _D_int, retract_interleaving: _d_rint}
 
 
 def shift_invariant(metric: Callable, B1: Barcode, B2: Barcode):
     """inf over global shifts s of metric(S^s B1, B2); the shifts tried are
-    the endpoint differences and the midpoints of any two of them."""
+    the endpoint differences and the midpoints of any two of them.  A
+    library metric (seen through ``inspect.unwrap``) runs its kernel on B1's
+    shifted integer slices; any other callable gets metric(B1.shift(s), B2).
+
+    d_int alone is pruned: s is skipped once an evaluated s0 has d(s0) -
+    |s - s0| >= best, as d(s) >= d(s0) - d_int(S^s B1, S^s0 B1) (triangle
+    inequality) and d_int(S^t B, B) <= |t|.  The candidates go outward from
+    the shift aligning the median endpoints; an infinite d_int does not
+    depend on s.  D_int and d_rint have no proven Lipschitz constant here
+    and are not pruned."""
     S, slices = _int_slices(B1, B2)
     ends1 = [q for s1, _ in slices for x in s1 for q in x if q is not None]
     ends2 = [q for _, s2 in slices for x in s2 for q in x if q is not None]
     base = sorted({0} | {q - p for p in ends1 for q in ends2})
-    cands = set(base) | {(u + v) // 2 for u, v in itertools.combinations(base, 2)}
-    best = INF
-    for s in sorted(cands):
-        val = metric(B1.shift(Fraction(s, S)), B2)
-        if val < best:
-            best = val
-    return best
+    cands = sorted(set(base) | {(u + v) // 2 for u, v in itertools.combinations(base, 2)})
+    kernel = _KERNELS.get(inspect.unwrap(metric))
+
+    def at(s):
+        return kernel([([(u + s, v if v is None else v + s) for u, v in s1], s2)
+                       for s1, s2 in slices])
+    if kernel is not _d_int:
+        best = INF
+        for s in cands:
+            val = _rational(at(s), S) if kernel else metric(B1.shift(Fraction(s, S)), B2)
+            if val < best:
+                best = val
+        return best
+    mid = sorted(ends2)[len(ends2) // 2] - sorted(ends1)[len(ends1) // 2] if ends1 and ends2 else 0
+    # hi = max d(s0) + s0 and lo = min s0 - d(s0) over the evaluated s0, which
+    # all lie below s when s > mid and above it when not: d(s) >= hi - s, s - lo
+    best, hi, lo = INF, -INF, INF
+    for s in sorted(cands, key=lambda s: abs(s - mid)):
+        if (hi - s if s > mid else s - lo) < best:
+            d = at(s)
+            if d is None:
+                return INF
+            best, hi, lo = min(best, d), max(hi, d + s), min(lo, s - d)
+    return Fraction(best, S)
 
 
 def spectral_range(B: Barcode):
@@ -334,11 +407,10 @@ def retract_complement(R: Barcode, X: Barcode, eps) -> Barcode:
     """A barcode K with d_int(R + K, X) < 2*eps, given d_rint(R, X) < eps:
     the X-bars left free by a retract matching at d_rint(R, X)."""
     eps = Fraction(eps)
-    r = retract_interleaving(R, X)
-    if not r < eps:
-        raise ValueError(f"retract_interleaving(R,X) = {r} is not < eps = {eps}")
     S, slices = _int_slices(R, X)
-    r = over(r, S)
+    r = _d_rint(slices)
+    if not _rational(r, S) < eps:
+        raise ValueError(f"retract_interleaving(R,X) = {_rational(r, S)} is not < eps = {eps}")
     leftover: list[Bar] = []
     for (sR, sX), (_, barsX) in zip(slices, _degree_slices(R, X)):
         adj = _adjacency(sR, sX, r, r, retract=True)

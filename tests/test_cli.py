@@ -191,12 +191,22 @@ NOV2 = {"modulus": 2,
                                 "precision": "x"}]}),
     (["conelength", "--eps", "1/4", "{file}"],
      {**E2, "generators": [{"name": "a", "degree": 0, "level": "1/0"}]}),
+    (["distance", "{file}", "{good}"], [{"birth": "0", "death": "1", "degree": 0}]),
+    (["distance", "{file}", "{good}"], {"modulus": 0, "bars": [3]}),
+    (["distance", "{file}", "{good}"],
+     {"modulus": 0, "bars": [{"birth": [0], "death": "1", "degree": 0}]}),
+    (["distance", "{file}", "{good}"],
+     {"modulus": 0, "bars": [{"birth": "0", "death": "1", "degree": 1.5}]}),
+    (["distance", "{file}", "{good}"],
+     {"modulus": 2.5, "bars": [{"birth": "0", "death": "1", "degree": 0}]}),
 ], ids=["distance-empty-bar", "distance-no-death", "barcode-object-differential",
         "conelength-object-differential", "conelength-unknown-generator",
         "barcode-unknown-generator", "distance-object-bars", "barcode-object-generators",
         "novikov-object-generators", "novikov-object-differential",
         "novikov-zero-denominator-precision", "novikov-bad-precision",
-        "conelength-zero-denominator-level"])
+        "conelength-zero-denominator-level", "distance-top-level-list",
+        "distance-number-bar", "distance-list-birth", "distance-fractional-degree",
+        "distance-fractional-modulus"])
 def test_malformed_input_exits_4(capsys, tmp_path, argv, content):
     """Malformed input is a parse error: exit 4 with a one-line message."""
     good = tmp_path / "good.json"

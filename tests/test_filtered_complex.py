@@ -28,7 +28,7 @@ from persalg.filtered_complex import (
     stability_reduce,
     truncate,
 )
-from persalg.persistence import INF, bar_count, interleaving_distance
+from persalg.persistence import INF, Bar, Barcode, bar_count, interleaving_distance
 from util import (
     random_basis_change,
     random_complex,
@@ -466,3 +466,25 @@ def test_stability_reduce_pinned():
             R, counts = stability_reduce(C, dprime, delta, eps)
             out.append((R.to_json(), counts))
     assert _digest(out) == STABILITY_REDUCE_DIGEST
+
+
+def test_trusted_barcode_equals_public_rebuild():
+    """homology_barcode builds its Barcode without the public constructor;
+    rebuilt through it, the bars keep their order, field types and hash, and
+    cone_length still counts 2 #B^{2eps} - dim H^inf of that barcode."""
+    # equal births and deaths in several degrees, an infinite death beside a
+    # finite one, and a pair of gap 0 (no bar)
+    ties = direct_sum(e2(0, F(1, 2), 1), e2(0, F(1, 2), 0), e1(0, 1), e1(0, 0), e2(0, 0, 2),
+                      e2(F(-1, 3), F(1, 2), 0), e1(F(-1, 3), 0))
+    for C in _mixed_complexes() + [ties, random_basis_change(random.Random(3), ties)]:
+        B = homology_barcode(C)
+        public = Barcode(tuple(Bar(b.birth, b.death, b.degree) for b in B.bars), C.modulus)
+        assert B.bars == public.bars and B.grading_modulus == public.grading_modulus
+        assert [tuple(map(type, (b.birth, b.death, b.degree))) for b in B.bars] == \
+            [tuple(map(type, (b.birth, b.death, b.degree))) for b in public.bars]
+        assert hash(B) == hash(public) and B == public
+        n_inf = sum(b.infinite for b in public.bars)
+        for eps in (0, F(1, 6), F(1, 2), F(5, 4), 3):
+            for mode in ("to_target", "to_zero"):
+                n, dec = cone_length(C, eps, mode)
+                assert n == len(dec) == 2 * bar_count(public, 2 * eps) - n_inf

@@ -64,7 +64,8 @@ ORACLE_ROOTS = {"z2_window_complex", "inversion_recursion"}
 
 
 def test_oracles_do_not_reach_lattice():
-    """No oracle, nor a module function it calls by name, uses the lattice."""
+    """No oracle, nor a module function it calls by name, uses the lattice
+    or a trusted constructor."""
     roots_seen = set()
     for name, tree in _trees():
         funcs = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
@@ -77,7 +78,7 @@ def test_oracles_do_not_reach_lattice():
                 continue
             reached.add(f)
             names = _names(funcs[f])
-            assert not names & {"lattice", "common_scale", "over"}, (name, f)
+            assert not names & {"lattice", "common_scale", "over", "_make"}, (name, f)
             todo.extend(names & funcs.keys())
     assert {"oracle_interleaving_distance", "oracle_dint_variant",
             "oracle_retract_interleaving", "barcode_by_rank_oracle",

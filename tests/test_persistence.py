@@ -1,6 +1,11 @@
+import ast
+import functools
 import itertools
+import math
 import random
+import re
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -361,3 +366,118 @@ def test_mixed_denominators_dint_full_scan():
         d = interleaving_distance(A, B)
         assert D / 2 <= d <= D
     assert dint_variant(EMPTY, EMPTY) == 0 == _fraction_dint(EMPTY, EMPTY)
+
+
+# -- shift_invariant against the plain loop over the same candidate shifts
+
+def _public_shift(B, s):
+    """B moved by s through the public constructors only."""
+    return Barcode(tuple(Bar(b.birth + s, INF if b.infinite else b.death + s, b.degree)
+                         for b in B.bars), B.grading_modulus)
+
+
+def _plain_shift_invariant(metric, B1, B2):
+    """metric(S^s B1, B2) minimised over every candidate shift s, one call per
+    candidate: the endpoint differences and their midpoints on the lattice
+    (1/S)Z, S twice the lcm of the finite endpoints' denominators.  Returns
+    the minimum and the first s*S attaining it (None when nothing is < INF)."""
+    ends1 = [x for b in B1.bars for x in (b.birth, b.death) if not x == INF]
+    ends2 = [x for b in B2.bars for x in (b.birth, b.death) if not x == INF]
+    S = 2 * math.lcm(*{x.denominator for x in ends1 + ends2})
+    base = sorted({0} | {int((q - p) * S) for p in ends1 for q in ends2})
+    best, at = INF, None
+    for s in sorted(set(base) | {(u + v) // 2 for u, v in itertools.combinations(base, 2)}):
+        val = metric(_public_shift(B1, F(s, S)), B2)
+        if val < best:
+            best, at = val, s
+    return best, at
+
+
+def _varied_barcode(rng, n, modulus):
+    """Up to n bars over denominators 1 to 6, about a quarter of them
+    infinite, in degrees 0 to 3 when there is a modulus."""
+    bars = []
+    for _ in range(rng.randrange(n + 1)):
+        b = F(rng.randrange(-8, 9), rng.choice((1, 2, 3, 5, 6)))
+        d = INF if rng.random() < 0.25 else b + F(rng.randrange(1, 7), rng.choice((1, 2, 3, 5, 6)))
+        bars.append(Bar(b, d, rng.randrange(4) if modulus else 0))
+    return Barcode(tuple(bars), modulus)
+
+
+def test_shift_invariant_matches_plain_loop():
+    """Values and types agree with the plain loop for the three library
+    metrics (integer kernels, d_int pruned) and a plain callable."""
+    rng = random.Random(20261019)
+    metrics = [(interleaving_distance, 4), (retract_interleaving, 3), (dint_variant, 2),
+               (lambda X, Y: interleaving_distance(X, Y), 2)]
+    odd = 0
+    for _ in range(110):
+        modulus = rng.choice((0, 2))
+        for metric, size in metrics:
+            B1 = _varied_barcode(rng, size, modulus)
+            B2 = _public_shift(B1, F(rng.randrange(-9, 10), rng.choice((2, 4, 7, 10))))
+            if rng.random() < 0.4:
+                B2 = _varied_barcode(rng, size, modulus)
+            elif rng.random() < 0.5:  # with deaths moved: a midpoint shift may be best
+                B2 = Barcode(tuple(b if b.infinite else Bar(b.birth, b.death + F(
+                    rng.randrange(0, 5), 3), b.degree) for b in B2.bars), modulus)
+            got = shift_invariant(metric, B1, B2)
+            want, at = _plain_shift_invariant(metric, B1, B2)
+            assert got == want and type(got) is type(want), (metric, B1, B2)
+            odd += at is not None and at % 2  # B1 shifted there has odd endpoints
+    assert odd >= 10  # the first best shift is odd in 14 of the 440 cases
+
+
+def test_shift_invariant_sees_through_wrappers():
+    """A wrapped library metric, as a tracer installs it, still takes the
+    integer path: the wrapper itself is never called."""
+    calls = []
+
+    @functools.wraps(interleaving_distance)
+    def traced(B1, B2):
+        calls.append(1)
+        return interleaving_distance(B1, B2)
+
+    B1, B2 = bc((0, 1), (F(1, 3), INF)), bc((2, F(7, 2)), (F(5, 2), INF))
+    assert shift_invariant(traced, B1, B2) == shift_invariant(interleaving_distance, B1, B2)
+    assert calls == []
+
+
+@pytest.mark.parametrize("data,field", [
+    ([{"birth": "0", "death": "1"}], "JSON object"),
+    ({"bars": [3]}, "bars[0]"),
+    ({"bars": [{"birth": [0], "death": "1"}]}, "bars[0].birth"),
+    ({"bars": [{"birth": "0", "death": {}}]}, "bars[0].death"),
+    ({"bars": [{"birth": "0", "death": "1", "degree": 1.5}]}, "bars[0].degree"),
+    ({"modulus": 2.5, "bars": []}, "modulus"),
+    ({"bars": [{"birth": INF, "death": "inf"}]}, "bars[0].birth"),
+])
+def test_from_json_names_the_field(data, field):
+    with pytest.raises(ValueError, match=re.escape(field)):
+        Barcode.from_json(data)
+
+
+def test_from_json_keeps_integral_numbers():
+    B = Barcode.from_json({"modulus": 2.0, "bars": [{"birth": 0, "death": "3/2", "degree": 3.0}]})
+    assert B == bc((0, F(3, 2), 1), modulus=2)
+    assert type(B.grading_modulus) is int and type(B.bars[0].degree) is int
+
+
+# -- trusted construction --------------------------------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "persalg"
+
+
+def test_trusted_constructors_stay_inside():
+    """Bar._make and Barcode._make are called only in persistence.py and in
+    filtered_complex._barcode, on data built there."""
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and
+                        node.func.attr == "_make" and isinstance(node.func.value, ast.Name) and
+                        node.func.value.id in ("Bar", "Barcode")):
+                    callers.add(path.name if path.name == "persistence.py" else
+                                (path.name, getattr(top, "name", None)))
+    assert callers == {"persistence.py", ("filtered_complex.py", "_barcode")}
