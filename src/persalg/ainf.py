@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import AbstractSet, Callable, Iterable, Iterator, Optional, Sequence
 
 from .filtered_complex import Gen
 from .novikov import NOV_ONE, NovikovElement
@@ -31,6 +31,7 @@ from .novikov_complex import (
     FloerMap,
     reach_gap_floer,
 )
+from .persistence import json_number
 from .sparse import accumulate, add, add_into, expand, is_zero, level, nonzero
 
 Elem = dict  # {gen name: NovikovElement}
@@ -200,13 +201,22 @@ class TabulatedAInfCategory:
                     rep.failures.append(("filtration", key, h))
                 if self.modulus and (self.gen_info[h].degree - (total_deg + 2 - len(key))) % self.modulus:
                     rep.failures.append(("degree", key, h))
+        units = self.unit_names
         for tuples in self.composable(sorted(self.gen_info), self._by_source, max_arity):
             for key in tuples:
                 n = len(key)
                 try:
                     acc: Elem = {}
                     for i in range(n):
+                        held = False
                         for j in range(i, n):
+                            # a unit block not of length 2 vanishes, and
+                            # so do the longer ones (``contractions``)
+                            held = held or key[j] in units
+                            if held and j != i + 1:
+                                if j > i:
+                                    break
+                                continue
                             outer: Elem = {}
                             for h, c in self.mu_gens(key[i:j + 1]).items():
                                 for h2, c2 in self.mu_gens(key[:i] + (h,) + key[j + 1:]).items():
@@ -263,36 +273,52 @@ class TabulatedAInfCategory:
     @staticmethod
     def from_json(data: dict) -> "TabulatedAInfCategory":
         gens = [HomGen(r["name"], r["source"], r["target"], int(r["degree"]),
-                       Fraction(r["level"])) for r in data["generators"]]
+                       json_number(r["level"], f"generators[{k}].level"))
+                for k, r in enumerate(data["generators"])]
         mu = {}
-        for rec in data.get("mu", []):
-            mu[tuple(rec["inputs"])] = {
-                t["gen"]: NovikovElement.parse(t["novikov"], t.get("precision"))
-                for t in rec["output_terms"]
-            }
+        for n, rec in enumerate(data.get("mu", [])):
+            terms = mu[tuple(rec["inputs"])] = {}
+            for m, t in enumerate(rec["output_terms"]):
+                prec = t.get("precision")
+                if prec is not None:
+                    prec = json_number(prec, f"mu[{n}].output_terms[{m}].precision")
+                terms[t["gen"]] = NovikovElement.parse(t["novikov"], prec)
         coverage = [tuple(k) for k in data.get("coverage_only", [])]
         zero_homs = [tuple(s.split("|")) for s in data.get("zero_homs", [])]
         return TabulatedAInfCategory(
             data["objects"], gens, data["units"], mu, coverage,
             int(data.get("modulus", 2)), int(data.get("half_dim", 1)),
-            {o: Fraction(v) for o, v in data.get("shift_tags", {}).items()},
+            {o: json_number(v, f"shift_tags.{o}")
+             for o, v in data.get("shift_tags", {}).items()},
             zero_homs,
         )
 
 
 # -- block contractions -----------------------------------------------------------
 
-def contractions(mu: Callable[[tuple], Elem], t: tuple[str, ...], whole: bool = True
-                 ) -> Iterator[tuple[tuple[str, ...], NovikovElement]]:
+def contractions(mu: Callable[[tuple], Elem], t: tuple[str, ...], units: AbstractSet[str],
+                 whole: bool = True) -> Iterator[tuple[tuple[str, ...], NovikovElement]]:
     """(t[:i] + (h,) + t[j+1:], c) for each consecutive block t[i..j] and
     each term c h of mu(t[i..j]), in the order i, then j, then mu's terms.
     ``whole=False`` skips the block t itself, without evaluating mu on it.
     Blocks are evaluated lazily, so a caller that stops at the first
-    CoverageError sees the same one as a plain i/j loop."""
+    CoverageError sees the same one as a plain i/j loop.
+
+    ``mu`` follows the strict-unit rule of ``mu_gens`` for the generator
+    names ``units``: a block that holds a unit and is not of length 2
+    vanishes and raises nothing.  Such a block is skipped unevaluated, and
+    the first one of length 3 or more ends its row, since every longer block
+    of the row holds the unit too."""
     n = len(t)
     for i in range(n):
         head = t[:i]
+        held = False
         for j in range(i + 1, n + 1 if whole or i else n):
+            held = held or t[j - 1] in units
+            if held and j - i != 2:
+                if j - i > 2:
+                    break
+                continue
             tail = t[j:]
             for h, c in mu(t[i:j]).items():
                 yield head + (h,) + tail, c
@@ -323,7 +349,7 @@ def bar_differential(A: TabulatedAInfCategory, t: tuple[str, ...]
     """mu^bar_{0|1|0}: all consecutive proper block contractions (the full
     contraction is the map mu, not d_bar)."""
     out: dict[tuple, NovikovElement] = {}
-    for key, c in contractions(A.mu_gens, t, whole=False):
+    for key, c in contractions(A.mu_gens, t, A.unit_names, whole=False):
         old = out.get(key)
         out[key] = c if old is None else old + c
     return nonzero(out)
@@ -410,7 +436,7 @@ def cone_differential(A: TabulatedAInfCategory, x: dict[tuple, NovikovElement]
     for t, c in x.items():
         if not c:
             continue
-        for key, v in contractions(A.mu_gens, t):
+        for key, v in contractions(A.mu_gens, t, A.unit_names):
             p = c * v
             old = out.get(key)
             out[key] = p if old is None else old + p
@@ -420,8 +446,10 @@ def cone_differential(A: TabulatedAInfCategory, x: dict[tuple, NovikovElement]
 def star_product(A: TabulatedAInfCategory, x: dict[tuple, NovikovElement],
                  y: dict[tuple, NovikovElement]) -> dict[tuple, NovikovElement]:
     """x * y = sum over nonempty suffixes of x and prefixes of y contracted
-    by mu, keeping the flanking factors."""
-    mu = A.mu_gens
+    by mu, keeping the flanking factors.  A block of length 3 or more that
+    holds a unit vanishes (``contractions``), and so do the longer blocks
+    after it: they are not evaluated."""
+    mu, units = A.mu_gens, A.unit_names
     out: dict[tuple, NovikovElement] = {}
     for tx, cx in x.items():
         for ty, cy in y.items():
@@ -431,7 +459,11 @@ def star_product(A: TabulatedAInfCategory, x: dict[tuple, NovikovElement],
             n = len(ty)
             for k in range(len(tx)):  # keep tx[:k]
                 head, rest = tx[:k], tx[k:]
+                held = not units.isdisjoint(rest)
                 for j in range(1, n + 1):  # consume ty[:j]
+                    held = held or ty[j - 1] in units
+                    if held and len(rest) + j > 2:
+                        break
                     for h, v in mu(rest + ty[:j]).items():
                         key = head + (h,) + ty[j:]
                         p = c * v
@@ -684,7 +716,7 @@ def verify_lambda_homotopy(A: TabulatedAInfCategory, L: str, X: str,
         for i in range(len(args)):
             for h, c in A.mu_gens(args[i:]).items():
                 accumulate(out, F(args[:i] + (h,)), c)
-        for key, c in contractions(A.mu_gens, args[:-1]):
+        for key, c in contractions(A.mu_gens, args[:-1], A.unit_names):
             accumulate(out, F(key + args[-1:]), c)
         return out
 
@@ -790,7 +822,7 @@ def verify_abouzaid_diagram(A: TabulatedAInfCategory, B: Sequence[str], K: str,
                     for h, c in mu(xy[i:]).items():
                         accumulate(total, mu(xs[:i] + (h,) + t), c)
                 # (c) inner contractions of the x-part
-                for key, c in contractions(mu, xs):
+                for key, c in contractions(mu, xs, A.unit_names):
                     accumulate(total, mu(key + (y,) + t), c)
                 if total:
                     rep.failures.append((t, xs, y, total))

@@ -40,6 +40,7 @@ from .persistence import (
     bar_count,
     interleaving_distance,
     json_list,
+    json_number,
     retract_interleaving,
 )
 
@@ -136,8 +137,9 @@ class FilteredComplex:
     @staticmethod
     def from_json(data: dict) -> "FilteredComplex":
         gens = [
-            Gen(rec["name"], int(rec["degree"]), Fraction(rec["level"]))
-            for rec in json_list(data, "generators")
+            Gen(rec["name"], int(rec["degree"]),
+                json_number(rec["level"], f"generators[{k}].level"))
+            for k, rec in enumerate(json_list(data, "generators"))
         ]
         index = {g.name: i for i, g in enumerate(gens)}
         diff: dict[int, list[int]] = {}

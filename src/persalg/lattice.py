@@ -1,5 +1,5 @@
 """Exact rationals as integers: q in (1/D)Z becomes the int q * D.  The
-distances, the level sort, the Floer pivots and Novikov inversion compute on
+distances, the level sort, the Floer pivots and Novikov arithmetic compute on
 such integers, and this is the one module that converts them."""
 
 import math
@@ -14,3 +14,15 @@ def common_scale(qs) -> int:
 def over(q, D: int) -> int:
     """q * D as an int, for a Fraction q in (1/D)Z."""
     return q.numerator * (D // q.denominator)
+
+
+def scale_lcm(*scales: int) -> int:
+    """The least scale that every one of ``scales`` divides (1 for none):
+    integers over each of them are integers over it."""
+    return math.lcm(*scales)
+
+
+def ceil_over(p, D: int) -> int:
+    """The least int >= p * D, for a Fraction p: an int n is below
+    ``ceil_over(p, D)`` exactly when n / D < p."""
+    return -(-p.numerator * D // p.denominator)

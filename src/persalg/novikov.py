@@ -4,22 +4,32 @@ Elements are finite Z2-combinations of monomials T^q with q an exact rational,
 optionally truncated at a rational precision bound P (exponents >= P are
 unrepresented).  All arithmetic tracks the tightest sound precision of its
 output, so truncation never silently corrupts low-order terms.
+
+An element stores its exponents as a strictly increasing tuple of ints
+``num`` over one scale ``den``, the least common denominator of the
+exponents (1 when there are none), so T^{2/4} is stored as T^{1/2} and equal
+elements compare and hash equal.  Sums, products, truncations and inverses
+run on those ints, over the least common multiple of the two scales (the
+scales are usually equal, and then nothing is rescaled), and divide the
+result's scale back down to its least.  The public ``exponents``, a tuple of
+Fractions, is built from them when first read; ``precision`` stays a
+Fraction (or None).  ``persalg.lattice`` does every conversion between
+rationals and such integers.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 import re
-from dataclasses import dataclass
+from bisect import bisect_left
 from fractions import Fraction
-from typing import Iterable, Optional
+from math import gcd
+from typing import Iterable, Optional, Sequence
 
-from .lattice import common_scale, over
+from .lattice import ceil_over, common_scale, over, scale_lcm
 
 INF = float("inf")
 _new = object.__new__
-_set = object.__setattr__
 
 _MONOMIAL_RE = re.compile(
     r"""^\s*(?:
@@ -40,48 +50,113 @@ def _min_prec(p: Optional[Fraction], q: Optional[Fraction]) -> Optional[Fraction
     return min(p, q)
 
 
-@dataclass(frozen=True)
+def _of(num: tuple[int, ...], den: int, precision: Optional[Fraction]) -> "NovikovElement":
+    """Trusted constructor on the stored form: ``num`` a strictly increasing
+    tuple of ints over the least scale ``den`` (1 when ``num`` is empty), all
+    below ``precision`` (a Fraction or None)."""
+    self = _new(NovikovElement)
+    self._num = num
+    self._den = den
+    self._prec = precision
+    return self
+
+
+def _least(num: Sequence[int], den: int, precision: Optional[Fraction]) -> "NovikovElement":
+    """``_of`` for strictly increasing ints over any scale ``den``: the
+    scale is divided down to the least one first."""
+    if not num:
+        return _of((), 1, precision)
+    if den > 1:
+        g = gcd(den, *num)
+        if g > 1:
+            return _of(tuple(e // g for e in num), den // g, precision)
+    return _of(tuple(num), den, precision)
+
+
 class NovikovElement:
     """A finite Z2-series sum_i T^{q_i}, exponents strictly increasing.
 
     ``precision`` is the truncation bound: terms with exponent >= precision
     are unknown/unrepresented.  ``None`` means the element is exact.
+    ``exponents[i]`` is ``num[i] / den``, with ``den`` the least such scale.
+    Elements are immutable.
     """
 
-    exponents: tuple[Fraction, ...]
-    precision: Optional[Fraction] = None
+    __slots__ = ("_num", "_den", "_prec", "_exps")
 
-    def __post_init__(self):
-        exps = tuple(Fraction(e) for e in self.exponents)
-        if self.precision is not None:
-            prec = Fraction(self.precision)
+    def __init__(self, exponents: Iterable, precision=None):
+        exps = tuple(Fraction(e) for e in exponents)
+        prec = None if precision is None else Fraction(precision)
+        if prec is not None:
             exps = tuple(e for e in exps if e < prec)
-            object.__setattr__(self, "precision", prec)
         if any(exps[i] >= exps[i + 1] for i in range(len(exps) - 1)):
             exps = tuple(sorted(exps))
             if any(exps[i] == exps[i + 1] for i in range(len(exps) - 1)):
                 raise ValueError("duplicate exponents; Z2 cancellation not applied")
-        object.__setattr__(self, "exponents", exps)
+        den = common_scale(exps)
+        self._num = tuple(over(e, den) for e in exps)
+        self._den = den
+        self._prec = prec
+        self._exps = exps
+
+    # -- the stored form and its views ---------------------------------------
+
+    @property
+    def exponents(self) -> tuple[Fraction, ...]:
+        """The exponents as a strictly increasing tuple of Fractions."""
+        try:
+            return self._exps
+        except AttributeError:
+            den = self._den
+            self._exps = tuple(Fraction(e, den) for e in self._num)
+            return self._exps
+
+    @property
+    def precision(self) -> Optional[Fraction]:
+        return self._prec
+
+    @property
+    def num(self) -> tuple[int, ...]:
+        """The exponents times ``den``, as ints."""
+        return self._num
+
+    @property
+    def den(self) -> int:
+        """The least D >= 1 with every exponent times D an int."""
+        return self._den
+
+    def __eq__(self, other):
+        if other.__class__ is not NovikovElement:
+            return NotImplemented
+        return (self._num == other._num and self._den == other._den
+                and self._prec == other._prec)
+
+    def __hash__(self):
+        return hash((self._num, self._den, self._prec))
+
+    def __repr__(self) -> str:
+        return f"NovikovElement(exponents={self.exponents!r}, precision={self._prec!r})"
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def _make(exps: tuple[Fraction, ...], precision: Optional[Fraction]) -> "NovikovElement":
-        """Trusted constructor: skips ``__post_init__``.  Only for data the
-        class has just built canonically: ``exps`` a strictly increasing tuple
-        of Fractions, all below ``precision`` (a Fraction or None)."""
-        self = _new(NovikovElement)
-        _set(self, "exponents", exps)
-        _set(self, "precision", precision)
+        """Trusted constructor: skips the public constructor's checks.  Only
+        for data the caller has just built canonically: ``exps`` a strictly
+        increasing tuple of Fractions, all below ``precision`` (a Fraction or
+        None)."""
+        den = common_scale(exps)
+        self = _of(tuple(over(e, den) for e in exps), den, precision)
+        self._exps = exps
         return self
 
     @staticmethod
     def zero(precision: Optional[Fraction] = None) -> "NovikovElement":
-        return NovikovElement._make((), None if precision is None else Fraction(precision))
+        return _of((), 1, None if precision is None else Fraction(precision))
 
     @staticmethod
     def one() -> "NovikovElement":
-        return NovikovElement._make((Fraction(0),), None)
+        return _of((0,), 1, None)
 
     @staticmethod
     def monomial(exponent) -> "NovikovElement":
@@ -100,38 +175,48 @@ class NovikovElement:
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.exponents
+        return not self._num
 
     def __bool__(self) -> bool:
-        return bool(self.exponents)
+        return bool(self._num)
 
     @property
     def valuation(self):
         """Least exponent; +inf for the zero element."""
-        return self.exponents[0] if self.exponents else INF
+        return Fraction(self._num[0], self._den) if self._num else INF
 
     def coefficient(self, exponent) -> int:
         q = Fraction(exponent)
-        if self.precision is not None and q >= self.precision:
-            raise ValueError(f"exponent {q} is beyond precision {self.precision}")
+        if self._prec is not None and q >= self._prec:
+            raise ValueError(f"exponent {q} is beyond precision {self._prec}")
         return 1 if q in set(self.exponents) else 0
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "NovikovElement") -> "NovikovElement":
-        prec = _min_prec(self.precision, other.precision)
-        if not other.exponents and prec == self.precision:
+        prec = _min_prec(self._prec, other._prec)
+        a, b = self._num, other._num
+        if not b and prec == self._prec:
             return self
-        if not self.exponents and prec == other.precision:
+        if not a and prec == other._prec:
             return other
-        sym = set(self.exponents) ^ set(other.exponents)
+        da, db = self._den, other._den
+        if da == db:
+            den, sym = da, set(a).symmetric_difference(b)
+        else:
+            den = scale_lcm(da, db)
+            ka, kb = den // da, den // db
+            sym = {e * ka for e in a}.symmetric_difference([e * kb for e in b])
         if prec is not None:
-            sym = [e for e in sym if e < prec]
-        return NovikovElement._make(tuple(sorted(sym)), prec)
+            limit = ceil_over(prec, den)
+            sym = [e for e in sym if e < limit]
+        return _least(sorted(sym), den, prec)
 
     def __mul__(self, other: "NovikovElement") -> "NovikovElement":
-        a, b = self.exponents, other.exponents
-        if self.precision is None and other.precision is None:
+        a, b = self._num, other._num
+        pa, pb = self._prec, other._prec
+        da, db = self._den, other._den
+        if pa is None and pb is None:
             # exact factors: zero, the unit T^0 and monomial x monomial
             if not a or not b:
                 return NOV_ZERO
@@ -139,36 +224,55 @@ class NovikovElement:
                 if not a[0]:
                     return other
                 if len(b) == 1:
-                    return NovikovElement._make((a[0] + b[0],), None)
+                    if da == db:
+                        den, e = da, a[0] + b[0]
+                    else:
+                        den = scale_lcm(da, db)
+                        e = a[0] * (den // da) + b[0] * (den // db)
+                    g = gcd(e, den)
+                    return _of((e // g,), den // g, None)
             if len(b) == 1 and not b[0]:
                 return self
         # Tightest sound precision: a missing term T^{>=Pa} of self times the
         # lowest term of other first pollutes exponent Pa + val(other); if both
         # factors are truncated their missing tails pollute at Pa + Pb.
         prec = None
-        if self.precision is not None and b:
-            prec = _min_prec(prec, self.precision + b[0])
-        if other.precision is not None and a:
-            prec = _min_prec(prec, other.precision + a[0])
-        if self.precision is not None and other.precision is not None:
-            prec = _min_prec(prec, self.precision + other.precision)
-        counts: dict[Fraction, int] = {}
+        if pa is not None and b:
+            prec = pa + Fraction(b[0], db)
+        if pb is not None and a:
+            prec = _min_prec(prec, pb + Fraction(a[0], da))
+        if pa is not None and pb is not None:
+            prec = _min_prec(prec, pa + pb)
+        if da == db:
+            den = da
+        else:
+            den = scale_lcm(da, db)
+            if den != da:
+                a = [e * (den // da) for e in a]
+            if den != db:
+                b = [e * (den // db) for e in b]
+        # each row x + b has distinct terms, so toggling a row at once is the
+        # Z2 sum of its terms
+        sym: set[int] = set()
         for x in a:
-            for y in b:
-                q = x + y
-                counts[q] = counts.get(q, 0) ^ 1
-        exps = [q for q, c in counts.items() if c and (prec is None or q < prec)]
-        return NovikovElement._make(tuple(sorted(exps)), prec)
+            sym.symmetric_difference_update([x + y for y in b])
+        if prec is not None:
+            limit = ceil_over(prec, den)
+            sym = [e for e in sym if e < limit]
+        return _least(sorted(sym), den, prec)
 
     def scale(self, exponent) -> "NovikovElement":
         """Multiply by the monomial T^exponent."""
         q = Fraction(exponent)
-        prec = None if self.precision is None else self.precision + q
-        return NovikovElement._make(tuple(e + q for e in self.exponents), prec)
+        den = scale_lcm(self._den, common_scale((q,)))
+        k, s = den // self._den, over(q, den)
+        prec = None if self._prec is None else self._prec + q
+        return _least([e * k + s for e in self._num], den, prec)
 
     def truncate(self, precision) -> "NovikovElement":
-        prec = _min_prec(self.precision, Fraction(precision))
-        return NovikovElement._make(tuple(e for e in self.exponents if e < prec), prec)
+        prec = _min_prec(self._prec, Fraction(precision))
+        num = self._num
+        return _least(num[:bisect_left(num, ceil_over(prec, self._den))], self._den, prec)
 
     def invert(self, precision) -> "NovikovElement":
         """Inverse b with self*b = 1 up to terms of exponent >= precision.
@@ -177,23 +281,22 @@ class NovikovElement:
         below p = min(precision, precision of x) in one pass, exponents in
         increasing order: c_q = [q == 0] + sum_{e in x} c_{q-e} over Z2.  Only
         0 and q + e < p with c_q = 1 can be exponents, so only those are
-        visited (as integers over the common scale of x, ``persalg.lattice``).
+        visited, as ints over the scale of self.
         """
-        if not self.exponents:
+        num, den = self._num, self._den
+        if not num:
             raise ZeroDivisionError("cannot invert the zero Novikov element")
-        v = self.valuation
-        if self.precision is None and len(self.exponents) == 1:
-            return NovikovElement._make((-v,), None)
+        v = num[0]
+        if self._prec is None and len(num) == 1:
+            return _of((-v,), den, None)
         # self * b = (1+x) c exactly, so computing c = (1+x)^{-1} mod T^p
         # makes the product correct below the requested precision; p includes
         # the input's own truncation bound so the result never overclaims.
         p = Fraction(precision)
-        if self.precision is not None:
-            p = min(p, self.precision - v)
-        xs = [e - v for e in self.exponents[1:] if e - v < p]
-        den = common_scale(xs)
-        steps = [over(e, den) for e in xs]
-        limit = math.ceil(p * den)  # q < p  <=>  q * den < limit
+        if self._prec is not None:
+            p = min(p, self._prec - Fraction(v, den))
+        limit = ceil_over(p, den)  # q < p  <=>  q * den < limit
+        steps = [e - v for e in num[1:] if e - v < limit]
         ones: dict[int, None] = {}  # insertion-ordered: increasing exponents
         seen = {0}
         heap = [0] if limit > 0 else []
@@ -214,19 +317,19 @@ class NovikovElement:
                 if r not in seen:
                     seen.add(r)
                     heapq.heappush(heap, r)
-        return NovikovElement._make(tuple(Fraction(q, den) - v for q in ones), p - v)
+        return _least([q - v for q in ones], den, p - Fraction(v, den))
 
     # -- formatting --------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.exponents:
+        if not self._num:
             return "0"
         return " + ".join(format_exponent(e) for e in self.exponents)
 
     def precision_json(self) -> dict:
         """The JSON field that carries a truncated element's precision next
         to its ``str``: ``{"precision": bound}``, or ``{}`` when exact."""
-        return {} if self.precision is None else {"precision": str(self.precision)}
+        return {} if self._prec is None else {"precision": str(self._prec)}
 
     @staticmethod
     def parse(text: str, precision=None) -> "NovikovElement":

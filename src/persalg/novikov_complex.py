@@ -31,9 +31,9 @@ from typing import Sequence
 
 from . import gf2, sparse
 from .filtered_complex import FilteredComplex, Gen
-from .lattice import common_scale, over
+from .lattice import common_scale, over, scale_lcm
 from .novikov import NOV_ONE, NovikovElement
-from .persistence import INF, json_list
+from .persistence import INF, json_list, json_number
 
 
 class PrecisionError(RuntimeError):
@@ -127,25 +127,32 @@ class FloerComplex:
 
     @staticmethod
     def from_json(data: dict) -> "FloerComplex":
-        gens = [Gen(r["name"], int(r["degree"]), Fraction(r["level"]))
-                for r in json_list(data, "generators")]
+        gens = [Gen(r["name"], int(r["degree"]),
+                    json_number(r["level"], f"generators[{k}].level"))
+                for k, r in enumerate(json_list(data, "generators"))]
         index = {g.name: i for i, g in enumerate(gens)}
         diff: dict[int, dict[int, NovikovElement]] = {}
-        for rec in json_list(data, "differential", []):
+        for k, rec in enumerate(json_list(data, "differential", [])):
             i, j = index[rec["from"]], index[rec["to"]]
-            diff.setdefault(i, {})[j] = NovikovElement.parse(rec["coefficient"],
-                                                             rec.get("precision"))
+            prec = rec.get("precision")
+            if prec is not None:
+                prec = json_number(prec, f"differential[{k}].precision")
+            diff.setdefault(i, {})[j] = NovikovElement.parse(rec["coefficient"], prec)
         return FloerComplex(gens, diff, int(data.get("modulus", 2)))
 
 
 def _lattice(C: FloerComplex) -> tuple[int, list[int]]:
     """The common scale D of the levels and entry exponents of C, and each
     generator's level times D.  The normalized valuation of an entry P from
-    i to j is then ``over(P.exponents[0], D) + lev[i] - lev[j]`` over D."""
-    D = common_scale([g.level for g in C.gens] +
-                     [e for row in C.diff.values() for P in row.values()
-                      for e in P.exponents])
+    i to j is then ``_val(P, D) + lev[i] - lev[j]`` over D."""
+    D = scale_lcm(common_scale(g.level for g in C.gens),
+                  *{P.den for row in C.diff.values() for P in row.values()})
     return D, [over(g.level, D) for g in C.gens]
+
+
+def _val(P: NovikovElement, D: int) -> int:
+    """val(P) * D as an int, for a nonzero P and D a multiple of its scale."""
+    return P.num[0] * (D // P.den)
 
 
 def _auto_precision(C: FloerComplex, D: int, lev: list[int]) -> Fraction:
@@ -154,7 +161,7 @@ def _auto_precision(C: FloerComplex, D: int, lev: list[int]) -> Fraction:
     ent = 0
     for row in C.diff.values():
         for P in row.values():
-            ent = max(ent, abs(over(P.exponents[0], D)), abs(over(P.exponents[-1], D)))
+            ent = max(ent, max(abs(P.num[0]), abs(P.num[-1])) * (D // P.den))
     return Fraction((span + ent + D) * (C.dim() + 2) + 8 * D, D)
 
 
@@ -198,13 +205,13 @@ def reduce_floer(C: FloerComplex, working_precision=None) -> Reduction:
     for i, row in cols.items():
         for j, P in row.items():
             rows_at[j].add(i)
-            heap.append((over(P.exponents[0], D) + lev[i] - lev[j], i, j))
+            heap.append((_val(P, D) + lev[i] - lev[j], i, j))
     heapq.heapify(heap)
     alive = set(range(n))
     pairs: list[tuple[int, int, Fraction]] = []
 
     def is_zero(P: NovikovElement) -> bool:
-        if P.exponents:
+        if P:
             return False
         if P.precision is not None and P.precision < prec / 2:
             raise PrecisionError(
@@ -215,7 +222,7 @@ def reduce_floer(C: FloerComplex, working_precision=None) -> Reduction:
         nv, bi, aj = heapq.heappop(heap)
         P = cols[bi].get(aj)
         if (bi not in alive or aj not in alive or P is None
-                or over(P.exponents[0], D) + lev[bi] - lev[aj] != nv):
+                or _val(P, D) + lev[bi] - lev[aj] != nv):
             continue
         pairs.append((bi, aj, Fraction(nv, D)))
         alive.discard(bi)
@@ -236,7 +243,7 @@ def reduce_floer(C: FloerComplex, working_precision=None) -> Reduction:
                 else:
                     row[k] = val
                     rows_at[k].add(x)
-                    heapq.heappush(heap, (over(val.exponents[0], D) + lev[x] - lev[k], x, k))
+                    heapq.heappush(heap, (_val(val, D) + lev[x] - lev[k], x, k))
             sparse.add_into(basis[x], basis[bi], coef)  # the column operation on the basis
         for x in rows_at.pop(bi, set()) & alive:
             cols[x].pop(bi, None)
@@ -277,7 +284,7 @@ def counting_lemma_bound(C: FloerComplex) -> tuple[Fraction, Fraction]:
     and every differential entry has normalized valuation >= v, then there
     are (m - r)/2 finite bars, each of length >= v.  Returns ((m-r)/2, v)."""
     D, lev = _lattice(C)
-    vmin = min((over(P.exponents[0], D) + lev[i] - lev[j]
+    vmin = min((_val(P, D) + lev[i] - lev[j]
                 for i, row in C.diff.items() for j, P in row.items()), default=0)
     r = concise_barcode(C).infinite_total()
     return Fraction(C.dim() - r, 2), Fraction(vmin, D)
@@ -317,7 +324,7 @@ def express_in_reduction(red: Reduction, w: dict[int, NovikovElement],
         for r, P in vec.items():
             if r in used_rows or not P:
                 continue
-            nv = over(P.exponents[0], D) - lev[r]
+            nv = _val(P, D) - lev[r]
             if pivot is None or (nv, r) < pivot[:2]:
                 pivot = (nv, r, P)
         if pivot is None:
@@ -500,7 +507,7 @@ def t1_homology_rank(C: FloerComplex) -> int:
         for j, P in C.diff.get(i, {}).items():
             if P.precision is not None:
                 raise PrecisionError("T=1 specialization needs exact entries")
-            if len(P.exponents) % 2:
+            if len(P.num) % 2:
                 mask |= 1 << j
         cols.append(mask)
     return n - 2 * gf2.rank(cols)

@@ -127,11 +127,11 @@ class Barcode:
         for k, rec in enumerate(json_list(data, "bars", [])):
             if not isinstance(rec, dict):
                 raise ValueError(f"bars[{k}] must be an object")
-            birth, death = _json_number(rec["birth"], f"bars[{k}].birth"), rec["death"]
+            birth, death = json_number(rec["birth"], f"bars[{k}].birth"), rec["death"]
             bars.append(Bar(birth, INF if death == "inf" else
-                            _json_number(death, f"bars[{k}].death"),
-                            _json_number(rec.get("degree", 0), f"bars[{k}].degree", int)))
-        return Barcode(tuple(bars), _json_number(data.get("modulus", 0), "modulus", int))
+                            json_number(death, f"bars[{k}].death"),
+                            json_number(rec.get("degree", 0), f"bars[{k}].degree", int)))
+        return Barcode(tuple(bars), json_number(data.get("modulus", 0), "modulus", int))
 
 
 EMPTY = Barcode(())
@@ -146,7 +146,7 @@ def json_list(data: dict, key: str, default=None) -> list:
     return value
 
 
-def _json_number(value, field: str, kind=Fraction):
+def json_number(value, field: str, kind=Fraction):
     """A JSON string or number read as ``kind`` (Fraction or int).  Any other
     value, or a number with a fractional part read as an int, is a ValueError
     naming the field."""
@@ -500,54 +500,72 @@ def _retract_candidates(barsR, barsX):
     return sorted(c for c in cands if c >= 0)
 
 
-def _hom_nonzero(src: Bar, dst: Bar, s) -> bool:
-    # S^s src = [b1+s,d1+s), dst = [b2,d2): nonzero iff b2 <= b1+s < d2 <= d1+s
-    b1 = src.birth + s
-    if dst.birth > b1:
-        return False
-    if dst.death != INF and b1 >= dst.death:
-        return False
-    if dst.death == INF:
-        return src.death == INF
-    return src.death == INF or dst.death <= src.death + s
+def _ends(bars) -> list[tuple]:
+    """(birth, death, length) of each bar, death and length None when it is
+    infinite: the endpoints, infinite flags and lengths of a slice, read
+    once."""
+    return [(x.birth, None, None) if x.infinite else (x.birth, x.death, x.death - x.birth)
+            for x in bars]
 
 
-def _allowed_pairs(bars_src, bars_dst, shift):
+def _shifted(ends, s) -> list[tuple]:
+    """The ``_ends`` of the bars shifted by s."""
+    return [(b + s, None if d is None else d + s, L) for b, d, L in ends]
+
+
+def _hom_nonzero(src: tuple, dst: tuple) -> bool:
+    # a degree-0 morphism [b1,d1) -> [b2,d2) (of ``_ends``, src already
+    # shifted) can be nonzero iff b2 <= b1 < d2 <= d1
+    (b1, d1, _), (b2, d2, _) = src, dst
+    if b2 > b1:
+        return False
+    if d2 is None:
+        return d1 is None
+    return b1 < d2 and (d1 is None or d2 <= d1)
+
+
+def _allowed_pairs(ends_src, ends_dst, shift):
     """Indices (i,j) where a degree-0 morphism S^shift src_i -> dst_j can be
-    nonzero."""
-    return [(i, j) for i, x in enumerate(bars_src) for j, y in enumerate(bars_dst)
-            if x.degree == y.degree and _hom_nonzero(x, y, shift)]
+    nonzero, for the ``_ends`` of two bars of one degree."""
+    return [(i, j) for i, x in enumerate(_shifted(ends_src, shift))
+            for j, y in enumerate(ends_dst)
+            if _hom_nonzero(x, y)]
 
 
-def _eta_matrix(bars, shift):
+def _eta_matrix(ends, shift):
     """Diagonal of eta_shift: S^shift I -> I, nonzero iff length > shift."""
-    return [1 if (x.infinite or x.length > shift) else 0 for x in bars]
+    return [1 if L is None or L > shift else 0 for _, _, L in ends]
+
+
+def _oracle_slices(B1: Barcode, B2: Barcode) -> list[tuple]:
+    """The ``_ends`` of each degree slice of B1 and B2, read once for every
+    candidate an oracle tries."""
+    return [(_ends(s1), _ends(s2)) for s1, s2 in _degree_slices(B1, B2)]
 
 
 def oracle_interleaving_feasible(B1: Barcode, B2: Barcode, a, b) -> bool:
     """Brute-force: exists phi: S^a B1 -> B2 and psi: S^b B2 -> B1 with both
     composites equal to the structure maps eta_{a+b}.  Enumerates phi over
     GF(2) assignments on allowed pairs, solving linearly for psi."""
-    for bars1, bars2 in _degree_slices(B1, B2):
-        if not _oracle_slice_feasible(bars1, bars2, a, b, symmetric=True):
-            return False
-    return True
+    return _oracle_feasible(_oracle_slices(B1, B2), a, b, symmetric=True)
 
 
 def oracle_retract_feasible(R: Barcode, X: Barcode, r) -> bool:
-    for barsR, barsX in _degree_slices(R, X):
-        if not _oracle_slice_feasible(barsR, barsX, r, r, symmetric=False):
-            return False
-    return True
+    return _oracle_feasible(_oracle_slices(R, X), r, r, symmetric=False)
 
 
-def _oracle_slice_feasible(bars1, bars2, a, b, symmetric: bool) -> bool:
-    pairs_phi = _allowed_pairs(bars1, bars2, a)
-    pairs_psi = _allowed_pairs(bars2, bars1, b)
+def _oracle_feasible(slices, a, b, symmetric: bool) -> bool:
+    return all(_oracle_slice_feasible(ends1, ends2, a, b, symmetric)
+               for ends1, ends2 in slices)
+
+
+def _oracle_slice_feasible(ends1, ends2, a, b, symmetric: bool) -> bool:
+    pairs_phi = _allowed_pairs(ends1, ends2, a)
+    pairs_psi = _allowed_pairs(ends2, ends1, b)
     ab = a + b
-    eta1 = _eta_matrix(bars1, ab)
-    eta2 = _eta_matrix(bars2, ab)
-    n1, n2 = len(bars1), len(bars2)
+    eta1 = _eta_matrix(ends1, ab)
+    eta2 = _eta_matrix(ends2, ab)
+    n1, n2 = len(ends1), len(ends2)
     if not pairs_phi and any(eta1):
         return False
     # Unknowns: the psi entries on pairs_psi.  Equation i*n1 + k is entry
@@ -558,17 +576,19 @@ def _oracle_slice_feasible(bars1, bars2, a, b, symmetric: bool) -> bool:
     # depends on phi, so both are built once, before the enumeration.
     terms = []
     rhs = 0
+    shifted1 = _shifted(ends1, ab)
     for p, (i, j) in enumerate(pairs_phi):
         for t, (jj, k) in enumerate(pairs_psi):
-            if jj == j and _hom_nonzero(bars1[i], bars1[k], ab):
+            if jj == j and _hom_nonzero(shifted1[i], ends1[k]):
                 terms.append((p, t, i * n1 + k))
     for i in range(n1):
         if eta1[i]:
             rhs |= 1 << (i * n1 + i)
     if symmetric:
+        shifted2 = _shifted(ends2, ab)
         for p, (i, k) in enumerate(pairs_phi):
             for t, (j, ii) in enumerate(pairs_psi):
-                if ii == i and _hom_nonzero(bars2[j], bars2[k], ab):
+                if ii == i and _hom_nonzero(shifted2[j], ends2[k]):
                     terms.append((p, t, n1 * n1 + j * n2 + k))
         for j in range(n2):
             if eta2[j]:
@@ -589,18 +609,20 @@ def oracle_interleaving_distance(B1: Barcode, B2: Barcode):
         if sum(1 for b in bars1 if b.infinite) != sum(1 for b in bars2 if b.infinite):
             return INF
     cands = sorted(set(_candidate_epsilons(list(B1.bars), list(B2.bars))))
+    slices = _oracle_slices(B1, B2)
     for c in cands:
-        if oracle_interleaving_feasible(B1, B2, c, c):
+        if _oracle_feasible(slices, c, c, symmetric=True):
             return c
     return INF
 
 
 def oracle_dint_variant(B1: Barcode, B2: Barcode):
     best = INF
+    slices = _oracle_slices(B1, B2)
     for a, b in _candidate_ab(list(B1.bars), list(B2.bars)):
         if a + b >= best:
             continue
-        if oracle_interleaving_feasible(B1, B2, a, b):
+        if _oracle_feasible(slices, a, b, symmetric=True):
             best = a + b
     return best
 
@@ -618,7 +640,8 @@ def oracle_retract_interleaving(R: Barcode, X: Barcode):
         )
         | {Fraction(0)}
     )
+    slices = _oracle_slices(R, X)
     for r in cands:
-        if oracle_retract_feasible(R, X, r):
+        if _oracle_feasible(slices, r, r, symmetric=False):
             return r
     return INF

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from persalg.ainf import (
+    AinfReport,
     HomGen,
     TabulatedAInfCategory,
     _q_chains,
@@ -622,7 +623,7 @@ def test_contractions_match_nested_loop(single, sphere2):
                     asked.append(key)
                     return A.mu_gens(key)
 
-                got = _drain(contractions(mu, t, whole))
+                got = _drain(contractions(mu, t, A.unit_names, whole))
                 assert got == _drain(_contractions_loop(A.mu_gens, t, whole)), (t, whole)
                 assert whole or t not in asked
                 seen["value" if got[1] is None else "CoverageError"] += 1
@@ -783,3 +784,131 @@ def test_enumeration_orders_match_recursive_references():
             seen = set(got)
             assert got == [k for k in keys if k in seen]
         assert A.composable(sorted(A.gen_info), A._by_source, 0) == []
+
+
+# -- the strict-unit skip against sums that look up every block -------------------
+
+def _naive_cone_differential(A, x):
+    """Every block t[i..j] of every tensor looked up, units included."""
+    out = {}
+    for t, c in x.items():
+        if not c:
+            continue
+        for i in range(len(t)):
+            for j in range(i, len(t)):
+                for h, v in A.mu_gens(t[i:j + 1]).items():
+                    key, p = t[:i] + (h,) + t[j + 1:], c * v
+                    out[key] = p if key not in out else out[key] + p
+    return {k: v for k, v in out.items() if v}
+
+
+def _naive_star_product(A, x, y):
+    """Every suffix of tx joined to every nonempty prefix of ty looked up."""
+    out = {}
+    for tx, cx in x.items():
+        for ty, cy in y.items():
+            c = cx * cy
+            if not c:
+                continue
+            for k in range(len(tx)):
+                for j in range(1, len(ty) + 1):
+                    for h, v in A.mu_gens(tx[k:] + ty[:j]).items():
+                        key, p = tx[:k] + (h,) + ty[j:], c * v
+                        out[key] = p if key not in out else out[key] + p
+    return {k: v for k, v in out.items() if v}
+
+
+def _naive_verify(A, max_arity):
+    """verify's filtration, degree and relation checks with every inner and
+    outer block looked up."""
+    rep = AinfReport()
+    for key, val in A.mu.items():
+        total_level = sum(A.gen_info[g].level for g in key)
+        total_deg = sum(A.gen_info[g].degree for g in key)
+        for h, c in val.items():
+            if A.gen_info[h].level - c.valuation > total_level:
+                rep.failures.append(("filtration", key, h))
+            if A.modulus and (A.gen_info[h].degree - (total_deg + 2 - len(key))) % A.modulus:
+                rep.failures.append(("degree", key, h))
+    for key in _composable_recursive(A, max_arity):
+        n = len(key)
+        try:
+            acc = {}
+            for i in range(n):
+                for j in range(i, n):
+                    outer = {}
+                    for h, c in A.mu_gens(key[i:j + 1]).items():
+                        for h2, c2 in A.mu_gens(key[:i] + (h,) + key[j + 1:]).items():
+                            p = c * c2
+                            outer[h2] = p if h2 not in outer else outer[h2] + p
+                    for h2, p in outer.items():
+                        s = acc[h2] + p if h2 in acc else p
+                        if s:
+                            acc[h2] = s
+                        else:
+                            acc.pop(h2, None)
+            if acc:
+                rep.failures.append(("relation", key, acc))
+            else:
+                rep.checked.append(key)
+        except CoverageError as exc:
+            rep.uncheckable.append((key, exc.args[0]))
+    return rep
+
+
+def _unit_tensors(A, rng, count):
+    """Seeded composable tensors of length 1..4, each with the strict unit
+    of the object there inserted at one position, every position in turn."""
+    tuples = list(_composable(A, 3))
+    out = []
+    while len(out) < count:
+        t = rng.choice(tuples)
+        for p in range(len(t) + 1):
+            X = A.gen_info[t[p]].source if p < len(t) else A.gen_info[t[-1]].target
+            out.append(t[:p] + (A.units[X],) + t[p:])
+    return out
+
+
+def _coefficient(rng):
+    q = F(rng.randint(-4, 4), rng.choice((1, 2, 3, 4)))
+    if rng.random() < 0.3:
+        return N((q, q + F(1, 2)), q + rng.choice((1, 2)))
+    return N.monomial(q)
+
+
+def test_unit_skip_matches_every_block_looked_up(single, sphere2):
+    """cone_differential and star_product, which skip the unit blocks that
+    vanish, give the dicts (order and precisions included) or the first
+    CoverageError of sums that look up every block, on elements with a unit
+    at every position; exact and truncated coefficients."""
+    seen = {"value": 0, "CoverageError": 0}
+    for M, seed in ((single, 5), (sphere2, 6)):
+        A = M.category
+        rng = random.Random(seed)
+        tensors = _unit_tensors(A, rng, 200)
+        for _ in range(150):
+            x = {t: _coefficient(rng) for t in rng.sample(tensors, rng.randint(1, 3))}
+            y = {t: _coefficient(rng) for t in rng.sample(tensors, rng.randint(1, 3))}
+            for got, want in ((_outcome(cone_differential, A, x),
+                               _outcome(_naive_cone_differential, A, x)),
+                              (_outcome(star_product, A, x, y),
+                               _outcome(_naive_star_product, A, x, y))):
+                assert got == want, (x, y)
+                if isinstance(got, dict):
+                    assert [(k, c.exponents, c.precision) for k, c in got.items()] == \
+                        [(k, c.exponents, c.precision) for k, c in want.items()]
+                seen["CoverageError" if isinstance(got, tuple) else "value"] += 1
+    assert all(seen.values())
+
+
+def test_verify_unit_skip_matches_every_block_looked_up(single, sphere2):
+    """verify(4) reports, with each uncheckable key's first CoverageError,
+    equal those of the loop that looks up every block."""
+    seen = {"checked": 0, "uncheckable": 0}
+    for A in (single.category, sphere2.category):
+        got, want = A.verify(4), _naive_verify(A, 4)
+        assert (got.checked, got.uncheckable, got.failures) == \
+            (want.checked, want.uncheckable, want.failures)
+        seen["checked"] += len(want.checked)
+        seen["uncheckable"] += len(want.uncheckable)
+    assert all(seen.values())

@@ -199,6 +199,16 @@ NOV2 = {"modulus": 2,
      {"modulus": 0, "bars": [{"birth": "0", "death": "1", "degree": 1.5}]}),
     (["distance", "{file}", "{good}"],
      {"modulus": 2.5, "bars": [{"birth": "0", "death": "1", "degree": 0}]}),
+    # json.dumps writes float("inf") as the JSON extension Infinity
+    (["barcode", "{file}"],
+     {**E2, "generators": [{"name": "a", "degree": 0, "level": float("inf")}],
+      "differential": []}),
+    (["barcode", "--novikov", "{file}"],
+     {**NOV2, "generators": [{"name": "a", "degree": 0, "level": float("inf")}],
+      "differential": []}),
+    (["barcode", "--novikov", "{file}"],
+     {**NOV2, "differential": [{"from": "b", "to": "a", "coefficient": "T",
+                                "precision": float("inf")}]}),
 ], ids=["distance-empty-bar", "distance-no-death", "barcode-object-differential",
         "conelength-object-differential", "conelength-unknown-generator",
         "barcode-unknown-generator", "distance-object-bars", "barcode-object-generators",
@@ -206,7 +216,8 @@ NOV2 = {"modulus": 2,
         "novikov-zero-denominator-precision", "novikov-bad-precision",
         "conelength-zero-denominator-level", "distance-top-level-list",
         "distance-number-bar", "distance-list-birth", "distance-fractional-degree",
-        "distance-fractional-modulus"])
+        "distance-fractional-modulus", "barcode-infinite-level", "novikov-infinite-level",
+        "novikov-infinite-precision"])
 def test_malformed_input_exits_4(capsys, tmp_path, argv, content):
     """Malformed input is a parse error: exit 4 with a one-line message."""
     good = tmp_path / "good.json"

@@ -1,3 +1,5 @@
+import json
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -191,6 +193,27 @@ def test_model_json_round_trip():
         assert A2.mu == M.category.mu
     truncated = [c for val in A2.mu.values() for c in val.values() if c.precision is not None]
     assert len(truncated) == 2  # longitudes N = 2
+
+
+def test_model_json_names_an_infinite_number():
+    """A JSON Infinity as a level, a precision or a shift tag is a
+    ValueError naming the field, not an OverflowError."""
+    from persalg.ainf import TabulatedAInfCategory
+
+    data = build_torus_longitudes(2, 5).category.to_json()
+    n, rec = next((n, r) for n, r in enumerate(data["mu"])
+                  if any("precision" in t for t in r["output_terms"]))
+    m = next(m for m, t in enumerate(rec["output_terms"]) if "precision" in t)
+    obj = data["objects"][0]
+    for field, edit in (
+            ("generators[1].level", lambda d: d["generators"][1].update(level=float("inf"))),
+            (f"mu[{n}].output_terms[{m}].precision",
+             lambda d: d["mu"][n]["output_terms"][m].update(precision=float("-inf"))),
+            (f"shift_tags.{obj}", lambda d: d["shift_tags"].update({obj: float("inf")}))):
+        bad = json.loads(json.dumps(data))
+        edit(bad)
+        with pytest.raises(ValueError, match=re.escape(field)):
+            TabulatedAInfCategory.from_json(bad)
 
 
 def test_away_strip_equals_raw_reduction():

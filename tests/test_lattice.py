@@ -5,7 +5,7 @@ from pathlib import Path
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from persalg.lattice import common_scale, over
+from persalg.lattice import ceil_over, common_scale, over, scale_lcm
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "persalg"
 
@@ -34,6 +34,14 @@ def test_common_scale_is_least_and_over_is_exact(qs):
     for q in qs:
         n = over(q, D)
         assert type(n) is int and n == q * D
+    # the least scale of all is the least multiple of each one's scale
+    L = scale_lcm(*(common_scale([q]) for q in qs))
+    assert type(L) is int and L == D
+    for q in qs:
+        for S in (1, 7, D, 2 * D):
+            c = ceil_over(q, S)
+            assert type(c) is int and c - 1 < q * S <= c
+            assert all((n < c) == (F(n, S) < q) for n in range(c - 2, c + 2))
 
 
 def _trees():

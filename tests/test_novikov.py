@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from persalg.novikov import (
@@ -315,3 +315,74 @@ def test_public_constructor_validates():
     assert a.exponents == () and a.precision == F(2) and type(a.precision) is F
     b = NovikovElement((2, F(1, 2), 0))
     assert b.exponents == (F(0), F(1, 2), F(2)) and all(type(e) is F for e in b.exponents)
+
+
+# -- the int-over-scale representation against plain Fraction sets ---------------
+
+MIXED = (1, 2, 3, 4, 6, 8)
+mixed_rationals = st.builds(F, st.integers(-24, 24), st.sampled_from(MIXED))
+# (exponent set, precision or None), reduced by the precision as an element is
+mixed_sets = st.tuples(st.frozensets(mixed_rationals, max_size=5),
+                       st.none() | mixed_rationals).map(
+    lambda sp: (frozenset(e for e in sp[0] if sp[1] is None or e < sp[1]), sp[1]))
+
+
+def _routes(sp, q):
+    """The element (exponents, precision) = sp built four ways: the public
+    constructor, from_exponents with a cancelling pair, parse of its text,
+    and a product by T^q and then by T^-q."""
+    exps, prec = sp
+    a = NovikovElement(tuple(sorted(exps)), prec)
+    b = NovikovElement.from_exponents(list(exps) + [q, q], prec)
+    c = NovikovElement.parse(str(a), prec)
+    d = (a * NovikovElement.monomial(q)) * NovikovElement.monomial(-q)
+    return a, b, c, d
+
+
+def _as_set(r):
+    """(set of exponents, precision) of r, after checking the public types
+    and that r equals its rebuild from them."""
+    exps, prec = r.exponents, r.precision
+    assert type(exps) is tuple and all(type(e) is F for e in exps)
+    assert list(exps) == sorted(set(exps))
+    assert prec is None or type(prec) is F
+    assert r == NovikovElement(exps, prec) and hash(r) == hash(NovikovElement(exps, prec))
+    return set(exps), prec
+
+
+@seed(20261019)
+@settings(max_examples=300, deadline=None)
+@given(mixed_sets, mixed_sets, mixed_rationals, mixed_rationals)
+@example((frozenset({F(1, 4)}), None), (frozenset({F(1, 4)}), None), F(1, 8), F(1, 2))
+@example((frozenset({F(1, 2), F(2, 3)}), F(5, 6)), (frozenset({F(1, 2)}), None), F(3, 8), F(0))
+def test_int_representation_against_fraction_sets(x, y, q, t):
+    """Sums, products, truncations and inverses on mixed denominators equal
+    plain-set Fraction arithmetic, exact and truncated; the same element
+    built by different routes compares and hashes equal (T^{1/4} T^{1/4}
+    is T^{1/2})."""
+    xs, ys = _routes(x, q), _routes(y, t)
+    for r in xs[1:]:
+        assert r == xs[0] and hash(r) == hash(xs[0])
+        assert (r.exponents, r.precision) == (xs[0].exponents, xs[0].precision)
+    a, b = xs[0], ys[-1]
+    sa, sb = _as_set(a), _as_set(b)
+    assert sa == (set(x[0]), x[1]) and sb == (set(y[0]), y[1])
+    assert _as_set(a + b) == _oracle_add(sa, sb)
+    assert _as_set(a * b) == _oracle_mul(sa, sb)
+    p = t if sa[1] is None else min(sa[1], t)
+    assert _as_set(a.truncate(t)) == ({e for e in sa[0] if e < p}, p)
+    if a:
+        exps, prec = _inverse_oracle(sorted(sa[0]), sa[1], abs(t) + 1)
+        assert _as_set(a.invert(abs(t) + 1)) == (set(exps), prec)
+
+
+def test_scale_is_least():
+    """A result whose exponents need a smaller scale than its factors' is
+    stored on it: T^{1/4} T^{1/4} is T^{1/2}, and T^{1/3} + (T^{1/3} + 1) is
+    1."""
+    half = NovikovElement.monomial(F(1, 4)) * NovikovElement.monomial(F(1, 4))
+    assert half == NovikovElement.monomial(F(1, 2)) == NovikovElement.parse("T^{1/2}")
+    assert hash(half) == hash(NovikovElement.parse("T^{1/2}")) and half.den == 2
+    third = NovikovElement.monomial(F(1, 3))
+    one = third + NovikovElement.from_exponents([0, F(1, 3)])
+    assert one == NOV_ONE and hash(one) == hash(NOV_ONE) and one.den == 1
