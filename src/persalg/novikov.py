@@ -50,6 +50,11 @@ def _min_prec(p: Optional[Fraction], q: Optional[Fraction]) -> Optional[Fraction
     return min(p, q)
 
 
+def _frac(x) -> Fraction:
+    """x as a Fraction, without a copy when it is one."""
+    return x if x.__class__ is Fraction else Fraction(x)
+
+
 def _of(num: tuple[int, ...], den: int, precision: Optional[Fraction]) -> "NovikovElement":
     """Trusted constructor on the stored form: ``num`` a strictly increasing
     tuple of ints over the least scale ``den`` (1 when ``num`` is empty), all
@@ -85,8 +90,8 @@ class NovikovElement:
     __slots__ = ("_num", "_den", "_prec", "_exps")
 
     def __init__(self, exponents: Iterable, precision=None):
-        exps = tuple(Fraction(e) for e in exponents)
-        prec = None if precision is None else Fraction(precision)
+        exps = tuple(map(_frac, exponents))
+        prec = None if precision is None else _frac(precision)
         if prec is not None:
             exps = tuple(e for e in exps if e < prec)
         if any(exps[i] >= exps[i + 1] for i in range(len(exps) - 1)):
@@ -94,7 +99,7 @@ class NovikovElement:
             if any(exps[i] == exps[i + 1] for i in range(len(exps) - 1)):
                 raise ValueError("duplicate exponents; Z2 cancellation not applied")
         den = common_scale(exps)
-        self._num = tuple(over(e, den) for e in exps)
+        self._num = tuple([over(e, den) for e in exps])
         self._den = den
         self._prec = prec
         self._exps = exps
@@ -146,13 +151,13 @@ class NovikovElement:
         increasing tuple of Fractions, all below ``precision`` (a Fraction or
         None)."""
         den = common_scale(exps)
-        self = _of(tuple(over(e, den) for e in exps), den, precision)
+        self = _of(tuple([over(e, den) for e in exps]), den, precision)
         self._exps = exps
         return self
 
     @staticmethod
     def zero(precision: Optional[Fraction] = None) -> "NovikovElement":
-        return _of((), 1, None if precision is None else Fraction(precision))
+        return _of((), 1, None if precision is None else _frac(precision))
 
     @staticmethod
     def one() -> "NovikovElement":
@@ -160,16 +165,16 @@ class NovikovElement:
 
     @staticmethod
     def monomial(exponent) -> "NovikovElement":
-        return NovikovElement._make((Fraction(exponent),), None)
+        return NovikovElement._make((_frac(exponent),), None)
 
     @staticmethod
     def from_exponents(exps: Iterable, precision=None) -> "NovikovElement":
         """Build from an iterable of exponents with Z2 cancellation."""
         seen: dict[Fraction, int] = {}
         for e in exps:
-            q = Fraction(e)
+            q = _frac(e)
             seen[q] = seen.get(q, 0) ^ 1
-        prec = None if precision is None else Fraction(precision)
+        prec = None if precision is None else _frac(precision)
         return NovikovElement(tuple(sorted(q for q, c in seen.items() if c)), prec)
 
     # -- basic queries -----------------------------------------------------
@@ -183,10 +188,15 @@ class NovikovElement:
     @property
     def valuation(self):
         """Least exponent; +inf for the zero element."""
-        return Fraction(self._num[0], self._den) if self._num else INF
+        if not self._num:
+            return INF
+        try:
+            return self._exps[0]
+        except AttributeError:
+            return Fraction(self._num[0], self._den)
 
     def coefficient(self, exponent) -> int:
-        q = Fraction(exponent)
+        q = _frac(exponent)
         if self._prec is not None and q >= self._prec:
             raise ValueError(f"exponent {q} is beyond precision {self._prec}")
         return 1 if q in set(self.exponents) else 0
@@ -238,9 +248,9 @@ class NovikovElement:
         # factors are truncated their missing tails pollute at Pa + Pb.
         prec = None
         if pa is not None and b:
-            prec = pa + Fraction(b[0], db)
+            prec = pa + other.valuation
         if pb is not None and a:
-            prec = _min_prec(prec, pb + Fraction(a[0], da))
+            prec = _min_prec(prec, pb + self.valuation)
         if pa is not None and pb is not None:
             prec = _min_prec(prec, pa + pb)
         if da == db:
@@ -263,14 +273,14 @@ class NovikovElement:
 
     def scale(self, exponent) -> "NovikovElement":
         """Multiply by the monomial T^exponent."""
-        q = Fraction(exponent)
+        q = _frac(exponent)
         den = scale_lcm(self._den, common_scale((q,)))
         k, s = den // self._den, over(q, den)
         prec = None if self._prec is None else self._prec + q
         return _least([e * k + s for e in self._num], den, prec)
 
     def truncate(self, precision) -> "NovikovElement":
-        prec = _min_prec(self._prec, Fraction(precision))
+        prec = _min_prec(self._prec, _frac(precision))
         num = self._num
         return _least(num[:bisect_left(num, ceil_over(prec, self._den))], self._den, prec)
 
@@ -292,9 +302,9 @@ class NovikovElement:
         # self * b = (1+x) c exactly, so computing c = (1+x)^{-1} mod T^p
         # makes the product correct below the requested precision; p includes
         # the input's own truncation bound so the result never overclaims.
-        p = Fraction(precision)
+        p, val = _frac(precision), self.valuation
         if self._prec is not None:
-            p = min(p, self._prec - Fraction(v, den))
+            p = min(p, self._prec - val)
         limit = ceil_over(p, den)  # q < p  <=>  q * den < limit
         steps = [e - v for e in num[1:] if e - v < limit]
         ones: dict[int, None] = {}  # insertion-ordered: increasing exponents
@@ -317,7 +327,7 @@ class NovikovElement:
                 if r not in seen:
                     seen.add(r)
                     heapq.heappush(heap, r)
-        return _least([q - v for q in ones], den, p - Fraction(v, den))
+        return _least([q - v for q in ones], den, p - val)
 
     # -- formatting --------------------------------------------------------
 

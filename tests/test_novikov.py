@@ -358,8 +358,7 @@ def _as_set(r):
 def test_int_representation_against_fraction_sets(x, y, q, t):
     """Sums, products, truncations and inverses on mixed denominators equal
     plain-set Fraction arithmetic, exact and truncated; the same element
-    built by different routes compares and hashes equal (T^{1/4} T^{1/4}
-    is T^{1/2})."""
+    built by different routes compares and hashes equal."""
     xs, ys = _routes(x, q), _routes(y, t)
     for r in xs[1:]:
         assert r == xs[0] and hash(r) == hash(xs[0])
