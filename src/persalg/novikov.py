@@ -94,15 +94,17 @@ class NovikovElement:
         prec = None if precision is None else _frac(precision)
         if prec is not None:
             exps = tuple(e for e in exps if e < prec)
-        if any(exps[i] >= exps[i + 1] for i in range(len(exps) - 1)):
-            exps = tuple(sorted(exps))
-            if any(exps[i] == exps[i + 1] for i in range(len(exps) - 1)):
-                raise ValueError("duplicate exponents; Z2 cancellation not applied")
         den = common_scale(exps)
-        self._num = tuple([over(e, den) for e in exps])
+        num = [over(e, den) for e in exps]
+        if any(a >= b for a, b in zip(num, num[1:])):
+            num.sort()
+            if any(a == b for a, b in zip(num, num[1:])):
+                raise ValueError("duplicate exponents; Z2 cancellation not applied")
+        else:
+            self._exps = exps
+        self._num = tuple(num)
         self._den = den
         self._prec = prec
-        self._exps = exps
 
     # -- the stored form and its views ---------------------------------------
 
