@@ -528,8 +528,7 @@ def _allowed_pairs(ends_src, ends_dst, shift):
     """Indices (i,j) where a degree-0 morphism S^shift src_i -> dst_j can be
     nonzero, for the ``_ends`` of two bars of one degree."""
     return [(i, j) for i, x in enumerate(_shifted(ends_src, shift))
-            for j, y in enumerate(ends_dst)
-            if _hom_nonzero(x, y)]
+            for j, y in enumerate(ends_dst) if _hom_nonzero(x, y)]
 
 
 def _eta_matrix(ends, shift):
