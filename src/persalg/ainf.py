@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import AbstractSet, Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .filtered_complex import Gen
 from .novikov import NOV_ONE, NovikovElement
@@ -165,6 +165,20 @@ class TabulatedAInfCategory:
             return {}
         raise CoverageError((len(key), key))
 
+    def block_ends(self, t: tuple[str, ...], i: int, lo: int, hi: int) -> range:
+        """The ends j, lo <= j <= hi, of the blocks t[i:j] (i < lo) on which
+        ``mu_gens`` can be nonzero, in increasing order.  By its strict-unit
+        rule a block that holds a unit vanishes, and raises nothing, unless
+        it has length 2; so with u the first unit at or after i these are the
+        blocks with j <= u (no unit) or j == i + 2, and the enumerators skip
+        the others unevaluated."""
+        units, u = self.unit_names, i
+        while u < len(t) and t[u] not in units:
+            u += 1
+        if u == i:
+            return range(max(lo, i + 2), min(hi, i + 2) + 1)
+        return range(lo, min(hi, max(u, i + 2)) + 1)
+
     def mu_elems(self, factors: Sequence[Elem]) -> Elem:
         """Multilinear extension of mu_d to elements."""
         if all(len(f) == 1 for f in factors):
@@ -201,25 +215,16 @@ class TabulatedAInfCategory:
                     rep.failures.append(("filtration", key, h))
                 if self.modulus and (self.gen_info[h].degree - (total_deg + 2 - len(key))) % self.modulus:
                     rep.failures.append(("degree", key, h))
-        units = self.unit_names
         for tuples in self.composable(sorted(self.gen_info), self._by_source, max_arity):
             for key in tuples:
                 n = len(key)
                 try:
                     acc: Elem = {}
                     for i in range(n):
-                        held = False
-                        for j in range(i, n):
-                            # a unit block not of length 2 vanishes, and
-                            # so do the longer ones (``contractions``)
-                            held = held or key[j] in units
-                            if held and j != i + 1:
-                                if j > i:
-                                    break
-                                continue
+                        for j in self.block_ends(key, i, i + 1, n):
                             outer: Elem = {}
-                            for h, c in self.mu_gens(key[i:j + 1]).items():
-                                for h2, c2 in self.mu_gens(key[:i] + (h,) + key[j + 1:]).items():
+                            for h, c in self.mu_gens(key[i:j]).items():
+                                for h2, c2 in self.mu_gens(key[:i] + (h,) + key[j:]).items():
                                     p = c * c2
                                     old = outer.get(h2)
                                     outer[h2] = p if old is None else old + p
@@ -296,31 +301,20 @@ class TabulatedAInfCategory:
 
 # -- block contractions -----------------------------------------------------------
 
-def contractions(mu: Callable[[tuple], Elem], t: tuple[str, ...], units: AbstractSet[str],
-                 whole: bool = True) -> Iterator[tuple[tuple[str, ...], NovikovElement]]:
+def contractions(A: TabulatedAInfCategory, t: tuple[str, ...], whole: bool = True
+                 ) -> Iterator[tuple[tuple[str, ...], NovikovElement]]:
     """(t[:i] + (h,) + t[j+1:], c) for each consecutive block t[i..j] and
-    each term c h of mu(t[i..j]), in the order i, then j, then mu's terms.
-    ``whole=False`` skips the block t itself, without evaluating mu on it.
-    Blocks are evaluated lazily, so a caller that stops at the first
-    CoverageError sees the same one as a plain i/j loop.
-
-    ``mu`` follows the strict-unit rule of ``mu_gens`` for the generator
-    names ``units``: a block that holds a unit and is not of length 2
-    vanishes and raises nothing.  Such a block is skipped unevaluated, and
-    the first one of length 3 or more ends its row, since every longer block
-    of the row holds the unit too."""
+    each term c h of A.mu_gens(t[i..j]), in the order i, then j, then mu's
+    terms.  ``whole=False`` skips the block t itself, without evaluating mu
+    on it.  Blocks are evaluated lazily, so a caller that stops at the first
+    CoverageError sees the same one as a plain i/j loop; the blocks that
+    vanish by the strict-unit rule (``block_ends``) are not evaluated."""
     n = len(t)
     for i in range(n):
         head = t[:i]
-        held = False
-        for j in range(i + 1, n + 1 if whole or i else n):
-            held = held or t[j - 1] in units
-            if held and j - i != 2:
-                if j - i > 2:
-                    break
-                continue
+        for j in A.block_ends(t, i, i + 1, n if whole or i else n - 1):
             tail = t[j:]
-            for h, c in mu(t[i:j]).items():
+            for h, c in A.mu_gens(t[i:j]).items():
                 yield head + (h,) + tail, c
 
 
@@ -349,7 +343,7 @@ def bar_differential(A: TabulatedAInfCategory, t: tuple[str, ...]
     """mu^bar_{0|1|0}: all consecutive proper block contractions (the full
     contraction is the map mu, not d_bar)."""
     out: dict[tuple, NovikovElement] = {}
-    for key, c in contractions(A.mu_gens, t, A.unit_names, whole=False):
+    for key, c in contractions(A, t, whole=False):
         old = out.get(key)
         out[key] = c if old is None else old + c
     return nonzero(out)
@@ -436,7 +430,7 @@ def cone_differential(A: TabulatedAInfCategory, x: dict[tuple, NovikovElement]
     for t, c in x.items():
         if not c:
             continue
-        for key, v in contractions(A.mu_gens, t, A.unit_names):
+        for key, v in contractions(A, t):
             p = c * v
             old = out.get(key)
             out[key] = p if old is None else old + p
@@ -446,26 +440,21 @@ def cone_differential(A: TabulatedAInfCategory, x: dict[tuple, NovikovElement]
 def star_product(A: TabulatedAInfCategory, x: dict[tuple, NovikovElement],
                  y: dict[tuple, NovikovElement]) -> dict[tuple, NovikovElement]:
     """x * y = sum over nonempty suffixes of x and prefixes of y contracted
-    by mu, keeping the flanking factors.  A block of length 3 or more that
-    holds a unit vanishes (``contractions``), and so do the longer blocks
-    after it: they are not evaluated."""
-    mu, units = A.mu_gens, A.unit_names
+    by mu, keeping the flanking factors; the blocks that vanish by the
+    strict-unit rule (``block_ends``) are not evaluated."""
+    mu = A.mu_gens
     out: dict[tuple, NovikovElement] = {}
     for tx, cx in x.items():
         for ty, cy in y.items():
             c = cx * cy
             if not c:
                 continue
-            n = len(ty)
-            for k in range(len(tx)):  # keep tx[:k]
-                head, rest = tx[:k], tx[k:]
-                held = not units.isdisjoint(rest)
-                for j in range(1, n + 1):  # consume ty[:j]
-                    held = held or ty[j - 1] in units
-                    if held and len(rest) + j > 2:
-                        break
-                    for h, v in mu(rest + ty[:j]).items():
-                        key = head + (h,) + ty[j:]
+            for k in range(len(tx)):  # keep tx[:k], contract tx[k:] + ty[:j - m]
+                head, s = tx[:k], tx[k:] + ty
+                m = len(tx) - k
+                for j in A.block_ends(s, 0, m + 1, len(s)):
+                    for h, v in mu(s[:j]).items():
+                        key = head + (h,) + s[j:]
                         p = c * v
                         old = out.get(key)
                         out[key] = p if old is None else old + p
@@ -716,7 +705,7 @@ def verify_lambda_homotopy(A: TabulatedAInfCategory, L: str, X: str,
         for i in range(len(args)):
             for h, c in A.mu_gens(args[i:]).items():
                 accumulate(out, F(args[:i] + (h,)), c)
-        for key, c in contractions(A.mu_gens, args[:-1], A.unit_names):
+        for key, c in contractions(A, args[:-1]):
             accumulate(out, F(key + args[-1:]), c)
         return out
 
@@ -822,7 +811,7 @@ def verify_abouzaid_diagram(A: TabulatedAInfCategory, B: Sequence[str], K: str,
                     for h, c in mu(xy[i:]).items():
                         accumulate(total, mu(xs[:i] + (h,) + t), c)
                 # (c) inner contractions of the x-part
-                for key, c in contractions(mu, xs, A.unit_names):
+                for key, c in contractions(A, xs):
                     accumulate(total, mu(key + (y,) + t), c)
                 if total:
                     rep.failures.append((t, xs, y, total))

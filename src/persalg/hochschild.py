@@ -68,7 +68,7 @@ def dcc_tensor(A: TabulatedAInfCategory, t: tuple[str, ...]) -> Chain:
         out[red] = coeff if old is None else old + coeff
 
     # interior blocks: the contractions of the slots after the module slot
-    for key, c in contractions(A.mu_gens, t[1:], A.unit_names):
+    for key, c in contractions(A, t[1:]):
         add(t[:1] + key, c)
     # module blocks: mu(t[k-r:], t[0], t[1:l+1]) wrapping through slot 1
     for r in range(0, k):

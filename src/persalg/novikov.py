@@ -9,9 +9,9 @@ An element stores its exponents as a strictly increasing tuple of ints
 ``num`` over one scale ``den``, the least common denominator of the
 exponents (1 when there are none), so T^{2/4} is stored as T^{1/2} and equal
 elements compare and hash equal.  Sums, products, truncations and inverses
-run on those ints, over the least common multiple of the two scales (the
-scales are usually equal, and then nothing is rescaled), and divide the
-result's scale back down to its least.  The public ``exponents``, a tuple of
+run on those ints, over the least common multiple of the two scales (a
+factor already on it is not rescaled), and divide the result's scale back
+down to its least.  The public ``exponents``, a tuple of
 Fractions, is built from them when first read; ``precision`` stays a
 Fraction (or None).  ``persalg.lattice`` does every conversion between
 rationals and such integers.
@@ -147,17 +147,6 @@ class NovikovElement:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def _make(exps: tuple[Fraction, ...], precision: Optional[Fraction]) -> "NovikovElement":
-        """Trusted constructor: skips the public constructor's checks.  Only
-        for data the caller has just built canonically: ``exps`` a strictly
-        increasing tuple of Fractions, all below ``precision`` (a Fraction or
-        None)."""
-        den = common_scale(exps)
-        self = _of(tuple([over(e, den) for e in exps]), den, precision)
-        self._exps = exps
-        return self
-
-    @staticmethod
     def zero(precision: Optional[Fraction] = None) -> "NovikovElement":
         return _of((), 1, None if precision is None else _frac(precision))
 
@@ -167,7 +156,9 @@ class NovikovElement:
 
     @staticmethod
     def monomial(exponent) -> "NovikovElement":
-        return NovikovElement._make((_frac(exponent),), None)
+        q = _frac(exponent)
+        den = common_scale((q,))
+        return _of((over(q, den),), den, None)
 
     @staticmethod
     def from_exponents(exps: Iterable, precision=None) -> "NovikovElement":
@@ -213,12 +204,12 @@ class NovikovElement:
         if not a and prec == other._prec:
             return other
         da, db = self._den, other._den
-        if da == db:
-            den, sym = da, set(a).symmetric_difference(b)
-        else:
-            den = scale_lcm(da, db)
-            ka, kb = den // da, den // db
-            sym = {e * ka for e in a}.symmetric_difference([e * kb for e in b])
+        den = scale_lcm(da, db)
+        if den != da:
+            a = [e * (den // da) for e in a]
+        if den != db:
+            b = [e * (den // db) for e in b]
+        sym = set(a).symmetric_difference(b)
         if prec is not None:
             limit = ceil_over(prec, den)
             sym = [e for e in sym if e < limit]
@@ -236,11 +227,8 @@ class NovikovElement:
                 if not a[0]:
                     return other
                 if len(b) == 1:
-                    if da == db:
-                        den, e = da, a[0] + b[0]
-                    else:
-                        den = scale_lcm(da, db)
-                        e = a[0] * (den // da) + b[0] * (den // db)
+                    den = scale_lcm(da, db)
+                    e = a[0] * (den // da) + b[0] * (den // db)
                     g = gcd(e, den)
                     return _of((e // g,), den // g, None)
             if len(b) == 1 and not b[0]:
@@ -255,14 +243,11 @@ class NovikovElement:
             prec = _min_prec(prec, pb + self.valuation)
         if pa is not None and pb is not None:
             prec = _min_prec(prec, pa + pb)
-        if da == db:
-            den = da
-        else:
-            den = scale_lcm(da, db)
-            if den != da:
-                a = [e * (den // da) for e in a]
-            if den != db:
-                b = [e * (den // db) for e in b]
+        den = scale_lcm(da, db)
+        if den != da:
+            a = [e * (den // da) for e in a]
+        if den != db:
+            b = [e * (den // db) for e in b]
         # each row x + b has distinct terms, so toggling a row at once is the
         # Z2 sum of its terms
         sym: set[int] = set()

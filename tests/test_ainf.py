@@ -606,13 +606,14 @@ def _drain(items):
     return out, None
 
 
-def test_contractions_match_nested_loop(single, sphere2):
+def test_contractions_match_nested_loop(single, sphere2, monkeypatch):
     """contractions yields the nested loop's (key, coefficient) sequence, in
     order and up to the same first CoverageError, with and without the
     whole-tensor block; without it, mu is never evaluated on the tensor."""
     seen = {"value": 0, "CoverageError": 0}
     for M, seed in ((single, 3), (sphere2, 4)):
         A = M.category
+        mu_gens = A.mu_gens
         tuples = list(_composable(A, 5))
         rng = random.Random(seed)
         for t in rng.sample(tuples, min(len(tuples), 300)):
@@ -621,9 +622,11 @@ def test_contractions_match_nested_loop(single, sphere2):
 
                 def mu(key):
                     asked.append(key)
-                    return A.mu_gens(key)
+                    return mu_gens(key)
 
-                got = _drain(contractions(mu, t, A.unit_names, whole))
+                monkeypatch.setattr(A, "mu_gens", mu)
+                got = _drain(contractions(A, t, whole))
+                monkeypatch.undo()
                 assert got == _drain(_contractions_loop(A.mu_gens, t, whole)), (t, whole)
                 assert whole or t not in asked
                 seen["value" if got[1] is None else "CoverageError"] += 1
