@@ -609,8 +609,10 @@ def _drain(items):
 def test_contractions_match_nested_loop(single, sphere2, monkeypatch):
     """contractions yields the nested loop's (key, coefficient) sequence, in
     order and up to the same first CoverageError, with and without the
-    whole-tensor block; without it, mu is never evaluated on the tensor."""
-    seen = {"value": 0, "CoverageError": 0}
+    whole-tensor block; without it, mu is never evaluated on the tensor, and
+    it is never evaluated on a block that holds a unit and is not of length
+    2, which vanishes by the strict-unit rule."""
+    seen = {"value": 0, "CoverageError": 0, "unit skipped": 0}
     for M, seed in ((single, 3), (sphere2, 4)):
         A = M.category
         mu_gens = A.mu_gens
@@ -629,6 +631,9 @@ def test_contractions_match_nested_loop(single, sphere2, monkeypatch):
                 monkeypatch.undo()
                 assert got == _drain(_contractions_loop(A.mu_gens, t, whole)), (t, whole)
                 assert whole or t not in asked
+                assert all(len(k) == 2 or A.unit_names.isdisjoint(k) for k in asked), t
+                if got[1] is None and not A.unit_names.isdisjoint(t) and len(t) > 2:
+                    seen["unit skipped"] += 1
                 seen["value" if got[1] is None else "CoverageError"] += 1
     assert all(seen.values())
 
