@@ -158,7 +158,9 @@ class NovikovElement:
     def monomial(exponent) -> "NovikovElement":
         q = _frac(exponent)
         den = common_scale((q,))
-        return _of((over(q, den),), den, None)
+        self = _of((over(q, den),), den, None)
+        self._exps = (q,)
+        return self
 
     @staticmethod
     def from_exponents(exps: Iterable, precision=None) -> "NovikovElement":
