@@ -6,6 +6,7 @@ novikov           exact Z2 Novikov arithmetic with rational exponents
 gf2               GF(2) linear algebra over int bitmasks (the elimination kernel)
 lattice           exact rationals as integers over one common scale
 persistence       barcodes and interleaving-type distances
+jsonread          readers of JSON input fields, one ValueError per malformed field
 filtered_complex  filtered Z2 chain complexes, cones, cone-length
 novikov_complex   Floer-type complexes over the Novikov field
 sparse            sparse Novikov vectors: in-place sums, levels, expansions

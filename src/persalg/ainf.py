@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
+from . import jsonread
 from .filtered_complex import Gen
 from .novikov import NOV_ONE, NovikovElement
 from .novikov_complex import (
@@ -31,7 +32,6 @@ from .novikov_complex import (
     FloerMap,
     reach_gap_floer,
 )
-from .persistence import json_number
 from .sparse import accumulate, add, add_into, expand, is_zero, level, nonzero
 
 Elem = dict  # {gen name: NovikovElement}
@@ -271,25 +271,24 @@ class TabulatedAInfCategory:
 
     @staticmethod
     def from_json(data: dict) -> "TabulatedAInfCategory":
-        gens = [HomGen(r["name"], r["source"], r["target"], int(r["degree"]),
-                       json_number(r["level"], f"generators[{k}].level"))
-                for k, r in enumerate(data["generators"])]
-        mu = {}
-        for n, rec in enumerate(data.get("mu", [])):
-            terms = mu[tuple(rec["inputs"])] = {}
-            for m, t in enumerate(rec["output_terms"]):
-                prec = t.get("precision")
-                if prec is not None:
-                    prec = json_number(prec, f"mu[{n}].output_terms[{m}].precision")
-                terms[t["gen"]] = NovikovElement.parse(t["novikov"], prec)
-        coverage = [tuple(k) for k in data.get("coverage_only", [])]
-        zero_homs = [tuple(s.split("|")) for s in data.get("zero_homs", [])]
+        gens = [HomGen(*(jsonread.string(r, k, p) for k in ("name", "source", "target")),
+                       jsonread.integer(r, "degree", p), jsonread.rational(r, "level", p))
+                for p, r in jsonread.records(data, "generators")]
+        mu = {tuple(jsonread.strings(rec, "inputs", p)): {
+                  jsonread.string(t, "gen", q): NovikovElement.parse(
+                      jsonread.string(t, "novikov", q), jsonread.rational(t, "precision", q, None))
+                  for q, t in jsonread.records(rec, "output_terms", p)}
+              for p, rec in jsonread.records(data, "mu", default=[])}
+        units, tags = jsonread.obj(data, "units"), jsonread.obj(data, "shift_tags", default={})
+        coverage = jsonread.array(data, "coverage_only", default=[])
         return TabulatedAInfCategory(
-            data["objects"], gens, data["units"], mu, coverage,
-            int(data.get("modulus", 2)), int(data.get("half_dim", 1)),
-            {o: json_number(v, f"shift_tags.{o}")
-             for o, v in data.get("shift_tags", {}).items()},
-            zero_homs,
+            jsonread.strings(data, "objects"), gens,
+            {X: jsonread.string(units, X, "units") for X in units}, mu,
+            [tuple(jsonread.strings(coverage, k, "coverage_only")) for k in range(len(coverage))],
+            jsonread.integer(data, "modulus", default=2),
+            jsonread.integer(data, "half_dim", default=1),
+            {o: jsonread.rational(tags, o, "shift_tags") for o in tags},
+            [tuple(s.split("|")) for s in jsonread.strings(data, "zero_homs", default=[])],
         )
 
 

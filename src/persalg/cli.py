@@ -3,8 +3,8 @@
 Subcommands: barcode, distance, conelength, model, certify, hochschild,
 entropy, morse, oracle.  Rationals cross the boundary as "p/q" strings; the
 only float fields are morse grids and entropy regressions.  Exit codes:
-0 ok, 2 verification failure, 3 coverage gap, 4 parse error (malformed
-arguments included).
+0 ok, 2 verification failure, 3 coverage or precision gap, 4 parse error
+(malformed documents and arguments included, all read through jsonread).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import entropy, filtered_complex, fukaya_models, hochschild, morse
+from . import entropy, filtered_complex, fukaya_models, hochschild, jsonread, morse
 from . import novikov, novikov_complex, persistence
 
 EXIT_OK = 0
@@ -38,11 +38,13 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(f"{self.prog}: error: {message}", EXIT_PARSE)
 
 
-def _load_json(path):
+def _read(path, from_json):
+    """``from_json`` of the JSON document in the file ``path``; an unreadable
+    file, invalid JSON or a malformed document is a parse error."""
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            return from_json(json.load(fh))
+    except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         raise CliError(f"cannot parse {path}: {exc}", EXIT_PARSE)
 
 
@@ -55,38 +57,31 @@ def _emit(data, path=None):
         print(text)
 
 
-def _frac(text) -> Fraction:
+def _frac(args, key: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise CliError(f"cannot parse rational {text!r}: {exc}", EXIT_PARSE)
+        return jsonread.rational(vars(args), key)
+    except ValueError as exc:
+        raise CliError(f"cannot parse --{key} {vars(args)[key]!r}: {exc}", EXIT_PARSE)
 
 
 def cmd_barcode(args):
-    data = _load_json(args.complex)
-    try:
-        if args.novikov:
-            C = novikov_complex.FloerComplex.from_json(data)
-            B = novikov_complex.concise_barcode(C)
-            out = {
-                "finite": [{"length": str(l), "degree": d} for l, d in B.finite],
-                "infinite": [{"degree": d, "count": c} for d, c in B.infinite],
-            }
-        else:
-            C = filtered_complex.FilteredComplex.from_json(data)
-            out = filtered_complex.homology_barcode(C).to_json()
-    except (KeyError, ValueError, ZeroDivisionError) as exc:
-        raise CliError(f"invalid complex: {exc}", EXIT_PARSE)
+    if args.novikov:
+        B = novikov_complex.concise_barcode(
+            _read(args.complex, novikov_complex.FloerComplex.from_json))
+        out = {
+            "finite": [{"length": str(l), "degree": d} for l, d in B.finite],
+            "infinite": [{"degree": d, "count": c} for d, c in B.infinite],
+        }
+    else:
+        C = _read(args.complex, filtered_complex.FilteredComplex.from_json)
+        out = filtered_complex.homology_barcode(C).to_json()
     _emit(out, args.output)
     return EXIT_OK
 
 
 def cmd_distance(args):
-    try:
-        B1 = persistence.Barcode.from_json(_load_json(args.first))
-        B2 = persistence.Barcode.from_json(_load_json(args.second))
-    except (KeyError, ValueError, ZeroDivisionError) as exc:
-        raise CliError(f"invalid barcode: {exc}", EXIT_PARSE)
+    B1 = _read(args.first, persistence.Barcode.from_json)
+    B2 = _read(args.second, persistence.Barcode.from_json)
     metric = {
         "dint": persistence.interleaving_distance,
         "Dint": persistence.dint_variant,
@@ -101,12 +96,8 @@ def cmd_distance(args):
 
 
 def cmd_conelength(args):
-    data = _load_json(args.complex)
-    try:
-        C = filtered_complex.FilteredComplex.from_json(data)
-    except (KeyError, ValueError, ZeroDivisionError) as exc:
-        raise CliError(f"invalid complex: {exc}", EXIT_PARSE)
-    value, dec = filtered_complex.cone_length(C, _frac(args.eps), args.mode)
+    C = _read(args.complex, filtered_complex.FilteredComplex.from_json)
+    value, dec = filtered_complex.cone_length(C, _frac(args, "eps"), args.mode)
     print(value)
     if args.output:
         _emit({
@@ -122,7 +113,7 @@ def cmd_conelength(args):
 
 
 def _build_model(args):
-    h, precision = _frac(args.h), _frac(args.precision)
+    h, precision = _frac(args, "h"), _frac(args, "precision")
     if args.model == "single":
         return fukaya_models.build_single_equator(h)
     if args.model == "sphere":
@@ -163,12 +154,8 @@ def cmd_certify(args):
 def cmd_hochschild(args):
     model = _build_model(args)
     A = model.category
-    try:
-        ok = hochschild.is_cycle(A, model.witness)
-        B = hochschild.hochschild_barcode(A, A.objects, args.n_max)
-    except novikov_complex.CoverageError as exc:
-        print(f"coverage gap: {exc.args[0]}", file=sys.stderr)
-        return EXIT_COVERAGE
+    ok = hochschild.is_cycle(A, model.witness)
+    B = hochschild.hochschild_barcode(A, A.objects, args.n_max)
     out = {
         "witness_is_cycle": ok,
         "finite": [{"length": str(l), "degree": d} for l, d in B.finite],
@@ -179,7 +166,7 @@ def cmd_hochschild(args):
 
 
 def cmd_entropy(args):
-    eps = _frac(args.eps)
+    eps = _frac(args, "eps")
     rows = []
     for k in range(1, args.k_max + 1):
         C, _ = entropy.dehn_sphere_model(k, eps)
@@ -219,11 +206,11 @@ def cmd_morse(args):
 
 
 def cmd_oracle(args):
-    prec = _frac(args.precision)
+    prec = _frac(args, "precision")
     if args.kind == "odd_squares":
         val = novikov.series_odd_squares(prec)
     elif args.kind == "theta":
-        val = novikov.series_theta(_frac(args.beta), _frac(args.scale), prec)
+        val = novikov.series_theta(_frac(args, "beta"), _frac(args, "scale"), prec)
     elif args.kind == "divisor_sum":
         val = novikov.series_divisor_sum(args.N, prec)
     elif args.kind == "torus-oc":
@@ -314,8 +301,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
-    except novikov_complex.CoverageError as exc:
-        print(f"coverage gap: {exc.args[0]}", file=sys.stderr)
+    except (novikov_complex.CoverageError, novikov_complex.PrecisionError) as exc:
+        gap = "coverage" if isinstance(exc, novikov_complex.CoverageError) else "precision"
+        print(f"{gap} gap: {exc.args[0]}", file=sys.stderr)
         return EXIT_COVERAGE
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

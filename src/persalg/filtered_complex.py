@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
-from . import gf2
+from . import gf2, jsonread
 from .lattice import common_scale, over
 from .persistence import (
     INF,
@@ -39,8 +39,6 @@ from .persistence import (
     Barcode,
     bar_count,
     interleaving_distance,
-    json_list,
-    json_number,
     retract_interleaving,
 )
 
@@ -136,17 +134,28 @@ class FilteredComplex:
 
     @staticmethod
     def from_json(data: dict) -> "FilteredComplex":
-        gens = [
-            Gen(rec["name"], int(rec["degree"]),
-                json_number(rec["level"], f"generators[{k}].level"))
-            for k, rec in enumerate(json_list(data, "generators"))
-        ]
-        index = {g.name: i for i, g in enumerate(gens)}
+        gens, edges = generators_and_edges(data)
         diff: dict[int, list[int]] = {}
-        for rec in json_list(data, "differential", []):
-            diff.setdefault(index[rec["from"]], []).append(index[rec["to"]])
-        return FilteredComplex(gens, diff, int(data.get("modulus", 0)),
-                               bool(data.get("cohomological", False)))
+        for _, _, i, j in edges:
+            diff.setdefault(i, []).append(j)
+        return FilteredComplex(gens, diff, jsonread.integer(data, "modulus", default=0),
+                               jsonread.boolean(data, "cohomological", default=False))
+
+
+def generators_and_edges(data: dict) -> tuple[list[Gen], list[tuple[str, dict, int, int]]]:
+    """The generators of a complex's JSON document and, for each record of its
+    differential, (path, record, index of "from", index of "to")."""
+    gens = [Gen(jsonread.string(rec, "name", p), jsonread.integer(rec, "degree", p),
+                jsonread.rational(rec, "level", p))
+            for p, rec in jsonread.records(data, "generators")]
+    index = {g.name: i for i, g in enumerate(gens)}
+    edges = []
+    for p, rec in jsonread.records(data, "differential", default=[]):
+        ends = [index.get(jsonread.string(rec, end, p)) for end in ("from", "to")]
+        if None in ends:
+            raise ValueError(f"{p} names an unknown generator")
+        edges.append((p, rec, *ends))
+    return gens, edges
 
 
 # -- constructors -------------------------------------------------------------

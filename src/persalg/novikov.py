@@ -34,8 +34,8 @@ _new = object.__new__
 _MONOMIAL_RE = re.compile(
     r"""^\s*(?:
         (?P<one>1)
-      | T\^\{(?P<braced>-?\d+(?:/\d+)?)\}
-      | T\^(?P<plain>-?\d+(?:/\d+)?)
+      | T\^\{(?P<braced>-?\d+(?:/0*[1-9]\d*)?)\}
+      | T\^(?P<plain>-?\d+(?:/0*[1-9]\d*)?)
       | (?P<bare>T)
     )\s*$""",
     re.VERBOSE,
@@ -342,20 +342,8 @@ class NovikovElement:
             m = _MONOMIAL_RE.match(part)
             if m is None:
                 raise ValueError(f"cannot parse Novikov monomial {part!r}")
-            if m.group("one"):
-                exps.append(Fraction(0))
-            elif m.group("bare"):
-                exps.append(Fraction(1))
-            else:
-                exps.append(Fraction(m.group("braced") or m.group("plain")))
+            exps.append(Fraction(0 if m["one"] else 1 if m["bare"] else m["braced"] or m["plain"]))
         return NovikovElement.from_exponents(exps, precision)
-
-    def to_json(self) -> list[str]:
-        return [str(e) for e in self.exponents]
-
-    @staticmethod
-    def from_json(data: Iterable[str]) -> "NovikovElement":
-        return NovikovElement.from_exponents(Fraction(s) for s in data)
 
 
 def format_exponent(e: Fraction) -> str:

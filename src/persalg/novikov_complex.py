@@ -29,11 +29,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from . import gf2, sparse
-from .filtered_complex import FilteredComplex, Gen
+from . import gf2, jsonread, sparse
+from .filtered_complex import FilteredComplex, Gen, generators_and_edges
 from .lattice import common_scale, over, scale_lcm
 from .novikov import NOV_ONE, NovikovElement
-from .persistence import INF, json_list, json_number
+from .persistence import INF
 
 
 class PrecisionError(RuntimeError):
@@ -127,18 +127,12 @@ class FloerComplex:
 
     @staticmethod
     def from_json(data: dict) -> "FloerComplex":
-        gens = [Gen(r["name"], int(r["degree"]),
-                    json_number(r["level"], f"generators[{k}].level"))
-                for k, r in enumerate(json_list(data, "generators"))]
-        index = {g.name: i for i, g in enumerate(gens)}
+        gens, edges = generators_and_edges(data)
         diff: dict[int, dict[int, NovikovElement]] = {}
-        for k, rec in enumerate(json_list(data, "differential", [])):
-            i, j = index[rec["from"]], index[rec["to"]]
-            prec = rec.get("precision")
-            if prec is not None:
-                prec = json_number(prec, f"differential[{k}].precision")
-            diff.setdefault(i, {})[j] = NovikovElement.parse(rec["coefficient"], prec)
-        return FloerComplex(gens, diff, int(data.get("modulus", 2)))
+        for p, rec, i, j in edges:
+            diff.setdefault(i, {})[j] = NovikovElement.parse(
+                jsonread.string(rec, "coefficient", p), jsonread.rational(rec, "precision", p, None))
+        return FloerComplex(gens, diff, jsonread.integer(data, "modulus", default=2))
 
 
 def _lattice(C: FloerComplex) -> tuple[int, list[int]]:

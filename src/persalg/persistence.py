@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from . import gf2
+from . import gf2, jsonread
 from .lattice import common_scale, over
 
 INF = float("inf")
@@ -121,39 +121,14 @@ class Barcode:
 
     @staticmethod
     def from_json(data: dict) -> "Barcode":
-        if not isinstance(data, dict):
-            raise ValueError("a barcode must be a JSON object")
-        bars = []
-        for k, rec in enumerate(json_list(data, "bars", [])):
-            if not isinstance(rec, dict):
-                raise ValueError(f"bars[{k}] must be an object")
-            birth, death = json_number(rec["birth"], f"bars[{k}].birth"), rec["death"]
-            bars.append(Bar(birth, INF if death == "inf" else
-                            json_number(death, f"bars[{k}].death"),
-                            json_number(rec.get("degree", 0), f"bars[{k}].degree", int)))
-        return Barcode(tuple(bars), json_number(data.get("modulus", 0), "modulus", int))
+        return Barcode(tuple(Bar(jsonread.rational(rec, "birth", p),
+                                 jsonread.rational_or_inf(rec, "death", p),
+                                 jsonread.integer(rec, "degree", p, 0))
+                             for p, rec in jsonread.records(data, "bars", default=[])),
+                       jsonread.integer(data, "modulus", default=0))
 
 
 EMPTY = Barcode(())
-
-
-def json_list(data: dict, key: str, default=None) -> list:
-    """The list-valued JSON field ``data[key]``, or ``default`` when it is
-    absent and a default is given; ValueError when the field is not a list."""
-    value = data[key] if default is None else data.get(key, default)
-    if not isinstance(value, list):
-        raise ValueError(f"{key} must be a list of records")
-    return value
-
-
-def json_number(value, field: str, kind=Fraction):
-    """A JSON string or number read as ``kind`` (Fraction or int).  Any other
-    value, or a number with a fractional part read as an int, is a ValueError
-    naming the field."""
-    if isinstance(value, (str, int)) or isinstance(value, float) and (
-            value.is_integer() or kind is Fraction and abs(value) < INF):
-        return kind(value)
-    raise ValueError(f"{field} must be {'a rational' if kind is Fraction else 'an integer'}")
 
 
 def bar_count(barcode: Barcode, delta, finite_only: bool = False) -> int:
@@ -429,45 +404,32 @@ def retract_complement(R: Barcode, X: Barcode, eps) -> Barcode:
 # reachability filter.  The oracle enumerates phi and solves linearly for psi.
 
 
-def _abs_diff(x, y):
-    if x == INF and y == INF:
-        return Fraction(0)
-    if x == INF or y == INF:
-        return INF
-    return abs(x - y)
-
-
-def _candidate_epsilons(bars1, bars2):
+def _candidate_epsilons(ends1, ends2):
     cands = {Fraction(0)}
-    for x in bars1 + bars2:
-        if not x.infinite:
-            cands.add(x.length / 2)
-    for x in bars1:
-        for y in bars2:
-            d = _abs_diff(x.birth, y.birth)
-            if d != INF:
-                cands.add(d)
-            d = _abs_diff(x.death, y.death)
-            if d != INF:
-                cands.add(d)
+    for _, _, L in ends1 + ends2:
+        if L is not None:
+            cands.add(L / 2)
+    for b1, d1, _ in ends1:
+        for b2, d2, _ in ends2:
+            cands.add(abs(b1 - b2))
+            if d1 is not None and d2 is not None:
+                cands.add(abs(d1 - d2))
     return sorted(cands)
 
 
-def _candidate_ab(bars1, bars2):
+def _candidate_ab(ends1, ends2):
     """Candidate (a,b) pairs: the optimum has both a and b at a tight
     constraint, i.e. at a signed endpoint difference, zero, or at
     length-(a+b) boundaries."""
     diffs = {Fraction(0)}
-    lengths = set()
-    for x in bars1:
-        for y in bars2:
-            for u, v in ((x.birth, y.birth), (x.death, y.death)):
-                if u != INF and v != INF:
-                    diffs.add(v - u)
-                    diffs.add(u - v)
-    for x in bars1 + bars2:
-        if not x.infinite:
-            lengths.add(x.length)
+    for b1, d1, _ in ends1:
+        for b2, d2, _ in ends2:
+            diffs.add(b2 - b1)
+            diffs.add(b1 - b2)
+            if d1 is not None and d2 is not None:
+                diffs.add(d2 - d1)
+                diffs.add(d1 - d2)
+    lengths = {L for _, _, L in ends1 + ends2 if L is not None}
     base = sorted(d for d in diffs if d >= 0)
     cands = set()
     for a in base:
@@ -480,23 +442,20 @@ def _candidate_ab(bars1, bars2):
     return sorted(cands, key=lambda ab: (ab[0] + ab[1], ab))
 
 
-def _retract_candidates(barsR, barsX):
+def _retract_candidates(endsR, endsX):
     cands = {Fraction(0)}
-    for x in barsR:
-        if not x.infinite:
-            cands.add(x.length / 2)
-        for y in barsX:
-            d = _abs_diff(x.birth, y.birth)
-            if d != INF:
-                cands.add(d)
-            d = _abs_diff(x.death, y.death)
-            if d != INF:
-                cands.add(d)
+    for bR, dR, L in endsR:
+        if L is not None:
+            cands.add(L / 2)
+        for bX, dX, _ in endsX:
+            cands.add(abs(bR - bX))
+            if dR is not None and dX is not None:
+                cands.add(abs(dR - dX))
             # breakpoints of the overlap conditions birth+r < death
-            if y.death != INF and y.death - x.birth >= 0:
-                cands.add(y.death - x.birth)
-            if x.death != INF and x.death - y.birth >= 0:
-                cands.add(x.death - y.birth)
+            if dX is not None and dX - bR >= 0:
+                cands.add(dX - bR)
+            if dR is not None and dR - bX >= 0:
+                cands.add(dR - bX)
     return sorted(c for c in cands if c >= 0)
 
 
@@ -604,12 +563,11 @@ def _oracle_slice_feasible(ends1, ends2, a, b, symmetric: bool) -> bool:
 
 
 def oracle_interleaving_distance(B1: Barcode, B2: Barcode):
-    for bars1, bars2 in _degree_slices(B1, B2):
-        if sum(1 for b in bars1 if b.infinite) != sum(1 for b in bars2 if b.infinite):
-            return INF
-    cands = sorted(set(_candidate_epsilons(list(B1.bars), list(B2.bars))))
     slices = _oracle_slices(B1, B2)
-    for c in cands:
+    for ends1, ends2 in slices:
+        if [d for _, d, _ in ends1].count(None) != [d for _, d, _ in ends2].count(None):
+            return INF
+    for c in _candidate_epsilons(_ends(B1.bars), _ends(B2.bars)):
         if _oracle_feasible(slices, c, c, symmetric=True):
             return c
     return INF
@@ -618,7 +576,7 @@ def oracle_interleaving_distance(B1: Barcode, B2: Barcode):
 def oracle_dint_variant(B1: Barcode, B2: Barcode):
     best = INF
     slices = _oracle_slices(B1, B2)
-    for a, b in _candidate_ab(list(B1.bars), list(B2.bars)):
+    for a, b in _candidate_ab(_ends(B1.bars), _ends(B2.bars)):
         if a + b >= best:
             continue
         if _oracle_feasible(slices, a, b, symmetric=True):
@@ -627,20 +585,9 @@ def oracle_dint_variant(B1: Barcode, B2: Barcode):
 
 
 def oracle_retract_interleaving(R: Barcode, X: Barcode):
-    cands = sorted(
-        set().union(
-            *(
-                _retract_candidates(
-                    [b for b in R.bars if b.degree == d],
-                    [b for b in X.bars if b.degree == d],
-                )
-                for d in set(x.degree for x in R.bars) | set(x.degree for x in X.bars)
-            )
-        )
-        | {Fraction(0)}
-    )
     slices = _oracle_slices(R, X)
-    for r in cands:
+    cands = set().union(*(_retract_candidates(endsR, endsX) for endsR, endsX in slices))
+    for r in sorted(cands | {Fraction(0)}):
         if _oracle_feasible(slices, r, r, symmetric=False):
             return r
     return INF

@@ -1,3 +1,6 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
@@ -5,9 +8,11 @@ import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
 
 from persalg.cli import main
-from util import count_reduce_floer
+from util import count_reduce_floer, precision_trap
 
 
 def run_cli(args, capsys):
@@ -209,6 +214,21 @@ NOV2 = {"modulus": 2,
     (["barcode", "--novikov", "{file}"],
      {**NOV2, "differential": [{"from": "b", "to": "a", "coefficient": "T",
                                 "precision": float("inf")}]}),
+    (["barcode", "{file}"], {**E2, "generators": [1, 2]}),
+    (["barcode", "{file}"], {**E2, "differential": [5]}),
+    (["barcode", "{file}"], [E2]),
+    (["barcode", "{file}"],
+     {**E2, "generators": [{"name": ["a"], "degree": 0, "level": "0"}], "differential": []}),
+    (["barcode", "--novikov", "{file}"], {**NOV2, "generators": [1]}),
+    (["barcode", "--novikov", "{file}"],
+     {**NOV2, "differential": [{"from": "b", "to": "a", "coefficient": 5}]}),
+    (["barcode", "{file}"],
+     {**E2, "generators": [E2["generators"][0], {"name": "b", "degree": 1.5, "level": "1"}]}),
+    (["barcode", "{file}"], {**E2, "modulus": 2.5}),
+    (["barcode", "--novikov", "{file}"], {**NOV2, "modulus": 1.5}),
+    (["barcode", "{file}"], {**E2, "differential": [], "cohomological": "no"}),
+    (["barcode", "--novikov", "{file}"],
+     {**NOV2, "differential": [{"from": "b", "to": "a", "coefficient": "T^{1/0}"}]}),
 ], ids=["distance-empty-bar", "distance-no-death", "barcode-object-differential",
         "conelength-object-differential", "conelength-unknown-generator",
         "barcode-unknown-generator", "distance-object-bars", "barcode-object-generators",
@@ -217,7 +237,11 @@ NOV2 = {"modulus": 2,
         "conelength-zero-denominator-level", "distance-top-level-list",
         "distance-number-bar", "distance-list-birth", "distance-fractional-degree",
         "distance-fractional-modulus", "barcode-infinite-level", "novikov-infinite-level",
-        "novikov-infinite-precision"])
+        "novikov-infinite-precision", "barcode-number-generators", "barcode-number-edge",
+        "barcode-top-level-list", "barcode-list-name", "novikov-number-generators",
+        "novikov-number-coefficient", "barcode-fractional-degree",
+        "barcode-fractional-modulus", "novikov-fractional-modulus",
+        "barcode-string-cohomological", "novikov-zero-denominator-coefficient"])
 def test_malformed_input_exits_4(capsys, tmp_path, argv, content):
     """Malformed input is a parse error: exit 4 with a one-line message."""
     good = tmp_path / "good.json"
@@ -229,6 +253,96 @@ def test_malformed_input_exits_4(capsys, tmp_path, argv, content):
     code, out, err = run_cli(args, capsys)
     assert code == 4
     assert out == "" and len(err.strip().splitlines()) == 1
+
+
+def test_precision_gap_exits_3(capsys, tmp_path):
+    """A reduction that stops with a PrecisionError is a precision gap: exit
+    3 with a one-line message, like a coverage gap."""
+    cpx = tmp_path / "trap.json"
+    cpx.write_text(json.dumps(precision_trap().to_json()))
+    code, out, err = run_cli(["barcode", "--novikov", str(cpx)], capsys)
+    assert code == 3
+    assert out == "" and err.startswith("precision gap:") and len(err.splitlines()) == 1
+
+
+# One valid document per document-reading subcommand, with every optional
+# field present so that mutations reach it.
+VALID = {
+    "barcode": (["barcode", "{file}"], {**E2, "cohomological": False}),
+    "novikov": (["barcode", "--novikov", "{file}"],
+                {**NOV2, "differential": [{"from": "b", "to": "a", "coefficient": "T + T^{3/2}",
+                                           "precision": "5"}]}),
+    "distance": (["distance", "{file}", "{good}"],
+                 {"modulus": 2, "bars": [{"birth": "0", "death": "2", "degree": 0},
+                                         {"birth": "1/2", "death": "inf", "degree": 1}]}),
+    "conelength": (["conelength", "--eps", "1/4", "{file}"], E2),
+}
+# a value of each JSON type: null, boolean, number, string, list, object
+OTHER_VALUES = [None, True, 7, 2.5, "x", [], [1], {}, {"x": 1}]
+
+
+def _json_type(value) -> str:
+    return type(value).__name__ if not isinstance(value, (int, float)) or \
+        isinstance(value, bool) else "number"
+
+
+def _node_paths(doc, path=()):
+    """The path of every node of a JSON document, the document itself first."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if \
+        isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _node_paths(value, path + (key,))
+
+
+@seed(20261019)
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(sorted(VALID)), st.data())
+def test_mutated_documents_never_escape_main(tmp_path, name, data):
+    """One node of a valid document is swapped for a value of another JSON
+    type, dropped or wrapped in a list: main answers with a documented exit
+    code and never lets an exception escape."""
+    argv, doc = VALID[name]
+    doc = copy.deepcopy(doc)
+    path = data.draw(st.sampled_from(list(_node_paths(doc))), label="path")
+    parent, node = None, doc
+    for key in path:
+        parent, node = node, node[key]
+    how = data.draw(st.sampled_from(["swap", "drop", "wrap"] if path else ["swap", "wrap"]),
+                    label="how")
+    if how == "swap":
+        new = data.draw(st.sampled_from([v for v in OTHER_VALUES
+                                         if _json_type(v) != _json_type(node)]), label="value")
+    else:
+        new = [node]
+    if not path:
+        doc = new
+    elif how == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = new
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"modulus": 2, "bars": [
+        {"birth": "0", "death": "2", "degree": 0}]}))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([a.format(file=bad, good=good) for a in argv])
+    assert code in (0, 2, 3, 4)
+    assert code == 0 or len(err.getvalue().splitlines()) == 1
+
+
+def test_valid_documents_exit_0(capsys, tmp_path):
+    """The documents the mutation test starts from are valid."""
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"modulus": 2, "bars": []}))
+    for argv, doc in VALID.values():
+        f = tmp_path / "doc.json"
+        f.write_text(json.dumps(doc))
+        code, out, err = run_cli([a.format(file=f, good=good) for a in argv], capsys)
+        assert code == 0 and err == "", (argv, err)
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -342,6 +343,24 @@ def test_json_round_trip():
     C = direct_sum(e2(0, F(3, 2), name="x"), e1(F(1, 3), -1, "y"))
     C2 = FilteredComplex.from_json(C.to_json())
     assert bars_of(C) == bars_of(C2)
+
+
+@pytest.mark.parametrize("edit,field", [
+    (lambda d: d["generators"][0].pop("name"), "generators[0].name is missing"),
+    (lambda d: d["generators"][1].update(degree=1.5), "generators[1].degree"),
+    (lambda d: d["generators"][1].update(degree=True), "generators[1].degree"),
+    (lambda d: d["generators"][0].update(level="1/0"), "generators[0].level"),
+    (lambda d: d["differential"][0].update(to="zz"), "differential[0]"),
+    (lambda d: d["differential"].append([]), "differential[1]"),
+    (lambda d: d.update(cohomological="no"), "cohomological"),
+    (lambda d: d.update(modulus="1/2"), "modulus"),
+])
+def test_from_json_names_the_field(edit, field):
+    """Every malformed field is one ValueError that names its path."""
+    data = e2(0, 1, name="x").to_json()
+    edit(data)
+    with pytest.raises(ValueError, match=re.escape(field)):
+        FilteredComplex.from_json(data)
 
 
 def test_tensor_linearization_flag():

@@ -162,11 +162,6 @@ def test_text_round_trip():
         assert NovikovElement.parse(str(v)).exponents == v.exponents
 
 
-def test_json_round_trip():
-    v = NovikovElement.from_exponents([F(-1, 2), 0, F(3, 7)])
-    assert NovikovElement.from_json(v.to_json()) == v
-
-
 def test_precision_tracking_mul():
     a = NovikovElement((F(0),), precision=F(5))
     b = NovikovElement((F(2),))

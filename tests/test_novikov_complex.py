@@ -21,7 +21,7 @@ from persalg.novikov_complex import (
     z2_window_complex,
 )
 from persalg.entropy import dehn_sphere_model
-from util import count_reduce_floer, random_floer_basis_change
+from util import count_reduce_floer, precision_trap, random_floer_basis_change
 
 
 def two_gen(coef) -> FloerComplex:
@@ -272,17 +272,11 @@ def test_reach_gap_shift_compatibility():
         assert base <= shifted + delta
 
 
-def _precision_trap() -> FloerComplex:
-    P = N((F(1),), precision=3)
-    return FloerComplex([Gen("a1", 0, 0), Gen("a2", 0, 0), Gen("b1", 1, 0), Gen("b2", 1, 0)],
-                        {2: {0: NOV_ONE, 1: P}, 3: {0: NOV_ONE, 1: P}}, 2)
-
-
 def test_reduce_floer_precision_error():
     """An entry that cancels only up to a precision below half the working
     precision stops the reduction; at a working precision of 4 it counts as
     zero."""
-    C = _precision_trap()
+    C = precision_trap()
     with pytest.raises(PrecisionError):
         reduce_floer(C, 100)
     red = reduce_floer(C, 4)
@@ -292,7 +286,7 @@ def test_reduce_floer_precision_error():
 def test_concise_barcode_memo(monkeypatch):
     """One reduction per complex and working precision; a PrecisionError is
     never kept, so it is raised again on every call."""
-    C = _precision_trap()
+    C = precision_trap()
     calls = count_reduce_floer(monkeypatch)
     for _ in range(2):
         with pytest.raises(PrecisionError):

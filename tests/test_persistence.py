@@ -17,6 +17,7 @@ from persalg.persistence import (
     Bar,
     Barcode,
     _candidate_ab,
+    _ends,
     bar_count,
     dint_variant,
     interleaving_distance,
@@ -341,7 +342,7 @@ def _covers(adj, n_right):
 def _fraction_dint(A, B):
     """D_int by a full scan of the (a, b) candidates in order of a + b, with
     Fraction endpoint tests and a plain matcher."""
-    for a, b in _candidate_ab(list(A.bars), list(B.bars)):
+    for a, b in _candidate_ab(_ends(A.bars), _ends(B.bars)):
         for d in {x.degree for x in A.bars + B.bars}:
             bars1 = [x for x in A.bars if x.degree == d]
             bars2 = [y for y in B.bars if y.degree == d]

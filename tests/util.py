@@ -217,3 +217,14 @@ def count_reduce_floer(monkeypatch) -> list:
 
     monkeypatch.setattr(novikov_complex, "reduce_floer", counted)
     return calls
+
+
+def precision_trap():
+    """A Floer complex whose reduction raises ``PrecisionError`` at a working
+    precision of 100 and reads the truncated entry as zero at 4."""
+    from persalg.novikov import NOV_ONE, NovikovElement
+    from persalg.novikov_complex import FloerComplex
+
+    P = NovikovElement((Fraction(1),), precision=3)
+    return FloerComplex([Gen("a1", 0, 0), Gen("a2", 0, 0), Gen("b1", 1, 0), Gen("b2", 1, 0)],
+                        {2: {0: NOV_ONE, 1: P}, 3: {0: NOV_ONE, 1: P}}, 2)
