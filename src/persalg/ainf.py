@@ -88,7 +88,7 @@ class TabulatedAInfCategory:
             self.homs.setdefault(tuple(pair), [])
         self.units = dict(units)
         for X, e in self.units.items():
-            ge = self.gen_info[e]
+            ge = self._known(e)
             if ge.source != X or ge.target != X or ge.level != 0:
                 raise ValueError(f"unit {e} of {X} must live in hom({X},{X}) at level 0")
         self.unit_names = set(self.units.values())
@@ -100,10 +100,12 @@ class TabulatedAInfCategory:
             key = tuple(key)
             if any(g in self.unit_names for g in key):
                 raise ValueError("unit tuples are structural; do not tabulate them")
-            src = self.gen_info[key[0]].source
-            tgt = self.gen_info[key[-1]].target
+            if not key:
+                raise ValueError("a mu record needs at least one input")
+            src = self._known(key[0]).source
+            tgt = self._known(key[-1]).target
             for h in val:
-                info = self.gen_info[h]
+                info = self._known(h)
                 if (info.source, info.target) != (src, tgt):
                     raise ValueError(
                         f"mu{key} output {h} is not in hom({src},{tgt})")
@@ -112,7 +114,9 @@ class TabulatedAInfCategory:
         for key in self.coverage:
             if any(g in self.unit_names for g in key):
                 raise ValueError("unit tuples are structural; do not declare them covered")
-            self._chain_objects(key)
+            infos = [self._known(g) for g in key]
+            if not infos or any(a.target != b.source for a, b in zip(infos, infos[1:])):
+                raise ValueError(f"tuple {key} is not composable")
 
     # -- basic structure ----------------------------------------------------
 
@@ -129,15 +133,12 @@ class TabulatedAInfCategory:
     def level_of(self, a: Elem) -> Optional[Fraction]:
         return level(a, lambda name: self.gen_info[name].level)
 
-    def _chain_objects(self, key: tuple) -> list[str]:
-        objs = []
-        for a, b in zip(key, key[1:]):
-            if self.gen_info[a].target != self.gen_info[b].source:
-                raise ValueError(f"tuple {key} is not composable")
-        objs.append(self.gen_info[key[0]].source)
-        for g in key:
-            objs.append(self.gen_info[g].target)
-        return objs
+    def _known(self, name: str) -> HomGen:
+        """The generator ``name``; a ValueError naming it when it is unknown."""
+        info = self.gen_info.get(name)
+        if info is None:
+            raise ValueError(f"unknown generator {name}")
+        return info
 
     # -- mu evaluation ------------------------------------------------------
 

@@ -234,13 +234,13 @@ def dehn_sphere_model(k: int, eps_prime=Fraction(1, 32)
     eps_prime = Fraction(eps_prime)
     if eps_prime > Fraction(1, 32):
         raise ValueError("eps' must be <= 1/32")
-    area = NovikovElement.monomial(Fraction(3, 32))
-    gens = [Gen("n", 0, 0), Gen("s", 1, 0)]
+    area, zero = NovikovElement.monomial(Fraction(3, 32)), Fraction(0)
+    gens = [Gen("n", 0, zero), Gen("s", 1, zero)]
     diff: dict[int, dict[int, NovikovElement]] = {}
     for i in range(k):
         xi = len(gens)
-        gens.append(Gen(f"x{i}", 0, 0))
-        gens.append(Gen(f"y{i}", 1, 0))
+        gens.append(Gen(f"x{i}", 0, zero))
+        gens.append(Gen(f"y{i}", 1, zero))
         diff[xi + 1] = {xi: area}
     C = FloerComplex(gens, diff, 2)
     count, vmin = counting_lemma_bound(C)

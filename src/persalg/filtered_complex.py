@@ -50,7 +50,8 @@ class Gen:
     level: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "level", Fraction(self.level))
+        if not isinstance(self.level, Fraction):
+            object.__setattr__(self, "level", Fraction(self.level))
 
 
 def _bits(indices) -> int:

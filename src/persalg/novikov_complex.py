@@ -19,7 +19,8 @@ decision would depend on terms beyond that precision.
 
 A ``FloerComplex`` must not be mutated after construction: ``concise_barcode``
 keeps its result on the complex, one per working precision, so each complex
-is reduced once however many bar counts are read from it.
+is reduced once however many bar counts are read from it, and its lattice is
+read once however many checks and reductions use it.
 """
 
 from __future__ import annotations
@@ -78,6 +79,7 @@ class FloerComplex:
         self.diff = {i: row for i, row in self.diff.items() if row}
         # concise barcodes by working precision (None: automatic)
         self._barcodes: dict[Fraction | None, ConciseBarcode] = {}
+        self._lattice: tuple[int, list[int]] | None = None  # see _lattice
         if validate:
             self.validate()
 
@@ -89,17 +91,18 @@ class FloerComplex:
         return d % self.modulus if self.modulus else d
 
     def validate(self):
+        D, lev = _lattice(self)
         for i, row in self.diff.items():
             for j, P in row.items():
                 # level of P*g_j is l(g_j) - val(P); it must not exceed l(g_i)
-                if P.valuation < self.gens[j].level - self.gens[i].level:
+                if _val(P, D) + lev[i] - lev[j] < 0:
                     raise ValueError(
                         f"entry {self.gens[i].name}->{self.gens[j].name} raises action")
                 if self.modulus and (self.gens[j].degree - self.gens[i].degree + 1) % self.modulus:
                     raise ValueError("differential entry has wrong degree")
-        for i in range(self.dim()):
+        for i, row in self.diff.items():
             acc: dict[int, NovikovElement] = {}
-            for j, P in self.diff.get(i, {}).items():
+            for j, P in row.items():
                 sparse.add_into(acc, self.diff.get(j, {}), P)
             if not sparse.is_zero(acc):
                 raise ValueError(f"d^2 != 0 at generator {self.gens[i].name}")
@@ -137,11 +140,14 @@ class FloerComplex:
 
 def _lattice(C: FloerComplex) -> tuple[int, list[int]]:
     """The common scale D of the levels and entry exponents of C, and each
-    generator's level times D.  The normalized valuation of an entry P from
-    i to j is then ``_val(P, D) + lev[i] - lev[j]`` over D."""
-    D = scale_lcm(common_scale(g.level for g in C.gens),
-                  *{P.den for row in C.diff.values() for P in row.values()})
-    return D, [over(g.level, D) for g in C.gens]
+    generator's level times D, read once and kept on C.  The normalized
+    valuation of an entry P from i to j is then ``_val(P, D) + lev[i] -
+    lev[j]`` over D."""
+    if C._lattice is None:
+        D = scale_lcm(common_scale(g.level for g in C.gens),
+                      *{P.den for row in C.diff.values() for P in row.values()})
+        C._lattice = D, [over(g.level, D) for g in C.gens]
+    return C._lattice
 
 
 def _val(P: NovikovElement, D: int) -> int:
@@ -182,7 +188,8 @@ def reduce_floer(C: FloerComplex, working_precision=None) -> Reduction:
     per entry written, with nv as the integer nv * D (``_lattice``), skipped
     when popped stale (i or j dead, entry gone or nv changed); ``rows_at[j]``
     lists the rows with an entry at column j, so a pivot touches only those
-    rows.  Each written entry passes ``is_zero``.
+    rows, and a pivot is inverted only when one of them is alive.  Each
+    written entry passes ``is_zero``.
     """
     D, lev = _lattice(C)
     prec = (Fraction(working_precision) if working_precision is not None
@@ -221,9 +228,10 @@ def reduce_floer(C: FloerComplex, working_precision=None) -> Reduction:
         pairs.append((bi, aj, Fraction(nv, D)))
         alive.discard(bi)
         alive.discard(aj)
-        Pinv = P.invert(prec + abs(P.valuation))
-        residue = {k: Q for k, Q in cols[bi].items() if k != aj and k in alive}
-        for x in sorted(rows_at.pop(aj) & alive):
+        if rows := rows_at.pop(aj) & alive:
+            Pinv = P.invert(prec + abs(P.valuation))
+            residue = {k: Q for k, Q in cols[bi].items() if k != aj and k in alive}
+        for x in sorted(rows):
             row = cols[x]
             coef = row.pop(aj) * Pinv
             row.pop(bi, None)
@@ -494,14 +502,13 @@ def z2_window_complex(C: FloerComplex, radius, step) -> FilteredComplex:
 def t1_homology_rank(C: FloerComplex) -> int:
     """Rank over Z2 of the homology after setting T = 1 (entries must be
     exact)."""
-    n = C.dim()
     cols = []
-    for i in range(n):
+    for row in C.diff.values():
         mask = 0
-        for j, P in C.diff.get(i, {}).items():
+        for j, P in row.items():
             if P.precision is not None:
                 raise PrecisionError("T=1 specialization needs exact entries")
             if len(P.num) % 2:
                 mask |= 1 << j
         cols.append(mask)
-    return n - 2 * gf2.rank(cols)
+    return C.dim() - 2 * gf2.rank(cols)

@@ -501,18 +501,11 @@ def _oracle_slices(B1: Barcode, B2: Barcode) -> list[tuple]:
     return [(_ends(s1), _ends(s2)) for s1, s2 in _degree_slices(B1, B2)]
 
 
-def oracle_interleaving_feasible(B1: Barcode, B2: Barcode, a, b) -> bool:
-    """Brute-force: exists phi: S^a B1 -> B2 and psi: S^b B2 -> B1 with both
-    composites equal to the structure maps eta_{a+b}.  Enumerates phi over
-    GF(2) assignments on allowed pairs, solving linearly for psi."""
-    return _oracle_feasible(_oracle_slices(B1, B2), a, b, symmetric=True)
-
-
-def oracle_retract_feasible(R: Barcode, X: Barcode, r) -> bool:
-    return _oracle_feasible(_oracle_slices(R, X), r, r, symmetric=False)
-
-
 def _oracle_feasible(slices, a, b, symmetric: bool) -> bool:
+    """Brute-force: exists phi: S^a B1 -> B2 and psi: S^b B2 -> B1 with
+    psi . S^b phi = eta_{a+b} on B1 and, when symmetric, phi . S^a psi =
+    eta_{a+b} on B2, for the ``_oracle_slices`` of B1 and B2.  Enumerates
+    phi over GF(2) assignments on allowed pairs, solving linearly for psi."""
     return all(_oracle_slice_feasible(ends1, ends2, a, b, symmetric)
                for ends1, ends2 in slices)
 

@@ -216,6 +216,26 @@ def test_model_json_names_an_infinite_number():
             TabulatedAInfCategory.from_json(bad)
 
 
+def test_model_json_names_an_unknown_generator():
+    """A unit, a mu input (first, last or inner) or a mu output that names
+    no generator is a ValueError naming it, not a KeyError; so is a mu
+    record without inputs."""
+    from persalg.ainf import TabulatedAInfCategory
+
+    data = build_single_equator().category.to_json()
+    for match, edit in (
+            ("zz", lambda d: d["units"].update(L="zz")),
+            ("zz", lambda d: d["mu"][0].update(inputs=["zz"])),
+            ("zz", lambda d: d["mu"][1].update(inputs=["pt_L", "zz"])),
+            ("zz", lambda d: d["mu"][2].update(inputs=["pt_L", "zz", "pt_L"])),
+            ("zz", lambda d: d["mu"][2]["output_terms"][0].update(gen="zz")),
+            ("at least one input", lambda d: d["mu"][0].update(inputs=[]))):
+        bad = json.loads(json.dumps(data))
+        edit(bad)
+        with pytest.raises(ValueError, match=match):
+            TabulatedAInfCategory.from_json(bad)
+
+
 def test_away_strip_equals_raw_reduction():
     """For N != 2 the tabulated away-strip series IS the Z2 reduction of the
     raw lattice double sum; the set-difference semantics only bites at the

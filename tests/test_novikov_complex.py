@@ -56,6 +56,36 @@ def test_action_violation_rejected():
         FloerComplex([Gen("x", 0, 0), Gen("y", 1, 5)], {1: {0: N.monomial(-6)}})
 
 
+def test_validate_mixed_denominators():
+    """Levels in thirds and entry exponents in halves: an entry whose
+    valuation equals the level gap, or exceeds it by 1/6, is accepted; one
+    whose valuation falls short by 1/6 or more raises action."""
+    def cpx(lx, coef):
+        return FloerComplex([Gen("x", 0, lx), Gen("y", 1, F(1, 3))], {1: {0: coef}})
+
+    for lx, coef in ((F(4, 3), N.from_exponents([1, F(3, 2)])),
+                     (F(2, 3), N.monomial(F(1, 2))),
+                     (F(-2, 3), N.from_exponents([-1, F(1, 2)]))):
+        assert cpx(lx, coef).diff == {1: {0: coef}}
+    for lx, coef in ((F(4, 3), N.from_exponents([F(1, 2), F(3, 2)])),
+                     (F(1), N.monomial(F(1, 2))),
+                     (F(-1, 3), N.from_exponents([-1, 2]))):
+        with pytest.raises(ValueError, match="entry y->x raises action"):
+            cpx(lx, coef)
+
+
+def test_validate_rejects_d_squared_and_degree():
+    """d^2 != 0 names its generator; an entry between generators whose
+    degrees do not differ by one (mod the modulus) is rejected."""
+    gens = [Gen("a", 0, 0), Gen("b", 1, 0), Gen("c", 2, 0)]
+    with pytest.raises(ValueError, match="d\\^2 != 0 at generator c"):
+        FloerComplex(gens, {1: {0: NOV_ONE}, 2: {1: N.monomial(1)}})
+    with pytest.raises(ValueError, match="wrong degree"):
+        FloerComplex([Gen("x", 0, 0), Gen("y", 0, 1)], {1: {0: NOV_ONE}})
+    with pytest.raises(ValueError, match="wrong degree"):
+        FloerComplex([Gen("x", 0, 0), Gen("y", 3, 1)], {1: {0: NOV_ONE}}, 4)
+
+
 def _random_floer(rng, n_pairs=None) -> FloerComplex:
     n_pairs = n_pairs if n_pairs is not None else rng.randrange(1, 4)
     gens = []
@@ -110,22 +140,51 @@ def test_window_oracle():
     (hi - lo)/step + 1 grid translates."""
     rng = random.Random(13)
     for _ in range(6):
-        C = _random_floer(rng, 2)
-        B = concise_barcode(C)
-        radius, step = F(30), F(1, 2)
-        W = z2_window_complex(C, radius, step)
-        wb = homology_barcode(W)
-        lo, hi = F(-8), F(8)
-        translates = int((hi - lo) / step) + 1
-        lengths = set(l for l, _ in B.finite if l > 0)
-        for length in lengths:
-            mult = sum(1 for l, _ in B.finite if l == length)
-            got = [b for b in wb.bars if not b.infinite and b.length == length
-                   and lo <= b.birth <= hi]
-            assert len(got) == mult * translates
-        inf_mult = B.infinite_total()
-        got_inf = [b for b in wb.bars if b.infinite and lo <= b.birth <= hi]
-        assert len(got_inf) == inf_mult * translates
+        _assert_window_oracle(_random_floer(rng, 2))
+
+
+def _assert_window_oracle(C):
+    B = concise_barcode(C)
+    radius, step = F(30), F(1, 2)
+    W = z2_window_complex(C, radius, step)
+    wb = homology_barcode(W)
+    lo, hi = F(-8), F(8)
+    translates = int((hi - lo) / step) + 1
+    lengths = set(l for l, _ in B.finite if l > 0)
+    for length in lengths:
+        mult = sum(1 for l, _ in B.finite if l == length)
+        got = [b for b in wb.bars if not b.infinite and b.length == length
+               and lo <= b.birth <= hi]
+        assert len(got) == mult * translates
+    inf_mult = B.infinite_total()
+    got_inf = [b for b in wb.bars if b.infinite and lo <= b.birth <= hi]
+    assert len(got_inf) == inf_mult * translates
+
+
+def test_reduce_floer_inverts_only_for_other_rows(monkeypatch):
+    """A pivot is inverted only when another alive row holds its column: the
+    Dehn models, whose pivot columns hold one row each, invert nothing; a
+    basis-changed complex inverts, and its concise barcode still matches
+    the Z2 window oracle."""
+    calls = []
+    real = N.invert
+
+    def counted(self, *args):
+        calls.append(self)
+        return real(self, *args)
+
+    monkeypatch.setattr(N, "invert", counted)
+    for k in (1, 5, 40):
+        C, _ = dehn_sphere_model(k)
+        assert len(reduce_floer(C).pairs) == k
+    assert calls == []
+    for seed in (0, 2, 3, 5, 7):
+        rng = random.Random(seed)
+        C = random_floer_basis_change(rng, _random_floer(rng, 2))
+        del calls[:]
+        reduce_floer(C)
+        assert calls, seed
+        _assert_window_oracle(C)
 
 
 def test_death_level_and_reach():
