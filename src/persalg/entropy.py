@@ -10,6 +10,7 @@ roots.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -110,8 +111,9 @@ def action_value(profile: EtaProfile, n: int, ell, r: float) -> float:
 
 @dataclass
 class LengthSpectrum:
-    """Geodesic arc lengths: either an explicit finite multiset or a counting
-    function T -> #{l <= T} for synthetic asymptotic families."""
+    """Geodesic arc lengths: either an explicit finite multiset, kept as
+    sorted Fractions so that certified counts are exact, or a counting
+    function T -> #{l <= T} of a float T for synthetic asymptotic families."""
 
     lengths: Optional[tuple] = None
     count_fn: Optional[Callable[[float], int]] = None
@@ -121,15 +123,16 @@ class LengthSpectrum:
         if (self.lengths is None) == (self.count_fn is None):
             raise ValueError("provide exactly one of lengths / count_fn")
         if self.lengths is not None:
-            lengths = tuple(sorted(float(x) for x in self.lengths))
+            lengths = tuple(sorted(Fraction(x) for x in self.lengths))
             if any(x <= 0 for x in lengths):
                 raise ValueError("lengths must be positive")
             self.lengths = lengths
 
-    def count_leq(self, T: float) -> int:
+    def count_leq(self, T) -> int:
+        """#{l <= T}: exact on explicit lengths; count_fn takes float(T)."""
         if self.count_fn is not None:
-            return int(self.count_fn(T))
-        return sum(1 for x in self.lengths if x <= T)
+            return int(self.count_fn(float(T)))
+        return bisect.bisect_right(self.lengths, T)
 
     @staticmethod
     def exponential(h: float = 1.0) -> "LengthSpectrum":
@@ -142,16 +145,21 @@ class LengthSpectrum:
 
     @staticmethod
     def from_file(path) -> "LengthSpectrum":
+        vals = []
         with open(path) as fh:
-            vals = [float(line.strip()) for line in fh if line.strip()]
+            for k, line in enumerate(fh, 1):
+                if line.strip():
+                    try:
+                        vals.append(Fraction(line.strip()))
+                    except (ValueError, ZeroDivisionError):
+                        raise ValueError(f"{path}:{k}: not a length: {line.strip()!r}") from None
         return LengthSpectrum(lengths=tuple(vals))
 
 
 def certified_bar_count(spectrum: LengthSpectrum, n: int, delta) -> int:
     """#{l : 5n - 7l >= delta} -- every such geodesic contributes a bar of
     length >= delta to HC(x,y;n) by the rational gap bound."""
-    delta = float(delta)
-    cutoff = (5.0 * n - delta) / 7.0
+    cutoff = (5 * n - Fraction(delta)) / 7
     if cutoff <= 0:
         return 0
     return spectrum.count_leq(cutoff)

@@ -8,11 +8,11 @@ list.  The key algorithms:
 * ``decompose_elementary`` -- filtered Gaussian reduction into elementary
   pieces E2(a,b) (db = a) and E1(c) (dc = 0), with the filtered change of
   basis;
-* ``homology_barcode`` -- persistence barcode from the decomposition;
+* ``homology_barcode`` -- persistence barcode from the pivot pairing alone;
   ``barcode_by_rank_oracle`` computes it again from ranks alone;
 * ``cone`` / ``internal_hom`` / ``truncate`` -- standard constructions;
 * ``cone_length`` -- the exact count 2#B^{2eps} - dim H^inf together with a
-  realizing sequence of weight-0 cone attachments;
+  realizing sequence of weight-0 cone attachments, also read off the pairing;
 * ``min_cone_decomposition`` -- brute-force minimal decomposition search
   used as the oracle for retract cone-length bounds;
 * ``stability_reduce`` -- elimination of short pairs of a split differential
@@ -20,7 +20,10 @@ list.  The key algorithms:
 * ``reach_gap`` -- the energy gap R(w, f) by level-wise linear algebra.
 
 All GF(2) elimination (reduction, rank, kernel, solve, inverse) goes through
-``persalg.gf2``.
+``persalg.gf2``.  Each of ``homology_barcode``, ``cone_length``, ``truncate``
+and ``stability_reduce`` runs the one filtered reduction ``_pairing`` once;
+vectors are mapped back to the generators only where they are read (the
+decomposition and truncate's section), and nothing is kept on the complex.
 """
 
 from __future__ import annotations
@@ -222,27 +225,23 @@ class FilteredMap:
             self.validate()
 
     def validate(self):
-        D = common_scale([g.level for g in self.source.gens + self.target.gens] + [self.shift])
-        shift, levels = over(self.shift, D), [over(g.level, D) for g in self.target.gens]
-        for i in range(self.source.dim()):
-            gi = self.source.gens[i]
-            top = over(gi.level, D) + shift
+        S, T, m = self.source, self.target, self.source.modulus
+        D = common_scale([g.level for g in S.gens + T.gens] + [self.shift])
+        # the target's integer levels, and its degrees modulo the source's modulus
+        shift, levels = over(self.shift, D), [over(g.level, D) for g in T.gens]
+        degrees = [g.degree % m if m else g.degree for g in T.gens]
+        for i, gi in enumerate(S.gens):
+            top, deg = over(gi.level, D) + shift, gi.degree % m if m else gi.degree
             for j in gf2.bits(self.mat[i]):
-                gj = self.target.gens[j]
                 if levels[j] > top:
                     raise ValueError(
-                        f"map entry {gi.name}->{gj.name} exceeds declared shift")
-                if self.source.modulus:
-                    if (gj.degree - gi.degree) % self.source.modulus:
-                        raise ValueError("map entry has nonzero degree")
-                elif gj.degree != gi.degree:
+                        f"map entry {gi.name}->{T.gens[j].name} exceeds declared shift")
+                if degrees[j] != deg:
                     raise ValueError("map entry has nonzero degree")
         # chain map: f d = d f
-        for i in range(self.source.dim()):
-            lhs = self.apply(self.source.dmat[i])
-            rhs = self.target.d_of(self.mat[i])
-            if lhs != rhs:
-                raise ValueError(f"not a chain map at generator {self.source.gens[i].name}")
+        for i in range(S.dim()):
+            if gf2.apply(self.mat, S.dmat[i]) != gf2.apply(T.dmat, self.mat[i]):
+                raise ValueError(f"not a chain map at generator {S.gens[i].name}")
 
     def apply(self, vec: int) -> int:
         return gf2.apply(self.mat, vec)
@@ -265,41 +264,32 @@ class ElementaryDecomposition:
     singles: list[tuple[int, Fraction, int]]  # c_vec, vc, deg_c
 
     def basis(self) -> list[tuple[str, int, Fraction, int]]:
-        """The new basis as (name, vector, level, degree): pair k gives
-        p{k}_a and p{k}_b at positions 2k and 2k + 1, then single k gives s{k}."""
+        """The new basis as (name, vector, level, degree), in ``_basis_name``'s order."""
         db = self.complex.d_degree
-        out = []
-        for k, (a_vec, b_vec, va, vb, deg) in enumerate(self.pairs):
-            out.append((f"p{k}_a", a_vec, va, deg))
-            out.append((f"p{k}_b", b_vec, vb, deg - db))
-        out.extend((f"s{k}", c_vec, vc, deg)
-                   for k, (c_vec, vc, deg) in enumerate(self.singles))
-        return out
+        sides = [s for a_vec, b_vec, va, vb, deg in self.pairs
+                 for s in ((a_vec, va, deg), (b_vec, vb, deg - db))] + self.singles
+        return [(_basis_name(p, 2 * len(self.pairs)), *s) for p, s in enumerate(sides)]
 
 
-def _truncation(dec: ElementaryDecomposition, delta: Fraction, D: int) -> list[int]:
-    """The positions in ``dec.basis()`` kept by the delta-truncation: both
-    sides of each pair of gap > delta, and every single.  D is a common
-    scale of the levels; an integer gap is > delta*D iff it is > cut."""
-    cut = math.floor(delta * D)
-    long = [over(vb, D) - over(va, D) > cut for _, _, va, vb, _ in dec.pairs]
-    n = 2 * len(dec.pairs)
-    return [p for p in range(n + len(dec.singles)) if p >= n or long[p // 2]]
+def _basis_name(p: int, n_paired: int) -> str:
+    """Pair k of the new basis is p{k}_a, p{k}_b at 2k, 2k + 1; then single k is s{k}."""
+    return f"p{p // 2}_{'ab'[p % 2]}" if p < n_paired else f"s{p - n_paired}"
 
 
-def decompose_elementary(C: FilteredComplex) -> ElementaryDecomposition:
-    """Filtered Gaussian reduction; ties broken by generator index."""
+def _pairing(C: FilteredComplex):
+    """The one filtered reduction, ties broken by generator index: (D, levels,
+    order, sides, n_paired).  levels[g] is generator g's level times the common
+    scale D; position p is generator order[p] in level order.  sides is the new
+    basis in ``_basis_name``'s order as (leading generator, vector over the
+    positions, degree): a and b (d b = a) of each pair, then each single cycle."""
     n = C.dim()
     D = common_scale(g.level for g in C.gens)
     levels = [over(g.level, D) for g in C.gens]
     # the stable sort breaks ties by index
     order = sorted(range(n), key=levels.__getitem__)
-    # the permutations from generator to position coordinates and back
     to_pos = [0] * n
     for p, g in enumerate(order):
         to_pos[g] = 1 << p
-    from_pos = [1 << g for g in order]
-
     # reduce the columns in level order; the tag of column p is its change
     # of basis V[p], whose leading bit is p itself
     ech = gf2.Echelon()
@@ -308,39 +298,51 @@ def decompose_elementary(C: FilteredComplex) -> ElementaryDecomposition:
         r, v = ech.add(gf2.apply(to_pos, C.dmat[order[p]]), 1 << p)
         if not r:
             zero_cols.append((p, v))
-    pairs = []
-    paired_rows = set()
+    sides = []
     for low, (r, v) in sorted(ech.pivots.items()):
-        a_lead = order[low]
-        b_lead = order[v.bit_length() - 1]
-        pairs.append((gf2.apply(from_pos, r), gf2.apply(from_pos, v),
-                      C.gens[a_lead].level, C.gens[b_lead].level, C.degree_of(a_lead)))
-        paired_rows.add(low)
-    singles = []
-    for p, v in zero_cols:
-        if p in paired_rows:
-            continue
-        lead = order[p]
-        singles.append((gf2.apply(from_pos, v), C.gens[lead].level, C.degree_of(lead)))
-    return ElementaryDecomposition(C, pairs, singles)
+        deg = C.degree_of(order[low])
+        sides += ((order[low], r, deg), (order[v.bit_length() - 1], v, deg - C.d_degree))
+    n_paired = len(sides)
+    sides += [(order[p], v, C.degree_of(order[p])) for p, v in zero_cols if p not in ech.pivots]
+    return D, levels, order, sides, n_paired
+
+
+def _truncation(pairing, delta: Fraction) -> list[int]:
+    """The positions of the new basis kept by the delta-truncation: both
+    sides of each pair of gap > delta, and every single.  An integer gap is
+    > delta * D iff it is > floor(delta * D)."""
+    D, levels, _, sides, n_paired = pairing
+    cut = math.floor(delta * D)
+    return [p for p in range(len(sides)) if p >= n_paired or
+            levels[sides[p | 1][0]] - levels[sides[p & ~1][0]] > cut]
+
+
+def decompose_elementary(C: FilteredComplex) -> ElementaryDecomposition:
+    """Filtered Gaussian reduction; ties broken by generator index."""
+    _, _, order, sides, n_paired = _pairing(C)
+    from_pos = [1 << g for g in order]
+    new = [(gf2.apply(from_pos, vec), C.gens[g].level, deg) for g, vec, deg in sides]
+    return ElementaryDecomposition(C, [(a[0], b[0], a[1], b[1], a[2]) for a, b in
+                                       zip(new[:n_paired:2], new[1:n_paired:2])], new[n_paired:])
 
 
 def homology_barcode(C: FilteredComplex) -> Barcode:
-    return _barcode(decompose_elementary(C))
+    return _barcode(C, _pairing(C))
 
 
-def _barcode(dec: ElementaryDecomposition) -> Barcode:
-    """Trusted construction, sorted once on integer keys over a common scale
-    of the levels, in the public order (an infinite death last)."""
-    D = common_scale(g.level for g in dec.complex.gens)
+def _barcode(C: FilteredComplex, pairing) -> Barcode:
+    """Trusted construction from the pairing, sorted once on integer levels,
+    in the public order (an infinite death last)."""
+    _, levels, _, sides, n_paired = pairing
     keyed = []
-    for _, _, va, vb, deg in dec.pairs:
-        a, b = over(va, D), over(vb, D)
-        if a < b:
-            keyed.append(((a, False, b, deg), Bar._make(va, vb, deg)))
-    keyed += [((over(vc, D), True, 0, deg), Bar._make(vc, INF, deg)) for _, vc, deg in dec.singles]
+    for (a, _, deg), (b, _, _) in zip(sides[:n_paired:2], sides[1:n_paired:2]):
+        if levels[a] < levels[b]:
+            keyed.append(((levels[a], False, levels[b], deg),
+                          Bar._make(C.gens[a].level, C.gens[b].level, deg)))
+    keyed += [((levels[c], True, 0, deg), Bar._make(C.gens[c].level, INF, deg))
+              for c, _, deg in sides[n_paired:]]
     keyed.sort(key=lambda kb: kb[0])
-    return Barcode._make(tuple(b for _, b in keyed), dec.complex.modulus)
+    return Barcode._make(tuple(b for _, b in keyed), C.modulus)
 
 
 def barcode_by_rank_oracle(C: FilteredComplex) -> Barcode:
@@ -412,21 +414,25 @@ def truncate(C: FilteredComplex, delta) -> tuple[FilteredComplex, FilteredMap, F
     delta = Fraction(delta)
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    dec = decompose_elementary(C)
-    basis = dec.basis()
-    kept = _truncation(dec, delta, common_scale(g.level for g in C.gens))
-    gens = [Gen(basis[p][0], basis[p][3], basis[p][2]) for p in kept]
+    pairing = _pairing(C)
+    _, _, order, sides, n_paired = pairing
+    kept = _truncation(pairing, delta)
+    gens = [Gen(_basis_name(p, n_paired), sides[p][2], C.gens[sides[p][0]].level) for p in kept]
     # the b side of a kept pair comes right after its a side
-    n_paired = 2 * len(dec.pairs)
     diff = {i: [i - 1] for i, p in enumerate(kept) if p < n_paired and p % 2}
     V = FilteredComplex(gens, diff, C.modulus, C.cohomological)
-    section = FilteredMap(V, C, {i: basis[p][1] for i, p in enumerate(kept)})
-    # original e_i = sum_j inv[i][j] basis_j; project to the kept coordinates
-    inv = gf2.invert([vec for _, vec, _, _ in basis])
-    kept_cols = [0] * len(basis)
+    from_pos = [1 << g for g in order]
+    section = FilteredMap(V, C, {i: gf2.apply(from_pos, sides[p][1]) for i, p in enumerate(kept)})
+    # the new basis has one vector leading at each position; reducing e_p
+    # against it, with each kept vector tagged by its coordinate in V,
+    # projects e_p to V
+    tags = [0] * C.dim()
     for i, p in enumerate(kept):
-        kept_cols[p] = 1 << i
-    projection = FilteredMap(C, V, {i: gf2.apply(kept_cols, x) for i, x in enumerate(inv)})
+        tags[p] = 1 << i
+    ech = gf2.Echelon()
+    for (_, vec, _), tag in zip(sides, tags):
+        ech.add(vec, tag)
+    projection = FilteredMap(C, V, {g: ech.reduce(1 << p)[1] for p, g in enumerate(order)})
     return V, section, projection
 
 
@@ -518,14 +524,14 @@ def cone_length(C: FilteredComplex, eps, mode: str = "to_target") -> tuple[int, 
         raise ValueError("eps must be nonnegative")
     if mode not in ("to_target", "to_zero"):
         raise ValueError("mode must be to_target or to_zero")
-    dec = decompose_elementary(C)
-    basis = dec.basis()
-    n_paired = 2 * len(dec.pairs)
-    D = common_scale(g.level for g in C.gens)
+    pairing = _pairing(C)
+    _, levels, _, sides, n_paired = pairing
     # level order, the b side of a pair after its a side at equal level
-    order = sorted(_truncation(dec, 2 * eps, D),
-                   key=lambda p: (over(basis[p][2], D), p % 2 if p < n_paired else 0))
-    steps = [ConeStep(basis[p][0], basis[p][2], basis[p][3], Fraction(0)) for p in order]
+    kept = sorted(_truncation(pairing, 2 * eps), key=lambda p: (levels[sides[p][0]],
+                                                              p % 2 if p < n_paired else 0))
+    zero = Fraction(0)
+    steps = [ConeStep(_basis_name(p, n_paired), C.gens[sides[p][0]].level, sides[p][2], zero)
+             for p in kept]
     if mode == "to_zero":
         steps = steps[::-1]
     # a step per side of each pair of gap > 2 eps and per single: 2#B^{2eps} - dim H^inf

@@ -6,7 +6,9 @@ their leading (highest) bit, so reducing a vector costs one dict lookup and
 one xor per step, with no scan over the stored vectors and no re-sort.  Each
 stored vector carries a tag, xored along with it, that records which
 combination of the inserted vectors it is; ``kernel``, ``solve`` and
-``invert`` read their answers off the tags.
+``invert`` read their answers off the tags.  ``apply`` is the one
+matrix-vector product: a loop that peels off the lowest set bit, with no
+generator.
 """
 
 from __future__ import annotations
@@ -25,8 +27,10 @@ def bits(mask: int) -> Iterator[int]:
 def apply(cols: Sequence[int], vec: int) -> int:
     """The matrix-vector product: the xor of ``cols[j]`` over the bits j of vec."""
     acc = 0
-    for j in bits(vec):
-        acc ^= cols[j]
+    while vec:
+        low = vec & -vec
+        acc ^= cols[low.bit_length() - 1]
+        vec ^= low
     return acc
 
 

@@ -189,11 +189,19 @@ def reduce_floer(C: FloerComplex, working_precision=None) -> Reduction:
     when popped stale (i or j dead, entry gone or nv changed); ``rows_at[j]``
     lists the rows with an entry at column j, so a pivot touches only those
     rows, and a pivot is inverted only when one of them is alive.  Each
-    written entry passes ``is_zero``.
+    written entry passes ``is_zero``.  The automatic working precision is
+    computed only when an inversion or a vanished entry reads it.
     """
     D, lev = _lattice(C)
-    prec = (Fraction(working_precision) if working_precision is not None
-            else _auto_precision(C, D, lev))
+    # an explicit precision is read now, so that a bad one raises here
+    prec = Fraction(working_precision) if working_precision is not None else None
+
+    def precision() -> Fraction:
+        nonlocal prec
+        if prec is None:
+            prec = _auto_precision(C, D, lev)
+        return prec
+
     n = C.dim()
     cols: dict[int, dict[int, NovikovElement]] = {
         i: dict(C.diff.get(i, {})) for i in range(n)
@@ -214,7 +222,7 @@ def reduce_floer(C: FloerComplex, working_precision=None) -> Reduction:
     def is_zero(P: NovikovElement) -> bool:
         if P:
             return False
-        if P.precision is not None and P.precision < prec / 2:
+        if P.precision is not None and P.precision < precision() / 2:
             raise PrecisionError(
                 "entry vanished only up to working precision; increase it")
         return True
@@ -229,7 +237,7 @@ def reduce_floer(C: FloerComplex, working_precision=None) -> Reduction:
         alive.discard(bi)
         alive.discard(aj)
         if rows := rows_at.pop(aj) & alive:
-            Pinv = P.invert(prec + abs(P.valuation))
+            Pinv = P.invert(precision() + abs(P.valuation))
             residue = {k: Q for k, Q in cols[bi].items() if k != aj and k in alive}
         for x in sorted(rows):
             row = cols[x]

@@ -1,8 +1,11 @@
 import math
+import re
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from persalg.entropy import (
     EtaProfile,
@@ -80,6 +83,23 @@ def test_certified_count_threshold():
     assert certified_bar_count(spec, 1, 3) == 0
 
 
+@seed(20261019)
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 300), st.integers(1, 59), st.sampled_from((1, 2, 3, 7)),
+       st.sampled_from((-1, 0, 1)),
+       st.lists(st.fractions(min_value=F(1, 60), max_value=40, max_denominator=60), max_size=6))
+@example(5, 3, 3, 0, [])
+def test_certified_count_exact_at_the_boundary(p, q, n, side, others):
+    """#{l : 5n - 7l >= delta} counts l = p/q exactly at delta = 5n - 7l, and
+    one part in 10^12 to either side of it."""
+    ell = F(p, q)
+    delta = 5 * n - 7 * ell + side * F(1, 10 ** 12)
+    spec = LengthSpectrum(lengths=(ell, *others))
+    want = sum(1 for x in (ell, *others) if 5 * n - 7 * x >= delta)
+    assert certified_bar_count(spec, n, delta) == want
+    assert all(type(x) is F for x in spec.lengths) and list(spec.lengths) == sorted(spec.lengths)
+
+
 def test_entropy_estimates():
     est, _ = entropy_estimate([2 ** k for k in range(1, 12)], "exponential")
     assert abs(est - math.log(2)) < 1e-9
@@ -143,6 +163,12 @@ def test_spectrum_from_file(tmp_path):
     spec = LengthSpectrum.from_file(f)
     assert spec.lengths == (1.0, 2.5, 3.0)
     assert spec.count_leq(2.6) == 2
+    f.write_text("1/3\n0.25\n")
+    assert LengthSpectrum.from_file(f).lengths == (F(1, 4), F(1, 3))
+    for bad in ("two", "1/0", "inf"):
+        f.write_text(f"1\n\n{bad}\n")
+        with pytest.raises(ValueError, match=f":3: not a length: '{re.escape(bad)}'"):
+            LengthSpectrum.from_file(f)
 
 
 def test_entropy_chain_inequality():

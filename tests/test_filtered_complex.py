@@ -507,3 +507,103 @@ def test_trusted_barcode_equals_public_rebuild():
             for mode in ("to_target", "to_zero"):
                 n, dec = cone_length(C, eps, mode)
                 assert n == len(dec) == 2 * bar_count(public, 2 * eps) - n_inf
+
+
+# -- one reduction per call ---------------------------------------------------
+
+def _count_calls(monkeypatch, name) -> list:
+    """Record the complex of every call of filtered_complex.<name> from here on."""
+    from persalg import filtered_complex
+
+    calls, inner = [], getattr(filtered_complex, name)
+
+    def counted(C, *args):
+        calls.append(C)
+        return inner(C, *args)
+
+    monkeypatch.setattr(filtered_complex, name, counted)
+    return calls
+
+
+def _state(C) -> dict:
+    return {k: list(v) if isinstance(v, list) else v for k, v in vars(C).items()}
+
+
+def test_one_reduction_per_call_and_nothing_kept(monkeypatch):
+    """homology_barcode, cone_length, truncate and stability_reduce each run
+    the filtered reduction once, the first two without building the
+    decomposition, and none of them keeps anything on the complex."""
+    reductions = _count_calls(monkeypatch, "_pairing")
+    decompositions = _count_calls(monkeypatch, "decompose_elementary")
+    rng = random.Random(44)
+    for C in _mixed_complexes()[:10]:
+        before = _state(C)
+        for call, may_decompose in ((homology_barcode, False),
+                                    (lambda C: cone_length(C, F(1, 2)), False),
+                                    (lambda C: cone_length(C, 0, "to_zero"), False),
+                                    (lambda C: truncate(C, F(1, 3)), True)):
+            del reductions[:], decompositions[:]
+            call(C)
+            assert reductions == [C] and _state(C) == before
+            assert may_decompose or not decompositions
+    for _ in range(10):
+        delta = F(rng.randrange(1, 7), rng.choice((1, 2, 3)))
+        C, dprime = random_stability_instance(rng, delta)
+        before = _state(C)
+        del reductions[:]
+        stability_reduce(C, dprime, delta)
+        assert reductions == [C] and _state(C) == before
+
+
+def _cone_steps_from_basis(C, eps):
+    """cone_length's steps read off decompose_elementary(C).basis(): both
+    sides of each pair of gap > 2 eps and every single, in level order with
+    the b side of a pair after its a side at equal level, then position."""
+    dec = decompose_elementary(C)
+    basis = dec.basis()
+    n_paired = 2 * len(dec.pairs)
+    kept = [p for p in range(len(basis))
+            if p >= n_paired or dec.pairs[p // 2][3] - dec.pairs[p // 2][2] > 2 * eps]
+    kept.sort(key=lambda p: (basis[p][2], p % 2 if p < n_paired else 0, p))
+    return [(basis[p][0], basis[p][2], basis[p][3], F(0)) for p in kept]
+
+
+def test_cone_length_steps_equal_the_basis_reading():
+    rng = random.Random(45)
+    complexes = [_mixed_complex(rng, rng.randrange(1, 12), rng.choice((0, 2)))
+                 for _ in range(40)]
+    complexes += [random_complex(rng, rng.randrange(1, 6), 2) for _ in range(20)]
+    for C in complexes:
+        for eps in (0, F(1, 6), F(1, 2), F(5, 4), 3):
+            want = _cone_steps_from_basis(C, eps)
+            for mode in ("to_target", "to_zero"):
+                n, dec = cone_length(C, eps, mode)
+                got = [(s.object_name, s.shift, s.translation, s.weight) for s in dec.steps]
+                assert n == len(want)
+                assert got == (want if mode == "to_target" else want[::-1])
+
+
+@pytest.mark.parametrize("modulus", [0, 2])
+def test_filtered_map_validate_messages(modulus):
+    """The three checks of FilteredMap.validate, on hand-built bad maps; the
+    degree is compared modulo the source's modulus."""
+    src = e2(F(1, 3), F(3, 2), 0, "s", modulus)
+    tgt = e2(F(1, 2), F(3, 2), 0, "t", modulus)
+    FilteredMap(src, tgt, {0: [0], 1: [1]}, F(1, 6))  # a chain map of shift 1/6
+    with pytest.raises(ValueError, match="map entry s_a->t_a exceeds declared shift"):
+        FilteredMap(src, tgt, {0: [0], 1: [1]}, F(1, 7))
+    with pytest.raises(ValueError, match="map entry has nonzero degree"):
+        FilteredMap(src, tgt, {0: [1]}, 2)
+    with pytest.raises(ValueError, match="not a chain map at generator s_b"):
+        FilteredMap(src, tgt, {1: [1]}, 2)
+    # degrees two apart agree modulo the source's modulus 2, whatever the
+    # target's modulus
+    far = e2(0, 1, 2, "f", 2 - modulus)
+    if modulus:
+        FilteredMap(src, far, {0: [0], 1: [1]}, 2)
+    else:
+        with pytest.raises(ValueError, match="map entry has nonzero degree"):
+            FilteredMap(src, far, {0: [0], 1: [1]}, 2)
+    # the level check comes before the degree check of the same entry
+    with pytest.raises(ValueError, match="exceeds declared shift"):
+        FilteredMap(src, far, {0: [1]}, F(-1, 2))

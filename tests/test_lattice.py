@@ -92,3 +92,38 @@ def test_oracles_do_not_reach_lattice():
             "oracle_retract_interleaving", "barcode_by_rank_oracle",
             "oracle_lattice_oc", "z2_window_complex",
             "inversion_recursion"} <= roots_seen
+
+
+# per oracle, the fast paths it certifies, which it must not reach
+DISTANCE_PATHS = {"_int_slices", "_matching", "_adjacency", "_d_int", "_D_int", "_d_rint"}
+CERTIFIED_PATHS = {
+    "oracle_interleaving_distance": DISTANCE_PATHS,
+    "oracle_dint_variant": DISTANCE_PATHS,
+    "oracle_retract_interleaving": DISTANCE_PATHS,
+    "barcode_by_rank_oracle": {"decompose_elementary", "_pairing"},
+    "z2_window_complex": {"reduce_floer", "invert"},
+    "inversion_recursion": {"reduce_floer", "invert"},
+}
+
+
+def test_oracles_do_not_reach_the_path_they_certify():
+    """Walked from one oracle at a time, the module functions it calls by
+    name mention none of the fast paths that oracle certifies."""
+    defined = {f.name for _, tree in _trees() for f in ast.walk(tree)
+               if isinstance(f, ast.FunctionDef)}
+    roots_seen = set()
+    for name, tree in _trees():
+        funcs = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+        for root in CERTIFIED_PATHS.keys() & funcs.keys():
+            roots_seen.add(root)
+            reached, todo, names = set(), [root], set()
+            while todo:
+                f = todo.pop()
+                if f not in reached:
+                    reached.add(f)
+                    names |= _names(funcs[f])
+                    todo.extend(_names(funcs[f]) & funcs.keys())
+            # each forbidden fast path exists, so the guard is not vacuous
+            assert CERTIFIED_PATHS[root] <= defined, root
+            assert not names & CERTIFIED_PATHS[root], (name, root)
+    assert roots_seen == CERTIFIED_PATHS.keys()

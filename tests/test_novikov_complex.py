@@ -187,6 +187,29 @@ def test_reduce_floer_inverts_only_for_other_rows(monkeypatch):
         _assert_window_oracle(C)
 
 
+def test_reduce_floer_reads_auto_precision_on_demand(monkeypatch):
+    """The automatic working precision is computed only when a pivot is
+    inverted or an entry vanishes: never on the Dehn models, once on a
+    basis-changed complex; an explicit precision is read up front, so a bad
+    one raises even where nothing would read it."""
+    from persalg import novikov_complex
+
+    calls = []
+    real = novikov_complex._auto_precision
+    monkeypatch.setattr(novikov_complex, "_auto_precision",
+                        lambda *args: calls.append(args) or real(*args))
+    for k in (1, 5, 40):
+        reduce_floer(dehn_sphere_model(k)[0])
+    assert calls == []
+    rng = random.Random(3)
+    reduce_floer(random_floer_basis_change(rng, _random_floer(rng, 2)))
+    assert len(calls) == 1
+    with pytest.raises(ValueError):
+        reduce_floer(dehn_sphere_model(1)[0], "x")
+    with pytest.raises(PrecisionError):
+        reduce_floer(precision_trap(), 100)
+
+
 def test_death_level_and_reach():
     C = FloerComplex([Gen("e", 0, 0), Gen("u", 1, F(1, 2))],
                      {1: {0: N.monomial(F(1, 2))}})
