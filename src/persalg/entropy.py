@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from .filtered_complex import Gen
 from .novikov import NovikovElement
 from .novikov_complex import (
@@ -193,6 +191,7 @@ def entropy_estimate(seq: Sequence[float], mode: str = "exponential",
     exponential: slope of log N_k against k;
     slow:        slope of log N_k against log k.
     ``seq[i]`` is N_{k_start + i}.  Returns (estimate, (k_min, k_max))."""
+    import numpy as np
     ks, logs = [], []
     for i, v in enumerate(seq):
         k = k_start + i

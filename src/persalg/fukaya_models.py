@@ -228,6 +228,8 @@ def oracle_divisor_series(N: int, precision) -> NovikovElement:
 def oracle_grid_theta(N: int, precision) -> NovikovElement:
     """Brute force for the N x N grid model:
     sum nm (T^{(n-1+1/N)(m-1+1/N)} + T^{(n+1-1/N)(m+1-1/N)})."""
+    if N < 1:
+        raise ValueError(f"grid-theta parameter N must be >= 1, got {N}")
     A = Fraction(1, N)
     s1 = _double_sum(precision, lambda n, m: (n - 1 + A) * (m - 1 + A),
                      lambda n, m: n * m)

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass
@@ -36,6 +37,7 @@ class PiecewiseProfile:
         return self.samples.shape[0]
 
     def grid(self) -> np.ndarray:
+        import numpy as np
         n = self.resolution
         return np.arange(n) * (self.domain_size / n)
 
@@ -53,6 +55,18 @@ def build_1d(K, delta, eta, circumference=1.0, resolution: int = 10000,
              margin: float = 0.9) -> PiecewiseProfile:
     """Sawtooth with quadratic caps: teeth of height ~margin*K, slopes +-1."""
     K, delta, eta, L = float(K), float(delta), float(eta), float(circumference)
+    margin = float(margin)
+    for name, value in (("K", K), ("delta", delta), ("eta", eta),
+                        ("circumference", L), ("margin", margin)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    for name, value in (("circumference", L), ("margin", margin)):
+        if value <= 0:
+            raise ValueError(f"{name} must be positive, got {value}")
+    n = int(resolution)
+    if n < 3:
+        raise ValueError(
+            f"resolution must be >= 3 (central differences need three samples), got {n}")
     if not 0 < delta < 1:
         raise ValueError("need 0 < delta < 1")
     if K <= 0 or eta <= 0:
@@ -69,7 +83,7 @@ def build_1d(K, delta, eta, circumference=1.0, resolution: int = 10000,
 
     # one tooth on [0, w]: quadratic valley caps at 0 and w, unit slopes,
     # quadratic peak cap at w/2 of height w/2 - rho (C^1 throughout)
-    n = int(resolution)
+    import numpy as np
     xs = np.arange(n) * (L / n)
     vals = np.empty(n)
     for i, x in enumerate(xs):
@@ -98,6 +112,7 @@ def verify(profile: PiecewiseProfile, grad_slack: float = 1e-3) -> VerifyReport:
     """Grid checks: 0 <= f, min = 0, variation <= K, central-difference
     gradient >= delta outside the declared balls (with delta*slack leeway),
     declared balls pairwise disjoint with radii <= eta."""
+    import numpy as np
     f = profile.samples
     L = profile.domain_size
     violations = []
@@ -162,6 +177,7 @@ def verify(profile: PiecewiseProfile, grad_slack: float = 1e-3) -> VerifyReport:
 
 
 def _count_sign_changes(grad: np.ndarray) -> int:
+    import numpy as np
     sign = np.sign(grad)
     sign = sign[sign != 0]
     if len(sign) == 0:
@@ -178,6 +194,7 @@ def fold_step(profile: PiecewiseProfile, cut_levels: Sequence[float],
     follow the sawtooth fold of the level axis, then are renormalized to
     min 0.  The critical set is re-derived from the folded samples (local
     extrema clustered into declared balls of the smoothing radius)."""
+    import numpy as np
     if profile.samples.ndim != 1:
         raise ValueError("fold_step is 1-D")
     f = profile.samples.copy()
@@ -209,6 +226,7 @@ def fold_step(profile: PiecewiseProfile, cut_levels: Sequence[float],
 def _detect_critical_clusters(f: np.ndarray, L: float, delta: float,
                               h: float) -> list[tuple]:
     """Cluster the sub-delta-gradient locus into declared balls."""
+    import numpy as np
     n = len(f)
     grad = (np.roll(f, -1) - np.roll(f, 1)) / (2 * h)
     critical = np.abs(grad) < delta
@@ -242,6 +260,7 @@ def shrink_step(profile: PiecewiseProfile, z: float, eta_new: float) -> Piecewis
     (3 rho - rho')/(2 (2 rho - rho')) >= 3/4 over [rho', 2 rho].
 
     Requires delta <= 3/4 (the collar slope bound)."""
+    import numpy as np
     if profile.samples.ndim != 1:
         raise ValueError("shrink_step is 1-D")
     if profile.delta > 0.75:

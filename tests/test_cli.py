@@ -160,6 +160,89 @@ def test_console_script_installed():
     assert proc.returncode == 0 and proc.stdout.strip() == "T"
 
 
+ENGINE_WITHOUT_NUMPY = r"""
+import contextlib, importlib, io, pkgutil, sys
+import persalg
+for info in pkgutil.iter_modules(persalg.__path__):
+    importlib.import_module("persalg." + info.name)
+from persalg.cli import main
+
+cpx, bars, empty = sys.argv[1:]
+runs = [
+    ["barcode", cpx],
+    ["distance", bars, empty],
+    ["conelength", "--eps", "3/10", cpx],
+    ["model", "--model", "single"],
+    ["certify", "--model", "single"],
+    ["hochschild", "--model", "single"],
+    ["oracle", "--kind", "grid-theta", "--N", "2", "--precision", "4"],
+]
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+assert "numpy" not in sys.modules, "the exact engine loaded numpy"
+
+from persalg import entropy, morse
+assert entropy.entropy_estimate([3, 4, 5, 6, 7, 8], "slow") == (0.5476313658694485, (1, 6))
+assert entropy.entropy_estimate([2, 4, 8, 16, 32]) == (0.6931471805599454, (1, 5))
+rep = morse.verify(morse.build_1d(0.6, 0.5, 1e-2, 1.0, 4000))
+assert (rep.ok, rep.critical_count, rep.variation, rep.min_value) == (True, 2, 0.48, 0.0)
+assert "numpy" in sys.modules
+print("ok")
+"""
+
+
+def test_engine_starts_without_numpy(tmp_path):
+    """Floats live only in the Morse verifier and the entropy regression:
+    importing every module and running the exact subcommands loads no
+    numpy, and the float parts still answer as pinned."""
+    cpx, bars, empty = tmp_path / "e2.json", tmp_path / "a.json", tmp_path / "b.json"
+    cpx.write_text(json.dumps(E2))
+    bars.write_text(json.dumps({"modulus": 0, "bars": [
+        {"birth": "0", "death": "2", "degree": 0}]}))
+    empty.write_text(json.dumps({"modulus": 0, "bars": []}))
+    proc = subprocess.run([sys.executable, "-c", ENGINE_WITHOUT_NUMPY,
+                           str(cpx), str(bars), str(empty)],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert proc.returncode == 0 and proc.stdout.strip() == "ok", proc.stderr
+
+
+def test_grid_theta_rejects_n_below_1(capsys):
+    code, out, err = run_cli(["oracle", "--kind", "grid-theta", "--N", "0"], capsys)
+    assert code == 2 and out == ""
+    assert err.strip().splitlines() == ["error: grid-theta parameter N must be >= 1, got 0"]
+    # N = -1 used to sum without end; a child process keeps a regression
+    # from hanging the suite
+    proc = subprocess.run([sys.executable, "-m", "persalg.cli", "oracle",
+                           "--kind", "grid-theta", "--N", "-1"],
+                          capture_output=True, text=True, timeout=30,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.strip().splitlines() == [
+        "error: grid-theta parameter N must be >= 1, got -1"]
+
+
+@pytest.mark.parametrize("extra,name", [
+    (["--resolution", "0"], "resolution"),
+    (["--resolution", "1"], "resolution"),
+    (["--resolution", "2"], "resolution"),
+    (["--circumference", "inf"], "circumference"),
+    (["--circumference", "nan"], "circumference"),
+    (["--circumference", "0"], "circumference"),
+    (["--circumference", "-1"], "circumference"),
+    (["--K", "nan"], "K"),
+    (["--eta", "inf"], "eta"),
+])
+def test_morse_bad_arguments_exit_2(capsys, extra, name):
+    code, out, err = run_cli(
+        ["morse", "--K", "1", "--delta", "0.5", "--eta", "0.01"] + extra, capsys)
+    assert code == 2 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {name} must be")
+    assert "Traceback" not in err
+
+
 E2 = {"modulus": 0,
       "generators": [{"name": "a", "degree": 0, "level": "0"},
                      {"name": "b", "degree": 1, "level": "1"}],

@@ -48,6 +48,20 @@ def test_infeasible_parameters():
         build_1d(0.1, 0.5, 0.2, 1.0, 1000)  # eta too large: balls overlap
     with pytest.raises(ValueError):
         build_1d(0.1, 1.5, 1e-3)  # delta must be < 1
+    # central differences need three samples; every float must be finite
+    for kwargs, name in [
+        ({"resolution": 0}, "resolution"), ({"resolution": 1}, "resolution"),
+        ({"resolution": 2}, "resolution"),
+        ({"circumference": float("inf")}, "circumference"),
+        ({"circumference": float("nan")}, "circumference"),
+        ({"circumference": 0.0}, "circumference"),
+        ({"circumference": -1.0}, "circumference"),
+        ({"K": float("nan")}, "K"), ({"delta": float("nan")}, "delta"),
+        ({"eta": float("inf")}, "eta"), ({"margin": 0.0}, "margin"),
+    ]:
+        args = {"K": 1.0, "delta": 0.5, "eta": 0.01} | kwargs
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            build_1d(**args)
 
 
 def test_fold_halves_variation():
