@@ -5,7 +5,8 @@ sigma on [2,7] (so eta(x) = sigma x - k there with k = 3 sigma / 2 for the
 smoothstep transitions used here), constant past 8, convex on (1,2) and
 concave on (7,8).  Roots of eta'(r) = l/n are found by bisection; certified
 bar counts only ever use the rational gap bound 5n - 7l, never the numeric
-roots.
+roots.  ``entropy_estimate``'s least-squares fit is the only use of numpy,
+which it imports itself, so that importing this module does not load numpy.
 """
 
 from __future__ import annotations

@@ -9,6 +9,9 @@ rescales a critical cap; ``verify`` checks all the claimed bounds on a
 uniform grid with central differences (slack delta*1e-3 near the smoothing
 zones).  The 2-D torus profile is the inductive sum phi(f1(x)) +
 beta(f1(x)) * f_W(y).
+
+Each function that calls numpy imports it itself, so that importing persalg,
+and every part of it that computes exactly, does not load numpy.
 """
 
 from __future__ import annotations
