@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -68,14 +67,10 @@ def cmd_barcode(args):
     if args.novikov:
         B = novikov_complex.concise_barcode(
             _read(args.complex, novikov_complex.FloerComplex.from_json))
-        out = {
-            "finite": [{"length": str(l), "degree": d} for l, d in B.finite],
-            "infinite": [{"degree": d, "count": c} for d, c in B.infinite],
-        }
     else:
-        C = _read(args.complex, filtered_complex.FilteredComplex.from_json)
-        out = filtered_complex.homology_barcode(C).to_json()
-    _emit(out, args.output)
+        B = filtered_complex.homology_barcode(
+            _read(args.complex, filtered_complex.FilteredComplex.from_json))
+    _emit(B.to_json(), args.output)
     return EXIT_OK
 
 
@@ -156,12 +151,7 @@ def cmd_hochschild(args):
     A = model.category
     ok = hochschild.is_cycle(A, model.witness)
     B = hochschild.hochschild_barcode(A, A.objects, args.n_max)
-    out = {
-        "witness_is_cycle": ok,
-        "finite": [{"length": str(l), "degree": d} for l, d in B.finite],
-        "infinite": [{"degree": d, "count": c} for d, c in B.infinite],
-    }
-    _emit(out, args.output)
+    _emit({"witness_is_cycle": ok, **B.to_json()}, args.output)
     return EXIT_OK if ok else EXIT_VERIFY
 
 
@@ -247,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("complex")
     p.set_defaults(func=cmd_conelength)
 
-    default_precision = os.environ.get("PERSALG_PRECISION", "24")
     for name in ("model", "certify", "hochschild"):
         p = sub.add_parser(name)
         p.add_argument("--model", required=True,
@@ -255,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "torus-grid"])
         p.add_argument("--N", type=int, default=2)
         p.add_argument("--h", default="0")
-        p.add_argument("--precision", default=default_precision)
+        p.add_argument("--precision", default="24")
         p.add_argument("--output")
         if name == "model":
             p.add_argument("--max-arity", type=int, default=4)

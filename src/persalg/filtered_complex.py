@@ -16,12 +16,14 @@ list.  The key algorithms:
 * ``min_cone_decomposition`` -- brute-force minimal decomposition search
   used as the oracle for retract cone-length bounds;
 * ``stability_reduce`` -- elimination of short pairs of a split differential
-  d + D' where D' drops filtration by >= delta;
+  d + D' where D' drops filtration by >= delta, in the pairing's basis;
 * ``reach_gap`` -- the energy gap R(w, f) by level-wise linear algebra.
 
-All GF(2) elimination (reduction, rank, kernel, solve, inverse) goes through
+All GF(2) elimination (reduction, rank, kernel, solve) goes through
 ``persalg.gf2``.  Each of ``homology_barcode``, ``cone_length``, ``truncate``
-and ``stability_reduce`` runs the one filtered reduction ``_pairing`` once;
+and ``stability_reduce`` runs the one filtered reduction ``_pairing`` once
+and compares gaps as integers.  Coordinates in the new basis come from
+reducing against it in position coordinates, with no matrix inverse;
 vectors are mapped back to the generators only where they are read (the
 decomposition and truncate's section), and nothing is kept on the complex.
 """
@@ -729,53 +731,49 @@ def stability_reduce(C: FilteredComplex, dprime: dict[int, Iterable[int]], delta
         if gf2.apply(D, D[i]):
             raise ValueError("(d + D')^2 != 0")
 
-    # change to the d-elementary basis
-    dec = decompose_elementary(C)
-    new_basis = dec.basis()
-    inv = gf2.invert([vec for _, vec, _, _ in new_basis])
-    D_new = [gf2.apply(inv, gf2.apply(D, vec)) for _, vec, _, _ in new_basis]
-    alive = list(range(len(new_basis)))
-
-    def eliminate(ia: int, ib: int):
-        """Cancel the D-pair (a' = D(b), b) from the alive complex."""
-        # j1: for x with <D x, a> = 1, send x to x + b; then D stays within
-        # the complement; p1 projection: drop coordinates a and b after
-        # substituting a -> D'(b) (i.e. a' -> 0).
-        a_mask = 1 << ia
-        b_mask = 1 << ib
-        Db = D_new[ib]  # = a' in new coordinates (contains a + lower)
-        for x in alive:
-            if x in (ia, ib):
-                continue
-            if (D_new[x] >> ia) & 1:
-                # x -> x + b changes D x by D b
-                D_new[x] ^= Db
-        # now no alive x (other than b) hits a; remove a, b
-        alive.remove(ia)
-        alive.remove(ib)
-        for x in alive:
-            assert not (D_new[x] & (a_mask | b_mask))
-
-    def is_short(gap) -> bool:
-        return gap <= eps if eps is not None else gap < delta
+    # change to the d-elementary basis: each new basis vector leads at its
+    # own position, so reducing a vector against them, each tagged by its
+    # index, gives its coordinates
+    scale, levels, order, sides, n_paired = _pairing(C)
+    to_pos = [0] * n
+    for p, g in enumerate(order):
+        to_pos[g] = 1 << p
+    D_pos = [gf2.apply(to_pos, D[g]) for g in order]
+    ech = gf2.Echelon()
+    for p, (_, vec, _) in enumerate(sides):
+        ech.add(vec, 1 << p)
+    D_new = [ech.reduce(gf2.apply(D_pos, vec))[1] for _, vec, _ in sides]
+    alive = list(range(len(sides)))
 
     # The d-pairs are (a, b) = (2k, 2k+1) in the new basis.  Levels never
     # change and the pairs are disjoint, so eliminating the shortest remaining
-    # short pair, round after round, is one pass in (gap, index) order.
-    gaps = [(vb - va, 2 * k) for k, (_, _, va, vb, _) in enumerate(dec.pairs)]
-    for _, ia in sorted(g for g in gaps if is_short(g[0])):
-        eliminate(ia, ia + 1)
+    # short pair, round after round, is one pass in (gap, index) order.  A
+    # gap in units of 1/scale is <= eps * scale iff it is <= floor(eps * scale),
+    # and < delta * scale iff it is <= ceil(delta * scale) - 1.
+    cut = math.floor(eps * scale) if eps is not None else math.ceil(delta * scale) - 1
+    gaps = sorted((levels[sides[a + 1][0]] - levels[sides[a][0]], a)
+                  for a in range(0, n_paired, 2))
+    for gap, a in gaps:
+        if gap > cut:
+            break
+        # cancel the D-pair (a' = D(b), b): send each alive x with <D x, a> = 1
+        # to x + b, so that D x stays within the complement; then a and b go
+        alive.remove(a)
+        alive.remove(a + 1)
+        for x in alive:
+            if D_new[x] >> a & 1:
+                D_new[x] ^= D_new[a + 1]
+            assert not D_new[x] & (3 << a)
 
     remap = {old: new for new, old in enumerate(alive)}
-    gens = [Gen(new_basis[i][0], new_basis[i][3], new_basis[i][2]) for i in alive]
+    gens = [Gen(_basis_name(p, n_paired), sides[p][2], C.gens[sides[p][0]].level) for p in alive]
     diff: dict[int, int] = {}
     for old in alive:
         mask = 0
         for j in gf2.bits(D_new[old]):
-            if j in remap:
-                mask |= 1 << remap[j]
-            else:
+            if j not in remap:
                 raise AssertionError("differential leaks outside the retract")
+            mask |= 1 << remap[j]
         diff[remap[old]] = mask
     retract = FilteredComplex(gens, diff, C.modulus, C.cohomological)
     return retract, (n, retract.dim())

@@ -466,10 +466,9 @@ def approximability_certificate(model: FukayaModel, witness: Optional[Chain] = N
     single-Lagrangian family)."""
     w = witness if witness is not None else model.witness
     try:
-        cyc = is_cycle(model.category, w)
-        cycle_check = "verified" if cyc else "FAILED"
-        if not cyc:
+        if not is_cycle(model.category, w):
             raise ValueError("certificate witness is not a Hochschild cycle")
+        cycle_check = "verified"
     except CoverageError as exc:
         cycle_check = f"coverage-limited: missing {exc.args[0]}"
     value = oc_evaluate(model, w)

@@ -5,10 +5,9 @@ of column vectors.  ``Echelon`` keeps reduced vectors in a dict keyed by
 their leading (highest) bit, so reducing a vector costs one dict lookup and
 one xor per step, with no scan over the stored vectors and no re-sort.  Each
 stored vector carries a tag, xored along with it, that records which
-combination of the inserted vectors it is; ``kernel``, ``solve`` and
-``invert`` read their answers off the tags.  ``apply`` is the one
-matrix-vector product: a loop that peels off the lowest set bit, with no
-generator.
+combination of the inserted vectors it is; ``kernel`` and ``solve`` read
+their answers off the tags.  ``apply`` is the one matrix-vector product: a
+loop that peels off the lowest set bit, with no generator.
 """
 
 from __future__ import annotations
@@ -95,15 +94,3 @@ def solve(cols: Sequence[int], rhs: int) -> Optional[int]:
     rest, x = _tagged(cols)[0].reduce(rhs)
     return None if rest else x
 
-
-def invert(cols: Sequence[int]) -> list[int]:
-    """Columns of M^-1 for the square matrix M with columns ``cols``:
-    entry i holds the coordinates of e_i over the columns of M.  Raises
-    ValueError when M is not square or is singular."""
-    n = len(cols)
-    if any(c >> n for c in cols):
-        raise ValueError("matrix is not square")
-    ech, null = _tagged(cols)
-    if null:
-        raise ValueError("matrix is singular")
-    return [ech.reduce(1 << i)[1] for i in range(n)]

@@ -66,6 +66,12 @@ class ConciseBarcode:
             raise ValueError("delta must be nonnegative")
         return sum(1 for l, _ in self.finite if l > delta) + self.infinite_total()
 
+    def to_json(self) -> dict:
+        return {
+            "finite": [{"length": str(l), "degree": d} for l, d in self.finite],
+            "infinite": [{"degree": d, "count": c} for d, c in self.infinite],
+        }
+
 
 class FloerComplex:
     def __init__(self, generators: Sequence[Gen],

@@ -90,6 +90,69 @@ def test_barcode_round_trip(capsys, tmp_path):
     assert Barcode.from_json(data).to_json() == data
 
 
+def test_concise_barcode_documents(capsys, tmp_path):
+    """barcode --novikov and hochschild print the concise barcode in one
+    layout, pinned byte for byte."""
+    cpx = tmp_path / "nov.json"
+    cpx.write_text(json.dumps({
+        "modulus": 0,
+        "generators": [{"name": "a", "degree": 0, "level": "0"},
+                       {"name": "b", "degree": 1, "level": "1"},
+                       {"name": "c", "degree": 1, "level": "1/2"},
+                       {"name": "e", "degree": 2, "level": "3"},
+                       {"name": "z", "degree": 0, "level": "2"}],
+        "differential": [{"from": "b", "to": "a", "coefficient": "T + T^{3/2}"},
+                         {"from": "e", "to": "c", "coefficient": "T^{1/2}"}],
+    }))
+    assert run_cli(["barcode", "--novikov", str(cpx)], capsys) == (0, """{
+  "finite": [
+    {
+      "degree": 0,
+      "length": "2"
+    },
+    {
+      "degree": 1,
+      "length": "3"
+    }
+  ],
+  "infinite": [
+    {
+      "count": 1,
+      "degree": 0
+    }
+  ]
+}
+""", "")
+    assert run_cli(["hochschild", "--model", "single", "--n-max", "3"], capsys) == (0, """{
+  "finite": [
+    {
+      "degree": 1,
+      "length": "1/2"
+    }
+  ],
+  "infinite": [
+    {
+      "count": 2,
+      "degree": 0
+    },
+    {
+      "count": 2,
+      "degree": 1
+    }
+  ],
+  "witness_is_cycle": true
+}
+""", "")
+
+
+def test_precision_has_one_default(capsys, monkeypatch):
+    """--precision defaults to 24 whatever the environment holds: a value
+    that --precision would reject changes nothing."""
+    want = run_cli(["model", "--model", "torus"], capsys)
+    monkeypatch.setenv("PERSALG_PRECISION", "not-a-number")
+    assert want[0] == 0 and run_cli(["model", "--model", "torus"], capsys) == want
+
+
 def test_parse_error_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -65,17 +65,6 @@ def singular(rng, cols):
     return cols
 
 
-def invertible(rng, n, ops):
-    """Identity hit by ``ops`` random column additions, then permuted."""
-    cols = [1 << i for i in range(n)]
-    for _ in range(ops):
-        i, j = rng.randrange(n), rng.randrange(n)
-        if i != j:
-            cols[i] ^= cols[j]
-    rng.shuffle(cols)
-    return cols
-
-
 # (n_rows, n_cols, density, offset): square and rectangular, sparse and
 # dense; the offset cases put every bit above bit 1000
 SHAPES = [
@@ -145,27 +134,6 @@ def test_solve(shape, seed, make_singular):
             xvec = to_array([x], len(cols))
             assert (mul_mod2(A, xvec) == bvec).all()
             assert gf2.apply(cols, x) == b
-
-
-@pytest.mark.parametrize("n,ops,seed", [(1, 0, 0), (8, 30, 1), (40, 200, 2),
-                                        (64, 64, 3), (1030, 4000, 4)])
-def test_invert(n, ops, seed):
-    rng = random.Random(seed)
-    cols = invertible(rng, n, ops)
-    M = to_array(cols, n)
-    assert np_rank(M) == n
-    inv = gf2.invert(cols)
-    assert (mul_mod2(M, to_array(inv, n)) == np.eye(n, dtype=np.int64)).all()
-    # singular: the same matrix with one column replaced by a combination
-    bad = singular(rng, cols)
-    assert np_rank(to_array(bad, n)) < n
-    with pytest.raises(ValueError):
-        gf2.invert(bad)
-
-
-def test_invert_rejects_non_square():
-    with pytest.raises(ValueError):
-        gf2.invert([0b01, 0b110])
 
 
 def test_bits():

@@ -44,8 +44,9 @@ def random_basis_change(rng: random.Random, C: FilteredComplex) -> FilteredCompl
             continue
         if C.gens[j].level <= C.gens[i].level and _deg_eq(C, i, j):
             P[i] ^= P[j]
-    # new differential: d_new = P^{-1} d P in column form
-    inv = gf2.invert(P)
+    # new differential: d_new = P^{-1} d P in column form; column i of
+    # P^{-1} solves P x = e_i
+    inv = [gf2.solve(P, 1 << i) for i in range(n)]
     diff = {i: gf2.apply(inv, C.d_of(P[i])) for i in range(n)}
     gens = [Gen(f"h{i}", C.gens[i].degree, C.gens[i].level) for i in range(n)]
     return FilteredComplex(gens, diff, C.modulus, C.cohomological)
