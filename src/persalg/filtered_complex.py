@@ -23,9 +23,9 @@ All GF(2) elimination (reduction, rank, kernel, solve) goes through
 ``persalg.gf2``.  Each of ``homology_barcode``, ``cone_length``, ``truncate``
 and ``stability_reduce`` runs the one filtered reduction ``_pairing`` once
 and compares gaps as integers.  Coordinates in the new basis come from
-reducing against it in position coordinates, with no matrix inverse;
-vectors are mapped back to the generators only where they are read (the
-decomposition and truncate's section), and nothing is kept on the complex.
+reducing against it in position coordinates; vectors are mapped back to the
+generators only where they are read (the decomposition and truncate's
+section), and nothing is kept on the complex.
 """
 
 from __future__ import annotations
@@ -763,7 +763,7 @@ def stability_reduce(C: FilteredComplex, dprime: dict[int, Iterable[int]], delta
         for x in alive:
             if D_new[x] >> a & 1:
                 D_new[x] ^= D_new[a + 1]
-            assert not D_new[x] & (3 << a)
+            assert not D_new[x] & (3 << a)  # neither a nor b
 
     remap = {old: new for new, old in enumerate(alive)}
     gens = [Gen(_basis_name(p, n_paired), sides[p][2], C.gens[sides[p][0]].level) for p in alive]
