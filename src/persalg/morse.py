@@ -85,25 +85,16 @@ def build_1d(K, delta, eta, circumference=1.0, resolution: int = 10000,
     eta_z = delta * rho
 
     # one tooth on [0, w]: quadratic valley caps at 0 and w, unit slopes,
-    # quadratic peak cap at w/2 of height w/2 - rho (C^1 throughout)
+    # quadratic peak cap at w/2 of height w/2 - rho (C^1 throughout); the
+    # first condition that holds picks the piece
     import numpy as np
-    xs = np.arange(n) * (L / n)
-    vals = np.empty(n)
-    for i, x in enumerate(xs):
-        t = x % w
-        if t < rho:
-            v = t * t / (2 * rho)
-        elif t > w - rho:
-            tt = w - t
-            v = tt * tt / (2 * rho)
-        elif abs(t - w / 2) < rho:
-            tt = t - w / 2
-            v = (w / 2 - rho) - tt * tt / (2 * rho)
-        elif t <= w / 2:
-            v = t - rho / 2
-        else:
-            v = (w - t) - rho / 2
-        vals[i] = v
+    t = np.arange(n) * (L / n) % w
+    cap = t - w / 2
+    vals = np.select(
+        [t < rho, t > w - rho, np.abs(cap) < rho, t <= w / 2],
+        [t * t / (2 * rho), (w - t) * (w - t) / (2 * rho),
+         (w / 2 - rho) - cap * cap / (2 * rho), t - rho / 2],
+        (w - t) - rho / 2)
     crits = []
     for m in range(M):
         crits.append(((m * w) % L, eta_z))  # valley
@@ -161,22 +152,47 @@ def verify(profile: PiecewiseProfile, grad_slack: float = 1e-3) -> VerifyReport:
         violations.append(("min", float(f.min())))
     if f.min() < -1e-12:
         violations.append(("negative", float(f.min())))
-    # declared balls pairwise disjoint
     pts = profile.critical_points
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            pi, ri = pts[i]
-            pj, rj = pts[j]
-            if isinstance(pi, tuple):
-                d = math.hypot(
-                    abs((pi[0] - pj[0] + L / 2) % L - L / 2),
-                    abs((pi[1] - pj[1] + L / 2) % L - L / 2))
-            else:
-                d = abs((pi - pj + L / 2) % L - L / 2)
-            if d < ri + rj:
-                violations.append(("overlap", i, j))
+    for i, j in _candidate_pairs(pts, L):
+        pi, ri = pts[i]
+        pj, rj = pts[j]
+        if isinstance(pi, tuple):
+            d = math.hypot(
+                abs((pi[0] - pj[0] + L / 2) % L - L / 2),
+                abs((pi[1] - pj[1] + L / 2) % L - L / 2))
+        else:
+            d = abs((pi - pj + L / 2) % L - L / 2)
+        if d < ri + rj:
+            violations.append(("overlap", i, j))
     return VerifyReport(not violations, variation, float(f.min()),
                         crit_count, violations)
+
+
+def _candidate_pairs(pts: list[tuple], L: float) -> list[tuple[int, int]]:
+    """The pairs i < j, in order, of declared balls that can meet: two balls
+    meet only when their first coordinates lie within twice the largest
+    radius of each other around the circle, so a sweep over the sorted
+    first coordinates, wrapped once, finds them.  The reach carries a slack
+    of 1e-9 * L for the rounding of ``% L``.  A ball whose first coordinate
+    or radius is not finite, or is NaN, meets no other under the distance
+    test; an infinite radius makes every pair a candidate."""
+    live = [(p[0] if isinstance(p, tuple) else p, r, k)
+            for k, (p, r) in enumerate(pts)]
+    live = [(x % L, r, k) for x, r, k in live if math.isfinite(x) and r == r]
+    if len(live) < 2:
+        return []
+    reach = 2 * max(r for _, r, _ in live) + 1e-9 * L
+    live.sort()
+    xs = [x for x, _, _ in live] + [x + L for x, _, _ in live]
+    n = len(live)
+    pairs = set()
+    for a in range(n):
+        b = a + 1
+        while b < a + n and xs[b] - xs[a] <= reach:
+            i, j = live[a][2], live[b % n][2]
+            pairs.add((i, j) if i < j else (j, i))
+            b += 1
+    return sorted(pairs)
 
 
 def _count_sign_changes(grad: np.ndarray) -> int:

@@ -19,15 +19,17 @@ decision would depend on terms beyond that precision.
 
 A ``FloerComplex`` must not be mutated after construction: ``concise_barcode``
 keeps its result on the complex, one per working precision, so each complex
-is reduced once however many bar counts are read from it, and its lattice is
-read once however many checks and reductions use it.
+is reduced once however many bar counts are read from it, and its lattice and
+entry keys are read once however many checks and reductions use them.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter, le
 from typing import Sequence
 
 from . import gf2, jsonread, sparse
@@ -35,6 +37,10 @@ from .filtered_complex import FilteredComplex, Gen, generators_and_edges
 from .lattice import common_scale, over, scale_lcm
 from .novikov import NOV_ONE, NovikovElement
 from .persistence import INF
+
+
+# (D, levels * D, entry keys (nv * D, i, j)): see _lattice
+_Lattice = tuple[int, list[int], list[tuple[int, int, int]]]
 
 
 class PrecisionError(RuntimeError):
@@ -48,10 +54,15 @@ class CoverageError(KeyError):
 @dataclass(frozen=True)
 class ConciseBarcode:
     """Usher-Zhang invariant: finite bar lengths (with the degree of the
-    dying cycle) and per-degree infinite bar counts."""
+    dying cycle), sorted by (length, degree), and per-degree infinite bar
+    counts."""
 
-    finite: tuple[tuple[Fraction, int], ...]  # (length, degree)
+    finite: tuple[tuple[Fraction, int], ...]  # (length, degree), sorted
     infinite: tuple[tuple[int, int], ...]  # (degree, count)
+
+    def __post_init__(self):
+        if not all(map(le, self.finite, self.finite[1:])):
+            raise ValueError("finite bars must be sorted by (length, degree)")
 
     def infinite_total(self) -> int:
         return sum(c for _, c in self.infinite)
@@ -64,7 +75,8 @@ class ConciseBarcode:
         delta = Fraction(delta)
         if delta < 0:
             raise ValueError("delta must be nonnegative")
-        return sum(1 for l, _ in self.finite if l > delta) + self.infinite_total()
+        longer = len(self.finite) - bisect_right(self.finite, delta, key=itemgetter(0))
+        return longer + self.infinite_total()
 
     def to_json(self) -> dict:
         return {
@@ -85,7 +97,7 @@ class FloerComplex:
         self.diff = {i: row for i, row in self.diff.items() if row}
         # concise barcodes by working precision (None: automatic)
         self._barcodes: dict[Fraction | None, ConciseBarcode] = {}
-        self._lattice: tuple[int, list[int]] | None = None  # see _lattice
+        self._lattice: _Lattice | None = None  # see _lattice
         if validate:
             self.validate()
 
@@ -97,19 +109,18 @@ class FloerComplex:
         return d % self.modulus if self.modulus else d
 
     def validate(self):
-        D, lev = _lattice(self)
-        for i, row in self.diff.items():
-            for j, P in row.items():
-                # level of P*g_j is l(g_j) - val(P); it must not exceed l(g_i)
-                if _val(P, D) + lev[i] - lev[j] < 0:
-                    raise ValueError(
-                        f"entry {self.gens[i].name}->{self.gens[j].name} raises action")
-                if self.modulus and (self.gens[j].degree - self.gens[i].degree + 1) % self.modulus:
-                    raise ValueError("differential entry has wrong degree")
+        for nv, i, j in _lattice(self)[2]:
+            # level of P*g_j is l(g_j) - val(P); it must not exceed l(g_i)
+            if nv < 0:
+                raise ValueError(
+                    f"entry {self.gens[i].name}->{self.gens[j].name} raises action")
+            if self.modulus and (self.gens[j].degree - self.gens[i].degree + 1) % self.modulus:
+                raise ValueError("differential entry has wrong degree")
         for i, row in self.diff.items():
             acc: dict[int, NovikovElement] = {}
             for j, P in row.items():
-                sparse.add_into(acc, self.diff.get(j, {}), P)
+                if (dj := self.diff.get(j)) is not None:
+                    sparse.add_into(acc, dj, P)
             if not sparse.is_zero(acc):
                 raise ValueError(f"d^2 != 0 at generator {self.gens[i].name}")
 
@@ -144,15 +155,19 @@ class FloerComplex:
         return FloerComplex(gens, diff, jsonread.integer(data, "modulus", default=2))
 
 
-def _lattice(C: FloerComplex) -> tuple[int, list[int]]:
-    """The common scale D of the levels and entry exponents of C, and each
-    generator's level times D, read once and kept on C.  The normalized
-    valuation of an entry P from i to j is then ``_val(P, D) + lev[i] -
-    lev[j]`` over D."""
+def _lattice(C: FloerComplex) -> _Lattice:
+    """The common scale D of the levels and entry exponents of C, each
+    generator's level times D, and the key ``(nv * D, i, j)`` of each entry
+    P from i to j, in ``diff`` row order: its lattice and entry keys are read
+    once and kept on C.  The normalized valuation nv is ``_val(P, D) +
+    lev[i] - lev[j]`` over D."""
     if C._lattice is None:
         D = scale_lcm(common_scale(g.level for g in C.gens),
                       *{P.den for row in C.diff.values() for P in row.values()})
-        C._lattice = D, [over(g.level, D) for g in C.gens]
+        lev = [over(g.level, D) for g in C.gens]
+        keys = [(_val(P, D) + lev[i] - lev[j], i, j)
+                for i, row in C.diff.items() for j, P in row.items()]
+        C._lattice = D, lev, keys
     return C._lattice
 
 
@@ -191,14 +206,17 @@ def reduce_floer(C: FloerComplex, working_precision=None) -> Reduction:
     """Two-sided elimination with minimal normalized-valuation pivoting.
 
     The pivot is the alive entry of minimal (nv, i, j).  A heap keeps a key
-    per entry written, with nv as the integer nv * D (``_lattice``), skipped
-    when popped stale (i or j dead, entry gone or nv changed); ``rows_at[j]``
-    lists the rows with an entry at column j, so a pivot touches only those
-    rows, and a pivot is inverted only when one of them is alive.  Each
-    written entry passes ``is_zero``.  The automatic working precision is
-    computed only when an inversion or a vanished entry reads it.
+    per entry written, with nv as the integer nv * D, starting from the
+    entry keys of ``_lattice``; a key is skipped when popped stale (i or j
+    dead, entry gone or nv changed).  ``rows_at[j]`` lists the rows with an
+    entry at column j, so a pivot touches only those rows, and a pivot is
+    inverted only when one of them is alive.  Only rows of ``diff`` get a
+    column and only columns holding an entry get ``rows_at``.  Each written
+    entry passes ``is_zero``.  The automatic working precision is computed
+    only when an inversion or a vanished entry reads it.  Bars of equal
+    length share one Fraction.
     """
-    D, lev = _lattice(C)
+    D, lev, keys = _lattice(C)
     # an explicit precision is read now, so that a bad one raises here
     prec = Fraction(working_precision) if working_precision is not None else None
 
@@ -209,21 +227,18 @@ def reduce_floer(C: FloerComplex, working_precision=None) -> Reduction:
         return prec
 
     n = C.dim()
-    cols: dict[int, dict[int, NovikovElement]] = {
-        i: dict(C.diff.get(i, {})) for i in range(n)
-    }
+    cols = {i: dict(row) for i, row in C.diff.items()}
     basis: dict[int, dict[int, NovikovElement]] = {
         i: {i: NOV_ONE} for i in range(n)
     }
-    rows_at: dict[int, set[int]] = {j: set() for j in range(n)}
-    heap = []
-    for i, row in cols.items():
-        for j, P in row.items():
-            rows_at[j].add(i)
-            heap.append((_val(P, D) + lev[i] - lev[j], i, j))
+    rows_at: dict[int, set[int]] = {}
+    for _, i, j in keys:
+        rows_at.setdefault(j, set()).add(i)
+    heap = list(keys)
     heapq.heapify(heap)
     alive = set(range(n))
     pairs: list[tuple[int, int, Fraction]] = []
+    lengths: dict[int, Fraction] = {}
 
     def is_zero(P: NovikovElement) -> bool:
         if P:
@@ -239,7 +254,9 @@ def reduce_floer(C: FloerComplex, working_precision=None) -> Reduction:
         if (bi not in alive or aj not in alive or P is None
                 or _val(P, D) + lev[bi] - lev[aj] != nv):
             continue
-        pairs.append((bi, aj, Fraction(nv, D)))
+        if (length := lengths.get(nv)) is None:
+            length = lengths[nv] = Fraction(nv, D)
+        pairs.append((bi, aj, length))
         alive.discard(bi)
         alive.discard(aj)
         if rows := rows_at.pop(aj) & alive:
@@ -299,9 +316,8 @@ def counting_lemma_bound(C: FloerComplex) -> tuple[Fraction, Fraction]:
     """If C has m generators, r of which survive in homology over the field,
     and every differential entry has normalized valuation >= v, then there
     are (m - r)/2 finite bars, each of length >= v.  Returns ((m-r)/2, v)."""
-    D, lev = _lattice(C)
-    vmin = min((_val(P, D) + lev[i] - lev[j]
-                for i, row in C.diff.items() for j, P in row.items()), default=0)
+    D, _, keys = _lattice(C)
+    vmin = min(keys, default=(0,))[0]
     r = concise_barcode(C).infinite_total()
     return Fraction(C.dim() - r, 2), Fraction(vmin, D)
 
@@ -316,7 +332,7 @@ def express_in_reduction(red: Reduction, w: dict[int, NovikovElement],
     unpaired_coeffs[u] = q.  Raises if w is not in the span (not a cycle).
     """
     C = red.complex
-    D, lev = _lattice(C)
+    D, lev, _ = _lattice(C)
     prec = (Fraction(working_precision) if working_precision is not None
             else _auto_precision(C, D, lev))
     # columns of the linear system: the boundaries d(B_i) and unpaired U_j

@@ -7,6 +7,7 @@ import pytest
 from persalg.filtered_complex import Gen, homology_barcode
 from persalg.novikov import NOV_ONE, NovikovElement as N
 from persalg.novikov_complex import (
+    ConciseBarcode,
     FloerComplex,
     FloerMap,
     PrecisionError,
@@ -84,6 +85,74 @@ def test_validate_rejects_d_squared_and_degree():
         FloerComplex([Gen("x", 0, 0), Gen("y", 0, 1)], {1: {0: NOV_ONE}})
     with pytest.raises(ValueError, match="wrong degree"):
         FloerComplex([Gen("x", 0, 0), Gen("y", 3, 1)], {1: {0: NOV_ONE}}, 4)
+
+
+def test_validate_names_the_first_bad_entry_in_row_order():
+    """Of two bad entries, validate reports the first in ``diff`` row order
+    (rows in insertion order, then entries in each row), whether it raises
+    action or has the wrong degree."""
+    gens = [Gen("a", 0, 0), Gen("b", 0, 0), Gen("c", 1, 5), Gen("d", 1, 5)]
+    low = N.monomial(-6)
+    for diff, name in (({2: {0: low}, 3: {1: low}}, "c->a"),
+                       ({3: {1: low}, 2: {0: low}}, "d->b"),
+                       ({2: {1: low, 0: low}}, "c->b")):
+        with pytest.raises(ValueError, match=f"^entry {name} raises action$"):
+            FloerComplex(gens, diff)
+    # b->a has the wrong degree and is exact in action; c->a raises action
+    wrong, bad = {1: {0: NOV_ONE}}, {2: {0: low}}
+    with pytest.raises(ValueError, match="wrong degree"):
+        FloerComplex(gens, wrong | bad)
+    with pytest.raises(ValueError, match="^entry c->a raises action$"):
+        FloerComplex(gens, bad | wrong)
+
+
+def test_reduce_floer_keeps_isolated_generators():
+    """A generator in no row and no column of the differential is unpaired
+    and keeps its own basis vector, and every generator has a basis
+    vector."""
+    C = FloerComplex([Gen("z0", 0, 1), Gen("x", 0, 0), Gen("z1", 1, 2),
+                      Gen("y", 1, 1), Gen("z2", 0, 0)], {3: {1: N.monomial(1)}})
+    red = reduce_floer(C)
+    assert red.pairs == [(3, 1, F(2))] and red.unpaired == [0, 2, 4]
+    assert red.basis == {i: {i: NOV_ONE} for i in range(5)}
+    rng = random.Random(31)
+    cases = [dehn_sphere_model(4)[0]]
+    cases += [random_floer_basis_change(rng, _random_floer(rng)) for _ in range(15)]
+    isolated = [set(range(C.dim())) - set(C.diff) - {j for row in C.diff.values() for j in row}
+                for C in cases]
+    assert all(isolated[:1]) and any(isolated[1:])
+    for C, lone in zip(cases, isolated):
+        red = reduce_floer(C)
+        assert sorted(red.basis) == list(range(C.dim()))
+        for i in lone:
+            assert i in red.unpaired and red.basis[i] == {i: NOV_ONE}
+
+
+def test_concise_barcode_finite_is_sorted():
+    """The finite bars are sorted by (length, degree); an unsorted tuple
+    raises, a sorted one with repeats is accepted."""
+    for finite in (((F(2), 0), (F(1), 0)), ((F(1), 1), (F(1), 0))):
+        with pytest.raises(ValueError, match="sorted"):
+            ConciseBarcode(finite, ())
+    B = ConciseBarcode(((F(1), 0), (F(1), 0), (F(1), 1), (F(3), 0)), ((0, 2),))
+    assert B.bar_count(1) == 3 and B.bar_count(0) == 6
+
+
+def test_bar_count_matches_linear_count():
+    """bar_count bisects on the sorted lengths; it equals the count of
+    finite bars longer than delta plus the infinite bars, for delta below,
+    between, equal to and above the bar lengths."""
+    rng = random.Random(37)
+    for _ in range(200):
+        finite = tuple(sorted((F(rng.randrange(0, 12), rng.choice((1, 2, 3))),
+                                rng.randrange(0, 3))
+                               for _ in range(rng.randrange(0, 9))))
+        infinite = tuple((d, rng.randrange(1, 3)) for d in range(rng.randrange(0, 3)))
+        B = ConciseBarcode(finite, infinite)
+        deltas = [F(0), F(rng.randrange(0, 50), 4)] + [l for l, _ in finite]
+        for delta in deltas:
+            linear = sum(1 for l, _ in finite if l > delta) + sum(c for _, c in infinite)
+            assert B.bar_count(delta) == linear
 
 
 def _random_floer(rng, n_pairs=None) -> FloerComplex:
