@@ -152,6 +152,7 @@ def verify(profile: PiecewiseProfile, grad_slack: float = 1e-3) -> VerifyReport:
         violations.append(("min", float(f.min())))
     if f.min() < -1e-12:
         violations.append(("negative", float(f.min())))
+    # declared balls pairwise disjoint
     pts = profile.critical_points
     for i, j in _candidate_pairs(pts, L):
         pi, ri = pts[i]
@@ -174,7 +175,7 @@ def _candidate_pairs(pts: list[tuple], L: float) -> list[tuple[int, int]]:
     radius of each other around the circle, so a sweep over the sorted
     first coordinates, wrapped once, finds them.  The reach carries a slack
     of 1e-9 * L for the rounding of ``% L``.  A ball whose first coordinate
-    or radius is not finite, or is NaN, meets no other under the distance
+    is not finite, or whose radius is NaN, meets no other under the distance
     test; an infinite radius makes every pair a candidate."""
     live = [(p[0] if isinstance(p, tuple) else p, r, k)
             for k, (p, r) in enumerate(pts)]
