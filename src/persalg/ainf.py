@@ -398,14 +398,13 @@ def bar_complex(A: TabulatedAInfCategory, B: Sequence[str], K: str, n_max: int
     return barC, mu_map, tensors
 
 
-def unit_reach(A: TabulatedAInfCategory, B: Sequence[str], K: str, n_max: int,
-               working_precision=None):
+def unit_reach(A: TabulatedAInfCategory, B: Sequence[str], K: str, n_max: int):
     """R([e_K], [mu^bar(K)]) at the length-n_max truncation."""
     barC, mu_map, tensors = bar_complex(A, B, K, n_max)
     kk = A.hom(K, K)
     e_idx = kk.index(A.units[K])
     w = {e_idx: NOV_ONE}
-    return reach_gap_floer(w, 0, mu_map, working_precision)
+    return reach_gap_floer(w, 0, mu_map)
 
 
 def verify_unit_witness(A: TabulatedAInfCategory, B: Sequence[str], K: str,

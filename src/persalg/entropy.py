@@ -81,8 +81,9 @@ class EtaProfile:
         return s * (1.0 - _smoothstep(x - 7))
 
 
-def eta_solve(profile: EtaProfile, ell, n, tol: float = 1e-12) -> tuple[float, float]:
-    """The two roots of eta'(r) = ell/n, r in (1,2) and r' in (7,8)."""
+def eta_solve(profile: EtaProfile, ell, n) -> tuple[float, float]:
+    """The two roots of eta'(r) = ell/n, r in (1,2) and r' in (7,8), to 1e-12."""
+    tol = 1e-12
     target = float(ell) / float(n)
     if not 0 < target < profile.sigma:
         raise ValueError("admissibility requires 0 < ell/n < sigma")
@@ -116,7 +117,6 @@ class LengthSpectrum:
 
     lengths: Optional[tuple] = None
     count_fn: Optional[Callable[[float], int]] = None
-    generic: bool = True  # the sigma not-in-QL assumption
 
     def __post_init__(self):
         if (self.lengths is None) == (self.count_fn is None):
@@ -167,11 +167,10 @@ def certified_bar_count(spectrum: LengthSpectrum, n: int, delta) -> int:
 def floer_action_model(spectrum: LengthSpectrum, profile: EtaProfile, n: int,
                        delta) -> tuple[list[float], int]:
     """Numeric bar lengths (action gaps A(gamma') - A(gamma) per admissible
-    geodesic) plus the certified count at threshold delta."""
+    geodesic) plus the certified count at threshold delta.  The spectrum is
+    assumed generic: sigma is not in Q L for the lengths L."""
     if spectrum.lengths is None:
         raise ValueError("the explicit action model needs an explicit spectrum")
-    if not spectrum.generic:
-        raise ValueError("the action model requires the genericity flag")
     gaps = []
     for ell in spectrum.lengths:
         if ell / n >= profile.sigma:

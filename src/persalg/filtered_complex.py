@@ -5,9 +5,8 @@ filtration levels, plus a strictly filtration-respecting differential given
 as a sparse Z2 matrix.  Internally columns are bitmasks over the generator
 list.  The key algorithms:
 
-* ``decompose_elementary`` -- filtered Gaussian reduction into elementary
-  pieces E2(a,b) (db = a) and E1(c) (dc = 0), with the filtered change of
-  basis;
+* ``_pairing`` -- the filtered Gaussian reduction: a new basis of pairs
+  (a, b) with db = a and single cycles c, read by every call below;
 * ``homology_barcode`` -- persistence barcode from the pivot pairing alone;
   ``barcode_by_rank_oracle`` computes it again from ranks alone;
 * ``cone`` / ``internal_hom`` / ``truncate`` -- standard constructions;
@@ -24,8 +23,8 @@ All GF(2) elimination (reduction, rank, kernel, solve) goes through
 and ``stability_reduce`` runs the one filtered reduction ``_pairing`` once
 and compares gaps as integers.  Coordinates in the new basis come from
 reducing against it in position coordinates; vectors are mapped back to the
-generators only where they are read (the decomposition and truncate's
-section), and nothing is kept on the complex.
+generators only where they are read (truncate's section), and nothing is
+kept on the complex.
 """
 
 from __future__ import annotations
@@ -114,12 +113,6 @@ class FilteredComplex:
 
     def d_of(self, vec: int) -> int:
         return gf2.apply(self.dmat, vec)
-
-    def level_of(self, vec: int) -> Optional[Fraction]:
-        return max((self.gens[i].level for i in gf2.bits(vec)), default=None)
-
-    def named(self, vec: int) -> list[str]:
-        return [self.gens[i].name for i in gf2.bits(vec)]
 
     # -- serialization -----------------------------------------------------
 
@@ -249,29 +242,7 @@ class FilteredMap:
         return gf2.apply(self.mat, vec)
 
 
-# -- elementary decomposition -------------------------------------------------
-
-@dataclass
-class ElementaryDecomposition:
-    """Pairs (a,b) with d b = a and singles c, in a filtered new basis.
-
-    Each pair entry holds the (a_vec, b_vec) bitmasks over the original
-    generators, the exact filtration levels of the two new basis vectors,
-    and the degree of the homology class (the a side); singles hold the
-    cycle vector, its level, and its degree.
-    """
-
-    complex: FilteredComplex
-    pairs: list[tuple[int, int, Fraction, Fraction, int]]  # a_vec, b_vec, va, vb, deg_a
-    singles: list[tuple[int, Fraction, int]]  # c_vec, vc, deg_c
-
-    def basis(self) -> list[tuple[str, int, Fraction, int]]:
-        """The new basis as (name, vector, level, degree), in ``_basis_name``'s order."""
-        db = self.complex.d_degree
-        sides = [s for a_vec, b_vec, va, vb, deg in self.pairs
-                 for s in ((a_vec, va, deg), (b_vec, vb, deg - db))] + self.singles
-        return [(_basis_name(p, 2 * len(self.pairs)), *s) for p, s in enumerate(sides)]
-
+# -- the filtered reduction ----------------------------------------------------
 
 def _basis_name(p: int, n_paired: int) -> str:
     """Pair k of the new basis is p{k}_a, p{k}_b at 2k, 2k + 1; then single k is s{k}."""
@@ -280,9 +251,10 @@ def _basis_name(p: int, n_paired: int) -> str:
 
 def _pairing(C: FilteredComplex):
     """The one filtered reduction, ties broken by generator index: (D, levels,
-    order, sides, n_paired).  levels[g] is generator g's level times the common
-    scale D; position p is generator order[p] in level order.  sides is the new
-    basis in ``_basis_name``'s order as (leading generator, vector over the
+    order, to_pos, sides, n_paired).  levels[g] is generator g's level times
+    the common scale D; position p is generator order[p] in level order, and
+    to_pos[g] is generator g's unit vector over the positions.  sides is the
+    new basis in ``_basis_name``'s order as (leading generator, vector over the
     positions, degree): a and b (d b = a) of each pair, then each single cycle."""
     n = C.dim()
     D = common_scale(g.level for g in C.gens)
@@ -306,26 +278,17 @@ def _pairing(C: FilteredComplex):
         sides += ((order[low], r, deg), (order[v.bit_length() - 1], v, deg - C.d_degree))
     n_paired = len(sides)
     sides += [(order[p], v, C.degree_of(order[p])) for p, v in zero_cols if p not in ech.pivots]
-    return D, levels, order, sides, n_paired
+    return D, levels, order, to_pos, sides, n_paired
 
 
 def _truncation(pairing, delta: Fraction) -> list[int]:
     """The positions of the new basis kept by the delta-truncation: both
     sides of each pair of gap > delta, and every single.  An integer gap is
     > delta * D iff it is > floor(delta * D)."""
-    D, levels, _, sides, n_paired = pairing
+    D, levels, _, _, sides, n_paired = pairing
     cut = math.floor(delta * D)
     return [p for p in range(len(sides)) if p >= n_paired or
             levels[sides[p | 1][0]] - levels[sides[p & ~1][0]] > cut]
-
-
-def decompose_elementary(C: FilteredComplex) -> ElementaryDecomposition:
-    """Filtered Gaussian reduction; ties broken by generator index."""
-    _, _, order, sides, n_paired = _pairing(C)
-    from_pos = [1 << g for g in order]
-    new = [(gf2.apply(from_pos, vec), C.gens[g].level, deg) for g, vec, deg in sides]
-    return ElementaryDecomposition(C, [(a[0], b[0], a[1], b[1], a[2]) for a, b in
-                                       zip(new[:n_paired:2], new[1:n_paired:2])], new[n_paired:])
 
 
 def homology_barcode(C: FilteredComplex) -> Barcode:
@@ -335,7 +298,7 @@ def homology_barcode(C: FilteredComplex) -> Barcode:
 def _barcode(C: FilteredComplex, pairing) -> Barcode:
     """Trusted construction from the pairing, sorted once on integer levels,
     in the public order (an infinite death last)."""
-    _, levels, _, sides, n_paired = pairing
+    _, levels, _, _, sides, n_paired = pairing
     keyed = []
     for (a, _, deg), (b, _, _) in zip(sides[:n_paired:2], sides[1:n_paired:2]):
         if levels[a] < levels[b]:
@@ -417,7 +380,7 @@ def truncate(C: FilteredComplex, delta) -> tuple[FilteredComplex, FilteredMap, F
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     pairing = _pairing(C)
-    _, _, order, sides, n_paired = pairing
+    _, _, order, _, sides, n_paired = pairing
     kept = _truncation(pairing, delta)
     gens = [Gen(_basis_name(p, n_paired), sides[p][2], C.gens[sides[p][0]].level) for p in kept]
     # the b side of a kept pair comes right after its a side
@@ -485,13 +448,6 @@ def internal_hom(C: FilteredComplex, D: FilteredComplex) -> FilteredComplex:
     return FilteredComplex(gens, diff, C.modulus, C.cohomological, validate=False)
 
 
-def hom_barcode_oracle(C: FilteredComplex, D: FilteredComplex) -> Barcode:
-    """Barcode of H(hom(C,D)) by level-wise ranks of the space of chain maps
-    of shift <= s modulo homotopies (independent of the pairing route)."""
-    H = internal_hom(C, D)
-    return barcode_by_rank_oracle(H)
-
-
 # -- cone length --------------------------------------------------------------
 
 @dataclass
@@ -527,7 +483,7 @@ def cone_length(C: FilteredComplex, eps, mode: str = "to_target") -> tuple[int, 
     if mode not in ("to_target", "to_zero"):
         raise ValueError("mode must be to_target or to_zero")
     pairing = _pairing(C)
-    _, levels, _, sides, n_paired = pairing
+    _, levels, _, _, sides, n_paired = pairing
     # level order, the b side of a pair after its a side at equal level
     kept = sorted(_truncation(pairing, 2 * eps), key=lambda p: (levels[sides[p][0]],
                                                               p % 2 if p < n_paired else 0))
@@ -734,10 +690,7 @@ def stability_reduce(C: FilteredComplex, dprime: dict[int, Iterable[int]], delta
     # change to the d-elementary basis: each new basis vector leads at its
     # own position, so reducing a vector against them, each tagged by its
     # index, gives its coordinates
-    scale, levels, order, sides, n_paired = _pairing(C)
-    to_pos = [0] * n
-    for p, g in enumerate(order):
-        to_pos[g] = 1 << p
+    scale, levels, order, to_pos, sides, n_paired = _pairing(C)
     D_pos = [gf2.apply(to_pos, D[g]) for g in order]
     ech = gf2.Echelon()
     for p, (_, vec, _) in enumerate(sides):

@@ -275,17 +275,15 @@ def build_torus_bxy(precision=120, h=0) -> FukayaModel:
                        witness, single_lagrangian=False, precision=precision)
 
 
-def build_torus_longitudes(N: int, precision=8, h=0, u_strip: int = 1,
-                           ey_strip: Optional[int] = None) -> FukayaModel:
+def build_torus_longitudes(N: int, precision=8, h=0) -> FukayaModel:
     """The prop-235 family {L_y, L_1..L_N}, L_j at height (j-1)/N.
 
-    ``u_strip`` is the index i with the quantum maximum between L_i and
-    L_{i+1}; ``ey_strip`` the index l with e_y between L_l and L_{l+1}
-    (defaults to N).  Parallel longitudes have hom = 0.  For even N the
-    per-strip OC series away from u are tabulated with the divisor-residue
-    classes already contributing to the u-strip series removed (set
-    semantics), which for N = 2 is what keeps the total equal to the
-    divisor-sum series instead of cancelling outright.
+    The quantum maximum u lies on strip 1, between L_1 and L_2, and e_y on
+    strip N, between L_N and L_1.  Parallel longitudes have hom = 0.  For
+    even N the per-strip OC series away from u are tabulated with the
+    divisor-residue classes already contributing to the u-strip series
+    removed (set semantics), which for N = 2 is what keeps the total equal
+    to the divisor-sum series instead of cancelling outright.
     """
     N = int(N)
     if N < 2:
@@ -293,8 +291,6 @@ def build_torus_longitudes(N: int, precision=8, h=0, u_strip: int = 1,
                          "series of the N = 1 case diverges at exponent 0)")
     precision = Fraction(precision)
     h = Fraction(h)
-    if ey_strip is None:
-        ey_strip = N
     objs = ["Ly"] + [f"L{j}" for j in range(1, N + 1)]
     gens = [HomGen("e_y", "Ly", "Ly", 0, 0), HomGen("pt_y", "Ly", "Ly", 1, 0)]
     for j in range(1, N + 1):
@@ -323,7 +319,7 @@ def build_torus_longitudes(N: int, precision=8, h=0, u_strip: int = 1,
         mu[(f"ayx{j}", f"axy{j}", f"ayx{jn}")] = {f"ayx{jn}": qht}
         mu[(f"axy{jn}", f"ayx{j}", f"axy{j}")] = {f"axy{jn}": qht}
         # mu_4 contractions
-        cj = A1 if j != ey_strip else 1 - A1
+        cj = A1 if j != N else 1 - A1
         qv = q_series("v", cj, precision)
         mu[(f"axy{j}", f"ayx{jn}", f"axy{jn}", f"ayx{j}")] = {f"e{j}": qh_}
         mu[(f"axy{jn}", f"ayx{j}", f"axy{j}", f"ayx{jn}")] = {f"e{jn}": qh_}
@@ -341,7 +337,7 @@ def build_torus_longitudes(N: int, precision=8, h=0, u_strip: int = 1,
     for j in range(1, N + 1):
         jn = j % N + 1
         t4 = (f"axy{j}", f"ayx{jn}", f"axy{jn}", f"ayx{j}")
-        oc[t4] = {"u": oc_u} if j == u_strip else ({"u": oc_other} if oc_other else {})
+        oc[t4] = {"u": oc_u} if j == 1 else ({"u": oc_other} if oc_other else {})
         oc[(f"e{j}", f"axy{j}", f"ayx{j}")] = {}
     witness: Chain = {}
     for j in range(1, N + 1):
@@ -459,12 +455,11 @@ class Certificate:
         }
 
 
-def approximability_certificate(model: FukayaModel, witness: Optional[Chain] = None,
-                                target: str = "u") -> Certificate:
-    """R(u_d, OC) <= lowest OC exponent + witness level; the family then
-    retract-approximates with accuracy R/2 + nu(p) (no nu term for a
-    single-Lagrangian family)."""
-    w = witness if witness is not None else model.witness
+def approximability_certificate(model: FukayaModel) -> Certificate:
+    """R(u_d, OC) <= lowest OC exponent + witness level, for the model's own
+    witness and the class u; the family then retract-approximates with
+    accuracy R/2 + nu(p) (no nu term for a single-Lagrangian family)."""
+    w = model.witness
     try:
         if not is_cycle(model.category, w):
             raise ValueError("certificate witness is not a Hochschild cycle")
@@ -472,9 +467,9 @@ def approximability_certificate(model: FukayaModel, witness: Optional[Chain] = N
     except CoverageError as exc:
         cycle_check = f"coverage-limited: missing {exc.args[0]}"
     value = oc_evaluate(model, w)
-    cu = value.coefficient(target)
+    cu = value.coefficient("u")
     if not cu:
-        raise ValueError(f"open-closed image does not reach {target}")
+        raise ValueError("open-closed image does not reach u")
     lam = cu.valuation
     level = chain_level(model.category, w)
     r_bound = lam + level

@@ -115,11 +115,10 @@ def hochschild_complex(A: TabulatedAInfCategory, objects: Sequence[str],
 
 
 def hochschild_barcode(A: TabulatedAInfCategory, objects: Sequence[str],
-                       n_max: int, degree: Optional[int] = None,
-                       working_precision=None):
+                       n_max: int, degree: Optional[int] = None):
     """Concise barcode of F^{n_max} CC (optionally a single degree)."""
     C, tensors = hochschild_complex(A, objects, n_max)
-    B = concise_barcode(C, working_precision)
+    B = concise_barcode(C)
     if degree is None:
         return B
     m = A.modulus
@@ -130,14 +129,14 @@ def hochschild_barcode(A: TabulatedAInfCategory, objects: Sequence[str],
 
 
 def class_boundary_depth(A: TabulatedAInfCategory, objects: Sequence[str],
-                         n_max: int, c: Chain, working_precision=None):
+                         n_max: int, c: Chain):
     """Boundary depth of the class [c]: death level minus its own level."""
     C, tensors = hochschild_complex(A, objects, n_max)
     index = {t: i for i, t in enumerate(tensors)}
     vec = {}
     for t, coeff in chain_canonical(A, c).items():
         vec[index[t]] = coeff
-    lvl = death_level(C, vec, working_precision)
+    lvl = death_level(C, vec)
     if lvl is None:
         raise ValueError("the class is zero")
     if lvl == float("inf"):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -102,13 +102,14 @@ def build_1d(K, delta, eta, circumference=1.0, resolution: int = 10000,
     return PiecewiseProfile(vals, L, K, delta, eta, crits)
 
 
-def verify(profile: PiecewiseProfile, grad_slack: float = 1e-3) -> VerifyReport:
+def verify(profile: PiecewiseProfile) -> VerifyReport:
     """Grid checks: 0 <= f, min = 0, variation <= K, central-difference
-    gradient >= delta outside the declared balls (with delta*slack leeway),
+    gradient >= delta outside the declared balls (with delta*1e-3 leeway),
     declared balls pairwise disjoint with radii <= eta."""
     import numpy as np
     f = profile.samples
     L = profile.domain_size
+    grad_floor = profile.delta * (1 - 1e-3)
     violations = []
     if f.ndim == 1:
         n = f.shape[0]
@@ -121,7 +122,7 @@ def verify(profile: PiecewiseProfile, grad_slack: float = 1e-3) -> VerifyReport:
                 violations.append(("radius", pos, rad))
             d = np.abs((xs - pos + L / 2) % L - L / 2)
             outside &= d > rad
-        bad = outside & (np.abs(grad) < profile.delta * (1 - grad_slack))
+        bad = outside & (np.abs(grad) < grad_floor)
         for i in np.where(bad)[0][:5]:
             violations.append(("gradient", float(xs[i]), float(grad[i])))
         crit_count = _count_sign_changes(grad)
@@ -140,7 +141,7 @@ def verify(profile: PiecewiseProfile, grad_slack: float = 1e-3) -> VerifyReport:
             dx = np.abs((X - px + L / 2) % L - L / 2)
             dy = np.abs((Y - py + L / 2) % L - L / 2)
             outside &= np.hypot(dx, dy) > rad
-        bad = outside & (norm < profile.delta * (1 - grad_slack))
+        bad = outside & (norm < grad_floor)
         idx = np.argwhere(bad)[:5]
         for i, j in idx:
             violations.append(("gradient", (float(xs0[i]), float(xs1[j])), float(norm[i, j])))
@@ -208,12 +209,12 @@ def _count_sign_changes(grad: np.ndarray) -> int:
     return changes
 
 
-def fold_step(profile: PiecewiseProfile, cut_levels: Sequence[float],
-              smoothing: Optional[float] = None) -> PiecewiseProfile:
+def fold_step(profile: PiecewiseProfile, cut_levels: Sequence[float]) -> PiecewiseProfile:
     """Reflect the profile at regular cut levels a_1 < a_2 < ...: values
     follow the sawtooth fold of the level axis, then are renormalized to
     min 0.  The critical set is re-derived from the folded samples (local
-    extrema clustered into declared balls of the smoothing radius)."""
+    extrema clustered into declared balls); the new eta is at least the
+    smoothing radius max(eta, 4h) for the grid step h."""
     import numpy as np
     if profile.samples.ndim != 1:
         raise ValueError("fold_step is 1-D")
@@ -236,7 +237,7 @@ def fold_step(profile: PiecewiseProfile, cut_levels: Sequence[float],
     out = out - out.min()
     n = len(out)
     h = profile.domain_size / n
-    eps = smoothing if smoothing is not None else max(profile.eta, 4 * h)
+    eps = max(profile.eta, 4 * h)
     crits = _detect_critical_clusters(out, profile.domain_size, profile.delta, h)
     eta_new = max([profile.eta] + [rad for _, rad in crits])
     return PiecewiseProfile(out, profile.domain_size, profile.K,

@@ -307,8 +307,8 @@ def bar_count_at(C: FloerComplex, delta, working_precision=None) -> int:
     return concise_barcode(C, working_precision).bar_count(delta)
 
 
-def boundary_depth(C: FloerComplex, working_precision=None) -> Fraction:
-    B = concise_barcode(C, working_precision)
+def boundary_depth(C: FloerComplex) -> Fraction:
+    B = concise_barcode(C)
     return max((l for l, _ in B.finite), default=Fraction(0))
 
 
@@ -324,17 +324,16 @@ def counting_lemma_bound(C: FloerComplex) -> tuple[Fraction, Fraction]:
 
 # -- membership / gap computations --------------------------------------------
 
-def express_in_reduction(red: Reduction, w: dict[int, NovikovElement],
-                         working_precision=None):
-    """Write the cycle w as sum c_i d(B_i) + sum q_j U_j in the reduced basis.
+def express_in_reduction(red: Reduction, w: dict[int, NovikovElement]):
+    """Write the cycle w as sum c_i d(B_i) + sum q_j U_j in the reduced basis,
+    inverting pivots at the automatic working precision.
 
     Returns (pair_coeffs, unpaired_coeffs) where pair_coeffs[(bi, aj)] = c and
     unpaired_coeffs[u] = q.  Raises if w is not in the span (not a cycle).
     """
     C = red.complex
     D, lev, _ = _lattice(C)
-    prec = (Fraction(working_precision) if working_precision is not None
-            else _auto_precision(C, D, lev))
+    prec = _auto_precision(C, D, lev)
     # columns of the linear system: the boundaries d(B_i) and unpaired U_j
     columns: list[tuple[str, object, dict[int, NovikovElement]]] = []
     for bi, aj, _ in red.pairs:
@@ -393,16 +392,15 @@ def express_in_reduction(red: Reduction, w: dict[int, NovikovElement],
     return pair_coeffs, unp_coeffs
 
 
-def death_level(C: FloerComplex, w: dict[int, NovikovElement],
-                working_precision=None):
+def death_level(C: FloerComplex, w: dict[int, NovikovElement]):
     """inf{s : w in d(C^{<= s})}, or INF if [w] survives forever.
 
     ``w`` must be a cycle; the optimum is read off the orthogonalized
     reduction: with w = sum c_i d(B_i) + sum q_j U_j, the minimal primitive
     level is max_i (l(B_i) - val(c_i)), and any nonzero q_j means +inf.
     """
-    red = reduce_floer(C, working_precision)
-    pair_coeffs, unp_coeffs = express_in_reduction(red, w, working_precision)
+    red = reduce_floer(C)
+    pair_coeffs, unp_coeffs = express_in_reduction(red, w)
     if not sparse.is_zero(unp_coeffs):
         return INF
     if not pair_coeffs:
@@ -474,14 +472,13 @@ def floer_cone(f: FloerMap) -> tuple[FloerComplex, int]:
     return FloerComplex(gens, diff, B.modulus, validate=False), nb
 
 
-def reach_gap_floer(w: dict[int, NovikovElement], level_r, f: FloerMap,
-                    working_precision=None):
+def reach_gap_floer(w: dict[int, NovikovElement], level_r, f: FloerMap):
     """R(w, f) over the Novikov field via the cone trick: w is reached at
     level s iff it becomes a boundary of the cone at level s."""
     r = Fraction(level_r)
     conec, nb = floer_cone(f)
     w_cone = dict(w)
-    lvl = death_level(conec, w_cone, working_precision)
+    lvl = death_level(conec, w_cone)
     if lvl is None:
         return r
     if lvl == INF:

@@ -153,6 +153,31 @@ def test_precision_has_one_default(capsys, monkeypatch):
     assert want[0] == 0 and run_cli(["model", "--model", "torus"], capsys) == want
 
 
+def test_model_precision_truncates_only_the_longitude_series(capsys):
+    """--precision reaches the output of `model` only where the μ table holds
+    q-series: the longitude family's entries are truncated at it, and the
+    torus b_xy model prints the same at 4 and at 24."""
+    docs = {}
+    for p in ("4", "24"):
+        code, out, _ = run_cli(["model", "--model", "torus-longitudes", "--precision", p], capsys)
+        assert code == 0
+        docs[p] = json.loads(out)
+    assert docs["4"] != docs["24"]
+    assert {k: v for k, v in docs["4"].items() if k != "mu"} == \
+        {k: v for k, v in docs["24"].items() if k != "mu"}
+    series = 0
+    for low, high in zip(docs["4"]["mu"], docs["24"]["mu"]):
+        assert low["inputs"] == high["inputs"]
+        for a, b in zip(low["output_terms"], high["output_terms"], strict=True):
+            assert (a["gen"], a["precision"], b["precision"]) == (b["gen"], "4", "24")
+            low_terms, high_terms = a["novikov"].split(" + "), b["novikov"].split(" + ")
+            assert high_terms[:len(low_terms)] == low_terms
+            series += len(low_terms) < len(high_terms)
+    assert series > 0
+    torus = [run_cli(["model", "--model", "torus", "--precision", p], capsys) for p in ("4", "24")]
+    assert torus[0][0] == 0 and torus[0] == torus[1]
+
+
 def test_parse_error_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

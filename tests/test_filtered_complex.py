@@ -13,13 +13,11 @@ from persalg.filtered_complex import (
     barcode_by_rank_oracle,
     cone,
     cone_length,
-    decompose_elementary,
     direct_sum,
     e1,
     e2,
     family_constant,
     full_differential,
-    hom_barcode_oracle,
     homology_barcode,
     internal_hom,
     min_cone_decomposition,
@@ -43,13 +41,13 @@ def bars_of(C):
 
 
 def test_elementary_examples():
-    C = e2(0, 1)
-    dec = decompose_elementary(C)
-    assert len(dec.pairs) == 1 and not dec.singles
-    assert dec.pairs[0][2:4] == (F(0), F(1))
+    V, _, _ = truncate(e2(0, 1), 0)
+    assert [(g.name, g.level) for g in V.gens] == [("p0_a", F(0)), ("p0_b", F(1))]
+    assert V.dmat == [0, 1]
     D = FilteredComplex([Gen(f"c{i}", 0, i) for i in range(3)], {})
-    dec2 = decompose_elementary(D)
-    assert len(dec2.singles) == 3 and not dec2.pairs
+    V2, _, _ = truncate(D, 0)
+    assert [(g.name, g.level) for g in V2.gens] == [("s0", F(0)), ("s1", F(1)), ("s2", F(2))]
+    assert V2.dmat == [0, 0, 0]
 
 
 def test_barcode_examples():
@@ -143,7 +141,7 @@ def test_internal_hom_oracle_small():
         C = random_complex(rng, 2)
         D = random_complex(rng, 2)
         H = internal_hom(C, D)
-        assert sorted(homology_barcode(H).bars) == sorted(hom_barcode_oracle(C, D).bars)
+        assert sorted(homology_barcode(H).bars) == sorted(barcode_by_rank_oracle(H).bars)
 
 
 def test_cone_length_examples():
@@ -417,10 +415,7 @@ def test_cohomological_flag():
         direct_sum(C, e2(0, 1))  # flags must agree across summands
 
 
-# -- pinned outputs of the elementary-basis constructions ---------------------
-# sha256 digests of the reprs, computed before the constructions shared
-# ElementaryDecomposition.basis(): generator names, order, levels, the
-# differential and the map matrices must not move.
+# -- pinned outputs of truncate, cone_length and stability_reduce -------------
 
 MIXED_DENOMINATORS = (1, 2, 3, 5, 6)
 
@@ -531,38 +526,34 @@ def _state(C) -> dict:
 
 def test_one_reduction_per_call_and_nothing_kept(monkeypatch):
     """homology_barcode, cone_length, truncate and stability_reduce each run
-    the filtered reduction once without building the decomposition, and none
-    of them keeps anything on the complex."""
+    the filtered reduction once, and none of them keeps anything on the
+    complex."""
     reductions = _count_calls(monkeypatch, "_pairing")
-    decompositions = _count_calls(monkeypatch, "decompose_elementary")
     rng = random.Random(44)
     for C in _mixed_complexes()[:10]:
         before = _state(C)
         for call in (homology_barcode, lambda C: cone_length(C, F(1, 2)),
                      lambda C: cone_length(C, 0, "to_zero"), lambda C: truncate(C, F(1, 3))):
-            del reductions[:], decompositions[:]
+            del reductions[:]
             call(C)
-            assert reductions == [C] and _state(C) == before and not decompositions
+            assert reductions == [C] and _state(C) == before
     for _ in range(10):
         delta = F(rng.randrange(1, 7), rng.choice((1, 2, 3)))
         C, dprime = random_stability_instance(rng, delta)
         before = _state(C)
-        del reductions[:], decompositions[:]
+        del reductions[:]
         stability_reduce(C, dprime, delta)
-        assert reductions == [C] and _state(C) == before and not decompositions
+        assert reductions == [C] and _state(C) == before
 
 
 def _cone_steps_from_basis(C, eps):
-    """cone_length's steps read off decompose_elementary(C).basis(): both
+    """cone_length's steps read off the generators of truncate(C, 2 eps): both
     sides of each pair of gap > 2 eps and every single, in level order with
-    the b side of a pair after its a side at equal level, then position."""
-    dec = decompose_elementary(C)
-    basis = dec.basis()
-    n_paired = 2 * len(dec.pairs)
-    kept = [p for p in range(len(basis))
-            if p >= n_paired or dec.pairs[p // 2][3] - dec.pairs[p // 2][2] > 2 * eps]
-    kept.sort(key=lambda p: (basis[p][2], p % 2 if p < n_paired else 0, p))
-    return [(basis[p][0], basis[p][2], basis[p][3], F(0)) for p in kept]
+    the b side of a pair (the generators with a nonzero differential) after
+    its a side at equal level, then by index."""
+    V, _, _ = truncate(C, 2 * eps)
+    kept = sorted(range(V.dim()), key=lambda i: (V.gens[i].level, V.dmat[i] != 0, i))
+    return [(V.gens[i].name, V.gens[i].level, V.gens[i].degree, F(0)) for i in kept]
 
 
 def test_cone_length_steps_equal_the_basis_reading():
