@@ -63,7 +63,11 @@ class AinfReport:
 class TabulatedAInfCategory:
     """The table ``mu``, ``gen_info`` and the index of generators by source
     are written only in ``__init__``; ``mu_gens`` hands out table entries
-    without copying them."""
+    without copying them.  That makes ``_terms`` valid: it keeps, filled on
+    first use, the contraction terms of each tensor t of ``cone_differential``
+    (key t, a tuple of names) and each pair (tx, ty) of ``star_product`` (key
+    (tx, ty), a tuple of two tuples), one entry per distinct input; an input
+    whose evaluation raises ``CoverageError`` keeps nothing."""
 
     def __init__(self, objects: Sequence[str], gens: Sequence[HomGen],
                  units: dict[str, str], mu: dict[tuple, Elem],
@@ -117,6 +121,7 @@ class TabulatedAInfCategory:
             infos = [self._known(g) for g in key]
             if not infos or any(a.target != b.source for a, b in zip(infos, infos[1:])):
                 raise ValueError(f"tuple {key} is not composable")
+        self._terms: dict[tuple, tuple] = {}
 
     # -- basic structure ----------------------------------------------------
 
@@ -307,9 +312,9 @@ def contractions(A: TabulatedAInfCategory, t: tuple[str, ...], whole: bool = Tru
     raising nothing, unless it has length 2.  Such a block is skipped
     unevaluated, and the first one of length 3 or more ends its row, since
     every longer block of the row holds the unit too.  ``verify`` and
-    ``star_product`` apply the rule in the same three lines; it is not
-    factored out because a per-block iterator or a per-row helper makes the
-    star-Leibniz checks 10 to 40 % slower."""
+    ``_star_terms`` apply the rule in the same three lines.
+    ``cone_differential`` keeps each tensor's terms in ``A._terms``, so it
+    runs this once per tensor; every other caller runs it afresh."""
     units, n = A.unit_names, len(t)
     for i in range(n):
         head = t[:i]
@@ -432,11 +437,15 @@ def cone_differential(A: TabulatedAInfCategory, x: dict[tuple, NovikovElement]
                       ) -> dict[tuple, NovikovElement]:
     """Differential of Cone(mu): all consecutive block contractions, the full
     one landing in the length-1 part."""
+    kept = A._terms
     out: dict[tuple, NovikovElement] = {}
     for t, c in x.items():
         if not c:
             continue
-        for key, v in contractions(A, t):
+        terms = kept.get(t)
+        if terms is None:
+            terms = kept[t] = tuple(contractions(A, t))
+        for key, v in terms:
             p = c * v
             old = out.get(key)
             out[key] = p if old is None else old + p
@@ -446,32 +455,43 @@ def cone_differential(A: TabulatedAInfCategory, x: dict[tuple, NovikovElement]
 def star_product(A: TabulatedAInfCategory, x: dict[tuple, NovikovElement],
                  y: dict[tuple, NovikovElement]) -> dict[tuple, NovikovElement]:
     """x * y = sum over nonempty suffixes of x and prefixes of y contracted
-    by mu, keeping the flanking factors; the blocks that vanish by the
-    strict-unit rule (``contractions``) are not evaluated."""
-    mu, units = A.mu_gens, A.unit_names
+    by mu, keeping the flanking factors (``_star_terms``)."""
+    kept = A._terms
     out: dict[tuple, NovikovElement] = {}
     for tx, cx in x.items():
         for ty, cy in y.items():
             c = cx * cy
             if not c:
                 continue
-            s, m = tx + ty, len(tx)
-            for k in range(m):  # keep tx[:k]; the block s[k:j] takes tx[k:] and ty[:j - m]
-                head = tx[:k]
-                held = not units.isdisjoint(tx[k:])
-                for j in range(m + 1, len(s) + 1):
-                    # the strict-unit rule, as in ``contractions``
-                    held = held or s[j - 1] in units
-                    if held and j - k != 2:
-                        if j - k > 2:
-                            break
-                        continue
-                    for h, v in mu(s[k:j]).items():
-                        key = head + (h,) + s[j:]
-                        p = c * v
-                        old = out.get(key)
-                        out[key] = p if old is None else old + p
+            terms = kept.get((tx, ty))
+            if terms is None:
+                terms = kept[tx, ty] = tuple(_star_terms(A, tx, ty))
+            for key, v in terms:
+                p = c * v
+                old = out.get(key)
+                out[key] = p if old is None else old + p
     return nonzero(out)
+
+
+def _star_terms(A: TabulatedAInfCategory, tx: tuple[str, ...], ty: tuple[str, ...]
+                ) -> Iterator[tuple[tuple[str, ...], NovikovElement]]:
+    """(tx[:k] + (h,) + ty[j:], v) for each suffix tx[k:] joined to each
+    nonempty prefix ty[:j] and each term v h of mu on the block; the blocks
+    that vanish by the strict-unit rule (``contractions``) are not evaluated."""
+    mu, units = A.mu_gens, A.unit_names
+    s, m = tx + ty, len(tx)
+    for k in range(m):  # keep tx[:k]; the block s[k:j] takes tx[k:] and ty[:j - m]
+        head = tx[:k]
+        held = not units.isdisjoint(tx[k:])
+        for j in range(m + 1, len(s) + 1):
+            # the strict-unit rule, as in ``contractions``
+            held = held or s[j - 1] in units
+            if held and j - k != 2:
+                if j - k > 2:
+                    break
+                continue
+            for h, v in mu(s[k:j]).items():
+                yield head + (h,) + s[j:], v
 
 
 def contracting_homotopy(A: TabulatedAInfCategory,
@@ -532,10 +552,6 @@ def maurer_cartan_defect(TC: TwistedComplex) -> dict[tuple[int, int], Elem]:
     return out
 
 
-def maurer_cartan_check(TC: TwistedComplex) -> bool:
-    return not maurer_cartan_defect(TC)
-
-
 def _q_chains(q: dict[tuple[int, int], Elem], i: int, j: int) -> Iterator[list[Elem]]:
     """The entries [q[c_0, c_1], ..., q[c_{k-1}, c_k]] along each chain
     i = c_0 < ... < c_k = j whose entries are all present (nonzero), in
@@ -569,17 +585,6 @@ def twisted_cone(f: dict[tuple[int, int], Elem], source: TwistedComplex,
         if not is_zero(v):
             q[(i, nA + j)] = dict(v)
     return TwistedComplex(A, summands, q)
-
-
-def object_twisted(A: TabulatedAInfCategory, X: str, shift=0, translation: int = 0
-                   ) -> TwistedComplex:
-    return TwistedComplex(A, [(X, Fraction(shift), int(translation))], {})
-
-
-def unit_inclusion(A: TabulatedAInfCategory, X: str, TC: TwistedComplex,
-                   slot: int) -> dict[tuple[int, int], Elem]:
-    """The morphism X -> TC hitting summand ``slot`` by the strict unit."""
-    return {(0, slot): A.unit(X)}
 
 
 def twist(A: TabulatedAInfCategory, Y: str, X: TwistedComplex) -> TwistedComplex:

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -15,15 +16,12 @@ from persalg.ainf import (
     contractions,
     contracting_homotopy,
     extract_unit_tensors,
-    maurer_cartan_check,
     maurer_cartan_defect,
-    object_twisted,
     shift_category,
     star_product,
     twist,
     twisted_cone,
     twisted_hom_complex,
-    unit_inclusion,
     unit_reach,
     verify_abouzaid_diagram,
     verify_lambda_homotopy,
@@ -39,6 +37,7 @@ from persalg.fukaya_models import (
 )
 from persalg.novikov import NOV_ONE, NovikovElement as N
 from persalg.novikov_complex import CoverageError, concise_barcode, floer_cone, FloerMap
+from persalg.sparse import add_into
 
 
 @pytest.fixture(scope="module")
@@ -238,20 +237,20 @@ def test_contracting_homotopy(single):
 
 def test_twisted_complex_mc(single):
     A = single.category
-    X = object_twisted(A, "L")
-    assert maurer_cartan_check(X)
+    X = TwistedComplex(A, [("L", F(0), 0)], {})
+    assert not maurer_cartan_defect(X)
     TLL = twist(A, "L", X)
-    assert maurer_cartan_check(TLL)
+    assert not maurer_cartan_defect(TLL)
     assert len(TLL.summands) == 3
 
 
 def test_twisted_cone_and_inclusion(single):
     A = single.category
-    X = object_twisted(A, "L")
+    X = TwistedComplex(A, [("L", F(0), 0)], {})
     TLL = twist(A, "L", X)
-    inc = unit_inclusion(A, "L", TLL, 2)  # the X-slot of T_L L
+    inc = {(0, 2): A.unit("L")}  # the X-slot of T_L L
     C = twisted_cone(inc, X, TLL, 0)
-    assert maurer_cartan_check(C)
+    assert not maurer_cartan_defect(C)
     assert len(C.summands) == 4
 
 
@@ -260,7 +259,7 @@ def test_twist_zero_hom():
     gens = [HomGen("eX", "X", "X", 0, 0), HomGen("eY", "Y", "Y", 0, 0)]
     A = TabulatedAInfCategory(["X", "Y"], gens, {"X": "eX", "Y": "eY"}, {},
                               declared_zero_homs=[("Y", "X"), ("X", "Y")])
-    T = twist(A, "Y", object_twisted(A, "X"))
+    T = twist(A, "Y", TwistedComplex(A, [("X", F(0), 0)], {}))
     assert len(T.summands) == 1 and T.summands[0][0] == "X"
 
 
@@ -268,7 +267,7 @@ def test_twisted_complex_validation(single):
     A = single.category
     ok = TwistedComplex(A, [("L", F(0), 0), ("L", F(0), 0)],
                         {(0, 1): {"pt_L": NOV_ONE}})
-    assert maurer_cartan_check(ok)
+    assert not maurer_cartan_defect(ok)
     with pytest.raises(ValueError):  # entry above filtration level 0
         TwistedComplex(A, [("L", F(0), 0), ("L", F(1), 0)],
                        {(0, 1): {"pt_L": NOV_ONE}})
@@ -291,14 +290,14 @@ def test_mc_defect_reported(single):
                          (2, 3): {"pt_L": NOV_ONE}})
     defect = maurer_cartan_defect(tc)
     assert (0, 3) in defect  # mu_3(pt,pt,pt) = T^{1/2} e_L survives
-    assert not maurer_cartan_check(tc)
+    assert maurer_cartan_defect(tc)
 
 
 def test_twisted_hom_matches_cone_of_contraction(single):
     """Yoneda image of T_L L vs the cone of the evaluation map on hom
     complexes: same concise barcode at every level (lambda-lemma check)."""
     A = single.category
-    TLL = twist(A, "L", object_twisted(A, "L"))
+    TLL = twist(A, "L", TwistedComplex(A, [("L", F(0), 0)], {}))
     H1 = twisted_hom_complex(A, "L", TLL)
     # cone of evaluation hom(L,L) (x) A(L,L) -> hom(L,L): with mu_1 = 0 the
     # evaluation phi(b (x) c) = mu_2(b, c)
@@ -329,7 +328,7 @@ def test_twisted_hom_matches_cone_of_contraction(single):
 
 def test_extract_unit_tensors(single):
     A = single.category
-    X = object_twisted(A, "L")
+    X = TwistedComplex(A, [("L", F(0), 0)], {})
     f = {0: A.unit("L")}
     g = {0: A.unit("L")}
     total, tensors = extract_unit_tensors(A, "L", X, f, g)
@@ -907,6 +906,126 @@ def test_unit_skip_matches_every_block_looked_up(single, sphere2):
                         [(k, c.exponents, c.precision) for k, c in want.items()]
                 seen["CoverageError" if isinstance(got, tuple) else "value"] += 1
     assert all(seen.values())
+
+
+
+# -- the kept contraction terms of the cone differential and star product ---------
+
+def _dump(outcome):
+    """An outcome of ``_outcome``: a dict as (key, exponents, precision) in
+    insertion order, or the CoverageError tuple."""
+    if isinstance(outcome, tuple):
+        return outcome
+    return [(k, c.exponents, c.precision) for k, c in outcome.items()]
+
+
+def test_kept_terms_equal_uncached_sums():
+    """On a fresh category of each model, the first and a repeat call of
+    cone_differential, star_product and contracting_homotopy give the dicts
+    (order, exponents and precisions) or the CoverageError of the sums that
+    look up every block; units at every position, exact and truncated
+    coefficients."""
+    models = (build_single_equator(), build_sphere(2, F(1, 100)),
+              build_sphere(4, F(1, 100)), build_torus_bxy(), build_torus_grid(2))
+    seen = Counter()  # (model, raised)
+    for seed, M in enumerate(models):
+        A = M.category
+        assert A._terms == {}
+        rng = random.Random(40 + seed)
+        tensors = _unit_tensors(A, rng, 60) + list(_composable(A, 2))
+
+        def elem():
+            return {t: _coefficient(rng) for t in rng.sample(tensors, rng.randint(1, 3))}
+
+        for _ in range(40):
+            x, y, h_chain = elem(), elem(), elem()
+            a_K = {g: _coefficient(rng) for g in rng.sample(sorted(A.gen_info), 2)}
+            total = dict(h_chain)
+            add_into(total, {(g,): c for g, c in a_K.items()})
+            H = contracting_homotopy(A, h_chain, a_K)
+            for fn, args, naive, naive_args in (
+                    (cone_differential, (A, x), _naive_cone_differential, (A, x)),
+                    (star_product, (A, x, y), _naive_star_product, (A, x, y)),
+                    (H, (x,), _naive_star_product, (A, x, total))):
+                want = _dump(_outcome(naive, *naive_args))
+                assert _dump(_outcome(fn, *args)) == want, (M, x, y)
+                assert _dump(_outcome(fn, *args)) == want, (M, x, y)
+                seen[seed, isinstance(want, tuple)] += 1
+    assert all(seen[seed, False] for seed in range(len(models)))
+    assert all(seen[seed, True] for seed in range(1, len(models)))  # single covers all
+
+
+def test_uncovered_input_keeps_nothing():
+    """An input whose terms meet an uncovered block raises the reference's
+    CoverageError on every call and leaves the table as it was; a shifted
+    or JSON round-tripped category starts with an empty table."""
+    A = build_sphere(2, F(1, 100)).category
+    rng = random.Random(12)
+    tensors, seen = list(_composable(A, 4)), 0
+    for _ in range(200):
+        tx, ty = rng.choice(tensors), rng.choice(tensors)
+        for fn, x, y in ((cone_differential, {tx: NOV_ONE}, None),
+                         (star_product, {tx: NOV_ONE}, {ty: NOV_ONE})):
+            args = (A, x) if y is None else (A, x, y)
+            naive = _naive_cone_differential if y is None else _naive_star_product
+            want = _outcome(naive, *args)
+            before = dict(A._terms)
+            assert _outcome(fn, *args) == want
+            assert _outcome(fn, *args) == want
+            if isinstance(want, tuple):
+                assert A._terms == before
+                seen += 1
+    assert seen and A._terms
+    assert shift_category(A, F(1, 3))[0]._terms == {}
+    assert TabulatedAInfCategory.from_json(A.to_json())._terms == {}
+
+
+def _block_counts(tensors, pairs):
+    """How often each block occurs, once per position, among the blocks of
+    the tensors (the cone differential's) and the suffix-prefix joins of
+    the pairs (the star product's)."""
+    out = Counter()
+    for t in tensors:
+        out.update(t[i:j] for i in range(len(t)) for j in range(i + 1, len(t) + 1))
+    for tx, ty in pairs:
+        out.update(tx[k:] + ty[:j] for k in range(len(tx)) for j in range(1, len(ty) + 1))
+    return out
+
+
+def test_star_leibniz_lookups_once_per_kept_entry(monkeypatch):
+    """Over the three terms of 200 random star-Leibniz identities on a fresh
+    category, mu is looked up on each block at most once per distinct tensor
+    or (tx, ty) pair that holds it, one table entry per such input; the same
+    sweep again looks up nothing."""
+    A = build_single_equator().category
+    mu_gens, asked = A.mu_gens, []
+
+    def mu(key):
+        asked.append(key)
+        return mu_gens(key)
+
+    monkeypatch.setattr(A, "mu_gens", mu)
+    rng = random.Random(13)
+    pairs = [(rand_cone_elem(rng), rand_cone_elem(rng)) for _ in range(200)]
+    tensors, joined = set(), set()
+
+    def sweep():
+        for x, y in pairs:
+            xy, dx, dy = star_product(A, x, y), cone_differential(A, x), cone_differential(A, y)
+            lhs = cone_differential(A, xy)
+            assert chains_equal(lhs, elem_add_chain(star_product(A, dx, y),
+                                                    star_product(A, x, dy)))
+            tensors.update(x, y, xy)
+            joined.update((tx, ty) for a, b in ((x, y), (dx, y), (x, dy))
+                          for tx in a for ty in b)
+
+    sweep()
+    bound = _block_counts(tensors, joined)
+    assert asked and all(n <= bound[key] for key, n in Counter(asked).items())
+    assert len(A._terms) == len(tensors) + len(joined)
+    asked.clear()
+    sweep()
+    assert asked == []
 
 
 def test_verify_unit_skip_matches_every_block_looked_up(single, sphere2):
