@@ -60,6 +60,16 @@ class AinfReport:
         return not self.failures
 
 
+class _Gap:
+    """A ``CoverageError`` held as a value, ``arg`` being its ``args[0]``;
+    never a dict, so it cannot be taken for an Elem."""
+
+    __slots__ = ("arg",)
+
+    def __init__(self, arg):
+        self.arg = arg
+
+
 class TabulatedAInfCategory:
     """The table ``mu``, ``gen_info`` and the index of generators by source
     are written only in ``__init__``; ``mu_gens`` hands out table entries
@@ -196,7 +206,17 @@ class TabulatedAInfCategory:
 
     def verify(self, max_arity: int = 4) -> AinfReport:
         """Check filtration/degree of the stored table and all A-infinity
-        relation instances whose constituent terms are covered."""
+        relation instances whose constituent terms are covered.
+
+        The relation of a key is the sum over blocks key[i:j] of
+        mu(key[:i] + mu(key[i:j]) + key[j:]), with the blocks that vanish
+        by the strict-unit rule skipped.  Terms are summed within a block by
+        rule K and blocks are accumulated by rule D (see ``sparse``).  The
+        lookups run in the order i, then j, then the inner block, then the
+        outer tuple of each of its terms in turn; the first uncovered one
+        ends the key, which is reported uncheckable with that
+        ``CoverageError``'s argument.  Each call looks every distinct tuple
+        up once, in a table it drops on return."""
         rep = AinfReport()
         for key, val in self.mu.items():
             total_level = sum(self.gen_info[g].level for g in key)
@@ -208,33 +228,57 @@ class TabulatedAInfCategory:
                 if self.modulus and (self.gen_info[h].degree - (total_deg + 2 - len(key))) % self.modulus:
                     rep.failures.append(("degree", key, h))
         units = self.unit_names
+        outcomes: dict[tuple, object] = {}  # tuple -> its mu_gens value or _Gap
+
+        def mu(t):
+            v = outcomes.get(t)
+            if v is None:
+                try:
+                    v = self.mu_gens(t)
+                except CoverageError as exc:
+                    v = _Gap(exc.args[0])
+                outcomes[t] = v
+            return v
+
+        def relation(key):
+            """The relation sum of ``key``, or the _Gap of its first gap."""
+            n, acc = len(key), {}
+            for i in range(n):
+                head, held = key[:i], False
+                for j in range(i + 1, n + 1):
+                    # the strict-unit rule, as in ``contractions``
+                    held = held or key[j - 1] in units
+                    if held and j - i != 2:
+                        if j - i > 2:
+                            break
+                        continue
+                    inner = mu(key[i:j])
+                    if inner.__class__ is _Gap:
+                        return inner
+                    if not inner:
+                        continue
+                    tail, outer = key[j:], {}
+                    for h, c in inner.items():
+                        val = mu(head + (h,) + tail)
+                        if val.__class__ is _Gap:
+                            return val
+                        for h2, c2 in val.items():
+                            p = c * c2
+                            old = outer.get(h2)
+                            outer[h2] = p if old is None else old + p
+                    if outer:
+                        accumulate(acc, outer)
+            return acc
+
         for tuples in self.composable(sorted(self.gen_info), self._by_source, max_arity):
             for key in tuples:
-                n = len(key)
-                try:
-                    acc: Elem = {}
-                    for i in range(n):
-                        held = False
-                        for j in range(i + 1, n + 1):
-                            # the strict-unit rule, as in ``contractions``
-                            held = held or key[j - 1] in units
-                            if held and j - i != 2:
-                                if j - i > 2:
-                                    break
-                                continue
-                            outer: Elem = {}
-                            for h, c in self.mu_gens(key[i:j]).items():
-                                for h2, c2 in self.mu_gens(key[:i] + (h,) + key[j:]).items():
-                                    p = c * c2
-                                    old = outer.get(h2)
-                                    outer[h2] = p if old is None else old + p
-                            accumulate(acc, outer)
-                    if not acc:
-                        rep.checked.append(key)
-                    else:
-                        rep.failures.append(("relation", key, acc))
-                except CoverageError as exc:
-                    rep.uncheckable.append((key, exc.args[0]))
+                acc = relation(key)
+                if acc.__class__ is _Gap:
+                    rep.uncheckable.append((key, acc.arg))
+                elif acc:
+                    rep.failures.append(("relation", key, acc))
+                else:
+                    rep.checked.append(key)
         return rep
 
     def composable(self, starts: Sequence[str], leaving: dict[str, Sequence[str]],

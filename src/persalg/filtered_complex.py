@@ -476,6 +476,15 @@ def cone_length(C: FilteredComplex, eps, mode: str = "to_target") -> tuple[int, 
 
     Also emits a realizing decomposition: the generators of the delta-
     truncation V_{2eps}, attached in level order (a before b in each pair).
+
+    The weight-budget variant N'(C; k, eps) counts decompositions of
+    lambda-weighted cones with total weight (including the weighted
+    end-isomorphism) at most eps.  Attachment shifts range over all reals,
+    so a lambda-cone over a shift-alpha source equals the plain cone over
+    the shift-(alpha+lambda) source; positive per-step weights therefore buy
+    nothing and the whole budget is best spent on the end isomorphism,
+    giving the exact identity N'(C; k, eps) = N(C; k, eps/2).  The sandwich
+    N(C; 2 eps) <= N'(C; eps) <= N(C; eps/4) is then the monotonicity of N.
     """
     eps = Fraction(eps)
     if eps < 0:
@@ -494,21 +503,6 @@ def cone_length(C: FilteredComplex, eps, mode: str = "to_target") -> tuple[int, 
         steps = steps[::-1]
     # a step per side of each pair of gap > 2 eps and per single: 2#B^{2eps} - dim H^inf
     return len(steps), ConeDecomposition(steps, mode)
-
-
-def weighted_cone_length(C: FilteredComplex, eps) -> int:
-    """The weight-budget variant: decompositions of lambda-weighted cones
-    with total weight (including the weighted end-isomorphism) at most eps.
-
-    Attachment shifts range over all reals here, so a lambda-cone over a
-    shift-alpha source equals the plain cone over the shift-(alpha+lambda)
-    source; positive per-step weights therefore buy nothing and the whole
-    budget is best spent on the end isomorphism, giving the exact identity
-    N'(C; k, eps) = N(C; k, eps/2).  The sandwich
-    N(C; 2 eps) <= N'(C; eps) <= N(C; eps/4) is then the monotonicity of N."""
-    eps = Fraction(eps)
-    value, _ = cone_length(C, eps / 2)
-    return value
 
 
 def family_constant(hom_GG: FilteredComplex) -> Fraction:

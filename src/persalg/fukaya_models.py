@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .ainf import Elem, HomGen, TabulatedAInfCategory
+from .ainf import HomGen, TabulatedAInfCategory
 from .hochschild import chain_level, is_cycle
 from .novikov import NOV_ONE, NovikovElement
 from .novikov_complex import CoverageError
@@ -100,11 +100,6 @@ def build_single_equator(h=0) -> FukayaModel:
     witness = {("pt_L", "pt_L"): NOV_ONE}
     return FukayaModel("single_equator", model_cat, h, ("u", "pt_S2"), oc,
                        witness, single_lagrangian=True)
-
-
-def cycle_a_element(model: FukayaModel) -> Elem:
-    """a_L = pt_L + T^{1/4} e_L in the single-equator model."""
-    return {"pt_L": NOV_ONE, "e_L": NovikovElement.monomial(Fraction(1, 4))}
 
 
 # -- sphere with N great circles -------------------------------------------------

@@ -307,11 +307,6 @@ def bar_count_at(C: FloerComplex, delta, working_precision=None) -> int:
     return concise_barcode(C, working_precision).bar_count(delta)
 
 
-def boundary_depth(C: FloerComplex) -> Fraction:
-    B = concise_barcode(C)
-    return max((l for l, _ in B.finite), default=Fraction(0))
-
-
 def counting_lemma_bound(C: FloerComplex) -> tuple[Fraction, Fraction]:
     """If C has m generators, r of which survive in homology over the field,
     and every differential entry has normalized valuation >= v, then there

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import itertools
 import random
@@ -1027,14 +1028,82 @@ def test_star_leibniz_lookups_once_per_kept_entry(monkeypatch):
     assert asked == []
 
 
-def test_verify_unit_skip_matches_every_block_looked_up(single, sphere2):
-    """verify(4) reports, with each uncheckable key's first CoverageError,
-    equal those of the loop that looks up every block."""
-    seen = {"checked": 0, "uncheckable": 0}
-    for A in (single.category, sphere2.category):
-        got, want = A.verify(4), _naive_verify(A, 4)
-        assert (got.checked, got.uncheckable, got.failures) == \
-            (want.checked, want.uncheckable, want.failures)
-        seen["checked"] += len(want.checked)
-        seen["uncheckable"] += len(want.uncheckable)
-    assert all(seen.values())
+def _without_record(A, key):
+    """A's category without the mu record ``key``, which is then uncovered."""
+    return TabulatedAInfCategory(
+        A.objects, list(A.gen_info.values()), A.units,
+        {k: v for k, v in A.mu.items() if k != key}, A.coverage - {key}, A.modulus,
+        A.half_dim, A.shift_tags, [pair for pair, names in A.homs.items() if not names])
+
+
+def grouping_control():
+    """A relation at (x, y) whose report the rule K/D grouping decides.  The
+    block (x) gives z the terms T^1 truncated at 2, T^1 and T^3: by rule K
+    they sum to 0 truncated at 2, which rule D then drops across blocks.
+    The block (x, y) gives z the term T^0 truncated at 5, and that is the
+    report.  Summed by rule D within the block, the first would leave T^3."""
+    gens = [HomGen(g, "X", "X", 0, 0) for g in ("eX", "x", "y", "a1", "a2", "a3", "w", "z")]
+    mu = {("x",): {"a1": N((1,), 2), "a2": N.monomial(1), "a3": N.monomial(3)},
+          ("a1", "y"): {"z": NOV_ONE}, ("a2", "y"): {"z": NOV_ONE},
+          ("a3", "y"): {"z": NOV_ONE}, ("x", "y"): {"w": N((0,), 5)},
+          ("w",): {"z": NOV_ONE}, ("y",): {}}
+    return TabulatedAInfCategory(["X"], gens, {"X": "eX"}, mu, grading_modulus=0)
+
+
+def _report_dump(rep):
+    """checked, uncheckable (with each first-gap argument) and failures, in
+    order, each failure's value with its exponents and precisions."""
+    return (rep.checked, rep.uncheckable,
+            [tuple(_dump(x) if isinstance(x, dict) else x for x in f) for f in rep.failures])
+
+
+def test_verify_unit_skip_matches_every_block_looked_up():
+    """verify's reports equal those of the loop that looks up every block:
+    the bench models at arity 4 and the single equator at 5; the single
+    equator with mu_3(pt, pt, pt) removed, whose gap then first shows in an
+    outer lookup; a relation failure that the rule K/D grouping decides;
+    the broken relation and the broken filtration."""
+    gapped = _without_record(build_single_equator().category, ("pt_L",) * 3)
+    filtration = build_single_equator().category
+    filtration.mu[("pt_L",) * 3] = {"e_L": N.monomial(F(-1, 2))}
+    cases = [(M.category, 4) for M in _all_models()]
+    cases += [(build_single_equator().category, 5), (gapped, 5), (grouping_control(), 3),
+              (relation_control(), 4), (filtration, 4)]
+    seen = Counter()
+    for A, arity in cases:
+        want = _report_dump(_naive_verify(A, arity))
+        assert _report_dump(A.verify(arity)) == want, arity
+        seen.update(checked=len(want[0]), uncheckable=len(want[1]), failures=len(want[2]))
+    assert len(seen) == 3
+    outer_gaps = [(key, gap) for key, gap in gapped.verify(5).uncheckable
+                  if gap[1] not in {key[i:j] for i in range(len(key))
+                                    for j in range(i + 1, len(key) + 1)}]
+    assert outer_gaps
+    assert _report_dump(grouping_control().verify(3))[2] == \
+        [("relation", ("x", "y"), [("z", (F(0),), F(5))])]
+    assert ("filtration", ("pt_L",) * 3, "e_L") in filtration.verify(4).failures
+    assert [f[:2] for f in relation_control().verify(4).failures] == \
+        [("relation", ("f", "g", "f"))]
+
+
+def test_verify_looks_up_each_tuple_once_and_keeps_nothing(monkeypatch):
+    """One verify(4) on a fresh sphere-4h looks each tuple up at most once
+    and leaves the category's attributes as they were; a second call makes
+    the same lookups again."""
+    A = build_sphere(4, F(1, 100)).category
+    mu_gens, asked = A.mu_gens, []
+
+    def mu(key):
+        asked.append(key)
+        return mu_gens(key)
+
+    monkeypatch.setattr(A, "mu_gens", mu)
+    attrs, values = dict(vars(A)), copy.deepcopy(vars(A))
+    A.verify(4)
+    first = list(asked)
+    assert len(first) == len(set(first)) == 1032
+    assert vars(A) == values
+    assert vars(A).keys() == attrs.keys() and all(vars(A)[k] is v for k, v in attrs.items())
+    asked.clear()
+    A.verify(4)
+    assert asked == first

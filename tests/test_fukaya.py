@@ -11,7 +11,6 @@ from persalg.fukaya_models import (
     build_torus_bxy,
     build_torus_grid,
     build_torus_longitudes,
-    cycle_a_element,
     oc_evaluate,
     oracle_divisor_series,
     oracle_grid_theta,
@@ -33,7 +32,7 @@ from persalg.novikov_complex import CoverageError
 def test_single_model_mu_values():
     M = build_single_equator()
     A = M.category
-    a = cycle_a_element(M)
+    a = {"pt_L": NOV_ONE, "e_L": N.monomial(F(1, 4))}  # a_L = pt_L + T^{1/4} e_L
     half = N.monomial(F(1, 2))
     for k in range(2, 5):
         assert A.mu_elems([a] * k) == {"e_L": half}
