@@ -39,6 +39,7 @@ from persalg.fukaya_models import (
 from persalg.novikov import NOV_ONE, NovikovElement as N
 from persalg.novikov_complex import CoverageError, concise_barcode, floer_cone, FloerMap
 from persalg.sparse import add_into
+from util import bench_models
 
 
 @pytest.fixture(scope="module")
@@ -432,17 +433,6 @@ def _outcome(fn, *args):
         return ("CoverageError", exc.args)
 
 
-def _all_models():
-    yield build_single_equator()
-    for n in (2, 3, 4):
-        for h in (0, F(1, 100)):
-            yield build_sphere(n, h)
-    yield build_torus_bxy()
-    for n in (2, 3):
-        yield build_torus_longitudes(n, precision=6)
-    yield build_torus_grid(2)
-
-
 def _table_copy(A):
     return {k: dict(v) for k, v in A.mu.items()}
 
@@ -450,7 +440,7 @@ def _table_copy(A):
 def test_mu_gens_matches_rules_on_every_model():
     """mu_gens against the restated rules on every composable tuple of
     arity <= 4, values and CoverageError alike."""
-    for A in [M.category for M in _all_models()] + [relation_control()]:
+    for A in [M.category for M in bench_models()] + [relation_control()]:
         before = _table_copy(A)
         for key in _composable(A, 4):
             assert _outcome(A.mu_gens, key) == _outcome(_mu_gens_oracle, A, key), key
@@ -1066,7 +1056,7 @@ def test_verify_unit_skip_matches_every_block_looked_up():
     gapped = _without_record(build_single_equator().category, ("pt_L",) * 3)
     filtration = build_single_equator().category
     filtration.mu[("pt_L",) * 3] = {"e_L": N.monomial(F(-1, 2))}
-    cases = [(M.category, 4) for M in _all_models()]
+    cases = [(M.category, 4) for M in bench_models()]
     cases += [(build_single_equator().category, 5), (gapped, 5), (grouping_control(), 3),
               (relation_control(), 4), (filtration, 4)]
     seen = Counter()

@@ -18,9 +18,11 @@ from persalg.hochschild import (
     hochschild_barcode,
     hochschild_complex,
     is_cycle,
+    tensor_is_cyclic,
 )
 from persalg.novikov import NOV_ONE, NovikovElement as N
 from persalg.novikov_complex import CoverageError
+from util import bench_models
 
 
 @pytest.fixture(scope="module")
@@ -152,3 +154,70 @@ def test_chain_level(single):
     A = single.category
     assert chain_level(A, {("pt_L", "pt_L"): NOV_ONE}) == 0
     assert chain_level(A, {("pt_L",): N.monomial(F(-1, 2))}) == F(1, 2)
+
+
+# -- the differential against the plain r/l block loop --------------------------
+
+def _dcc_tensor_loop(A, t):
+    """The Hochschild differential by plain loops: the interior blocks of
+    t[1:] in i, then j order, then the module blocks mu(t[k-r:], t[0],
+    t[1:l+1]) wrapping through slot 1 in r, then l order, mu evaluated on
+    every block (units included) and each output tensor reduced."""
+    k, out = len(t), {}
+
+    def add(key, c):
+        if c and A.unit_names.isdisjoint(key[1:]):
+            old = out.get(key)
+            out[key] = c if old is None else old + c
+
+    for i in range(1, k):
+        for j in range(i + 1, k + 1):
+            for h, c in A.mu_gens(t[i:j]).items():
+                add(t[:i] + (h,) + t[j:], c)
+    for r in range(0, k):
+        for l in range(0, k - r):
+            if r == 0 and l == 0:
+                block = (t[0],)
+            else:
+                block = t[k - r:] + (t[0],) + t[1:l + 1]
+            rest = t[l + 1:k - r] if k - r > l + 1 else ()
+            for h, c in A.mu_gens(block).items():
+                add((h,) + tuple(rest), c)
+    return {key: c for key, c in out.items() if c}
+
+
+def _dump(fn, A, t):
+    """(key, exponents, precision) in insertion order, or the first
+    CoverageError's argument."""
+    try:
+        return [(key, c.exponents, c.precision) for key, c in fn(A, t).items()]
+    except CoverageError as exc:
+        assert len(exc.args) == 1
+        return ("CoverageError", exc.args[0])
+
+
+def test_dcc_tensor_matches_module_block_loop():
+    """dcc_tensor gives the plain loop's chain, in insertion order with
+    exponents and precisions, or the same first CoverageError, on every
+    cyclic tensor of length <= 4 of every bench model."""
+    seen = {"value": 0, "CoverageError": 0, "unit in slot 1": 0}
+    raising = set()
+    for index, M in enumerate(bench_models()):
+        A = M.category
+        frontier = [(g,) for g in sorted(A.gen_info)]
+        for _ in range(4):
+            for t in frontier:
+                if not tensor_is_cyclic(A, t):
+                    continue
+                got = _dump(dcc_tensor, A, t)
+                assert got == _dump(_dcc_tensor_loop, A, t), t
+                if isinstance(got, tuple):
+                    seen["CoverageError"] += 1
+                    raising.add(index)
+                else:
+                    seen["value"] += 1
+                    seen["unit in slot 1"] += t[0] in A.unit_names and len(t) > 1
+            frontier = [t + (g,) for t in frontier for g in sorted(A.gen_info)
+                        if A.gen_info[t[-1]].target == A.gen_info[g].source]
+    assert all(seen.values())
+    assert {1, 10} <= raising  # sphere-2 and the grid

@@ -1,4 +1,4 @@
-"""Shared random-instance generators for the test suite."""
+"""Shared random-instance generators and bench models for the test suite."""
 
 from __future__ import annotations
 
@@ -13,9 +13,28 @@ from persalg.filtered_complex import (
     e1,
     e2,
 )
+from persalg.fukaya_models import (
+    build_single_equator,
+    build_sphere,
+    build_torus_bxy,
+    build_torus_grid,
+    build_torus_longitudes,
+)
 from persalg.persistence import INF, Bar, Barcode
 
 LEVEL_GRID = [Fraction(k, 4) for k in range(0, 17)]
+
+
+def bench_models():
+    """The 11 tabulated models of the ainf-diagrams benchmark, freshly built."""
+    yield build_single_equator()
+    for n in (2, 3, 4):
+        for h in (0, Fraction(1, 100)):
+            yield build_sphere(n, h)
+    yield build_torus_bxy()
+    for n in (2, 3):
+        yield build_torus_longitudes(n, precision=6)
+    yield build_torus_grid(2)
 
 
 def random_elementary(rng: random.Random, n_pieces: int, modulus: int = 0,
