@@ -70,6 +70,14 @@ class _Gap:
         self.arg = arg
 
 
+def _held(f, *args):
+    """f(*args), or the _Gap of the CoverageError it raises."""
+    try:
+        return f(*args)
+    except CoverageError as exc:
+        return _Gap(exc.args[0])
+
+
 class TabulatedAInfCategory:
     """The table ``mu``, ``gen_info`` and the index of generators by source
     are written only in ``__init__``; ``mu_gens`` hands out table entries
@@ -216,7 +224,10 @@ class TabulatedAInfCategory:
         outer tuple of each of its terms in turn; the first uncovered one
         ends the key, which is reported uncheckable with that
         ``CoverageError``'s argument.  Each call looks every distinct tuple
-        up once, in a table it drops on return."""
+        up once, in a table it drops on return.  The block walk is written
+        out here rather than taken from ``contractions``, whose lookups
+        raise instead of returning gaps: a shared (i, j) generator made
+        ``verify(4)`` a fifth slower."""
         rep = AinfReport()
         for key, val in self.mu.items():
             total_level = sum(self.gen_info[g].level for g in key)
@@ -233,11 +244,7 @@ class TabulatedAInfCategory:
         def mu(t):
             v = outcomes.get(t)
             if v is None:
-                try:
-                    v = self.mu_gens(t)
-                except CoverageError as exc:
-                    v = _Gap(exc.args[0])
-                outcomes[t] = v
+                v = outcomes[t] = _held(self.mu_gens, t)
             return v
 
         def relation(key):
@@ -344,26 +351,35 @@ class TabulatedAInfCategory:
 
 # -- block contractions -----------------------------------------------------------
 
-def contractions(A: TabulatedAInfCategory, t: tuple[str, ...], whole: bool = True
+def contractions(A: TabulatedAInfCategory, t: tuple[str, ...], whole: bool = True,
+                 rows: Optional[int] = None, after: int = 0
                  ) -> Iterator[tuple[tuple[str, ...], NovikovElement]]:
-    """(t[:i] + (h,) + t[j+1:], c) for each consecutive block t[i..j] and
-    each term c h of A.mu_gens(t[i..j]), in the order i, then j, then mu's
-    terms.  ``whole=False`` skips the block t itself, without evaluating mu
+    """(t[:i] + (h,) + t[j:], c) for each consecutive block t[i:j] and each
+    term c h of A.mu_gens(t[i:j]), in the order i, then j, then mu's terms.
+    Only blocks with i < ``rows`` (every i when None) and j > ``after`` are
+    taken.  ``whole=False`` skips the block t itself, without evaluating mu
     on it.  Blocks are evaluated lazily, so a caller that stops at the first
     CoverageError sees the same one as a plain i/j loop.
 
     ``mu_gens``' strict-unit rule makes a block that holds a unit vanish,
     raising nothing, unless it has length 2.  Such a block is skipped
     unevaluated, and the first one of length 3 or more ends its row, since
-    every longer block of the row holds the unit too.  ``verify`` and
-    ``_star_terms`` apply the rule in the same three lines.
-    ``cone_differential`` keeps each tensor's terms in ``A._terms``, so it
-    runs this once per tensor; every other caller runs it afresh."""
+    every longer block of the row holds the unit too.
+
+    This is the one block walk of the bar differential (``whole=False``),
+    the cone differential, the star product (the blocks of tx + ty that
+    take a suffix of tx and a prefix of ty: ``rows = after = len(tx)``) and
+    the Hochschild differential (the blocks wrapping through the module
+    slot: ``rows=1`` on a rotation).  The cone differential and the star
+    product keep their terms in ``A._terms``.  ``verify`` keeps its own
+    walk over its per-call outcome table: routing it through a shared
+    (i, j) generator made ``verify(4)`` a fifth slower."""
     units, n = A.unit_names, len(t)
-    for i in range(n):
+    for i in range(n if rows is None else rows):
         head = t[:i]
-        held = False
-        for j in range(i + 1, n + 1 if whole or i else n):
+        # the unit rule over the blocks t[i:j], j <= after, that are not taken
+        held = i < after and not units.isdisjoint(t[i:after])
+        for j in range(max(i, after) + 1, n + 1 if whole or i else n):
             held = held or t[j - 1] in units
             if held and j - i != 2:
                 if j - i > 2:
@@ -499,7 +515,7 @@ def cone_differential(A: TabulatedAInfCategory, x: dict[tuple, NovikovElement]
 def star_product(A: TabulatedAInfCategory, x: dict[tuple, NovikovElement],
                  y: dict[tuple, NovikovElement]) -> dict[tuple, NovikovElement]:
     """x * y = sum over nonempty suffixes of x and prefixes of y contracted
-    by mu, keeping the flanking factors (``_star_terms``)."""
+    by mu, keeping the flanking factors."""
     kept = A._terms
     out: dict[tuple, NovikovElement] = {}
     for tx, cx in x.items():
@@ -509,33 +525,13 @@ def star_product(A: TabulatedAInfCategory, x: dict[tuple, NovikovElement],
                 continue
             terms = kept.get((tx, ty))
             if terms is None:
-                terms = kept[tx, ty] = tuple(_star_terms(A, tx, ty))
+                m = len(tx)
+                terms = kept[tx, ty] = tuple(contractions(A, tx + ty, rows=m, after=m))
             for key, v in terms:
                 p = c * v
                 old = out.get(key)
                 out[key] = p if old is None else old + p
     return nonzero(out)
-
-
-def _star_terms(A: TabulatedAInfCategory, tx: tuple[str, ...], ty: tuple[str, ...]
-                ) -> Iterator[tuple[tuple[str, ...], NovikovElement]]:
-    """(tx[:k] + (h,) + ty[j:], v) for each suffix tx[k:] joined to each
-    nonempty prefix ty[:j] and each term v h of mu on the block; the blocks
-    that vanish by the strict-unit rule (``contractions``) are not evaluated."""
-    mu, units = A.mu_gens, A.unit_names
-    s, m = tx + ty, len(tx)
-    for k in range(m):  # keep tx[:k]; the block s[k:j] takes tx[k:] and ty[:j - m]
-        head = tx[:k]
-        held = not units.isdisjoint(tx[k:])
-        for j in range(m + 1, len(s) + 1):
-            # the strict-unit rule, as in ``contractions``
-            held = held or s[j - 1] in units
-            if held and j - k != 2:
-                if j - k > 2:
-                    break
-                continue
-            for h, v in mu(s[k:j]).items():
-                yield head + (h,) + s[j:], v
 
 
 def contracting_homotopy(A: TabulatedAInfCategory,
@@ -841,15 +837,15 @@ def verify_abouzaid_diagram(A: TabulatedAInfCategory, B: Sequence[str], K: str,
         gamma1, interior, gamma2 = t[0], t[1:-1], t[-1]
         # mu(t) and d_bar(t) depend on t alone; an uncovered one is raised
         # afresh at its own term, so each report keeps its first gap
-        mu_t, mu_t_gap = _covered(mu, t)
-        d_t, d_t_gap = _covered(bar_differential, A, t)
+        mu_t = _held(mu, t)
+        d_t = _held(bar_differential, A, t)
         for l, xs, y in evals:
             try:
                 total: Elem = {}
                 xy = xs + (y,)
                 # T1 = mu_{l+2}(xs, y, mu_{d+2}(t))
-                if mu_t_gap is not None:
-                    raise CoverageError(*mu_t_gap)
+                if mu_t.__class__ is _Gap:
+                    raise CoverageError(mu_t.arg)
                 for h, c in mu_t.items():
                     accumulate(total, mu(xy + (h,)), c)
                 # T2 = sum_{j,i} mu(x_1..x_j, mu(x_{j+1}..y, gamma1, a_1..a_i),
@@ -859,8 +855,8 @@ def verify_abouzaid_diagram(A: TabulatedAInfCategory, B: Sequence[str], K: str,
                         for h, c in mu(xy[j:] + (gamma1,) + interior[:i]).items():
                             accumulate(total, mu(xs[:j] + (h,) + interior[i:] + (gamma2,)), c)
                 # T3 = H_{d_bar(t)}
-                if d_t_gap is not None:
-                    raise CoverageError(*d_t_gap)
+                if d_t.__class__ is _Gap:
+                    raise CoverageError(d_t.arg)
                 for key, c in d_t.items():
                     accumulate(total, mu(xy + key), c)
                 # T4 = mu_1^mod(H_t) expanded
@@ -882,14 +878,6 @@ def verify_abouzaid_diagram(A: TabulatedAInfCategory, B: Sequence[str], K: str,
             except CoverageError as exc:
                 rep.uncheckable.append(((t, xs, y), exc.args[0]))
     return rep
-
-
-def _covered(f, *args) -> tuple[Optional[dict], Optional[tuple]]:
-    """(f(*args), None), or (None, the CoverageError's args) when uncovered."""
-    try:
-        return f(*args), None
-    except CoverageError as exc:
-        return None, exc.args
 
 
 # -- shifted category -------------------------------------------------------------

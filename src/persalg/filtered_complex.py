@@ -463,10 +463,6 @@ class ConeDecomposition:
     steps: list[ConeStep]
     mode: str  # "to_target" or "to_zero"
 
-    @property
-    def total_weight(self) -> Fraction:
-        return sum((s.weight for s in self.steps), Fraction(0))
-
     def __len__(self):
         return len(self.steps)
 
@@ -519,19 +515,6 @@ def retract_cone_length_lower(A: FilteredComplex, G: FilteredComplex, eps) -> in
     kG = family_constant(internal_hom(G, G))
     count = bar_count(homology_barcode(internal_hom(G, A)), 2 * eps)
     return math.ceil(kG * count)
-
-
-def retract_cone_length_over(A: FilteredComplex, G: FilteredComplex, eps,
-                             budget: int = 6, node_cap: int = 200000
-                             ) -> tuple[int, Optional[int]]:
-    """Certified bracket (lower, upper) for the weighted retract cone-length
-    N^r(A; G, eps).  The upper bound comes from the brute-force decomposition
-    search within ``budget`` steps and may be None (unknown)."""
-    lower = retract_cone_length_lower(A, G, eps)
-    target = homology_barcode(A)
-    upper = min_cone_decomposition(target, [G], eps, budget, metric="retract",
-                                   node_cap=node_cap)
-    return lower, upper
 
 
 # -- brute-force decomposition search ----------------------------------------

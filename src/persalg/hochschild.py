@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 from .ainf import TabulatedAInfCategory, contractions, tensor_complex, tensor_level
 from .novikov import NovikovElement
 from .novikov_complex import ConciseBarcode, FloerComplex, concise_barcode, death_level
+from .persistence import INF
 from .sparse import add_into, level, nonzero
 
 Chain = dict  # {tensor tuple: NovikovElement}
@@ -70,17 +71,11 @@ def dcc_tensor(A: TabulatedAInfCategory, t: tuple[str, ...]) -> Chain:
     # interior blocks: the contractions of the slots after the module slot
     for key, c in contractions(A, t[1:]):
         add(t[:1] + key, c)
-    # module blocks: mu(t[k-r:], t[0], t[1:l+1]) wrapping through slot 1
-    for r in range(0, k):
-        for l in range(0, k - r):
-            if r == 0 and l == 0:
-                block = (t[0],)
-            else:
-                block = t[k - r:] + (t[0],) + t[1:l + 1]
-            val = A.mu_gens(block)
-            rest = t[l + 1:k - r] if k - r > l + 1 else ()
-            for h, c in val.items():
-                add((h,) + tuple(rest), c)
+    # module blocks mu(t[k-r:], t[0], t[1:l+1]), in r, then l order: the
+    # blocks of the rotation t[k-r:] + t[:k-r] that start at 0 and end after r
+    for r in range(k):
+        for key, c in contractions(A, t[k - r:] + t[:k - r], rows=1, after=r):
+            add(key, c)
     return nonzero(out)
 
 
@@ -139,6 +134,6 @@ def class_boundary_depth(A: TabulatedAInfCategory, objects: Sequence[str],
     lvl = death_level(C, vec)
     if lvl is None:
         raise ValueError("the class is zero")
-    if lvl == float("inf"):
-        return float("inf")
+    if lvl == INF:
+        return INF
     return lvl - chain_level(A, c)

@@ -202,7 +202,7 @@ def test_ac7_cone_length_identity():
             B = barcode_by_rank_oracle(C)
             n_inf = sum(1 for b in B.bars if b.infinite)
             assert value == 2 * bar_count(B, 2 * eps) - n_inf
-            assert len(dec) == value and dec.total_weight == 0
+            assert len(dec) == value and sum(s.weight for s in dec.steps) == 0
         # full enumeration at dim <= 3
         done = 0
         while done < 10:

@@ -573,12 +573,15 @@ def test_lambda_report_pinned_single(single):
 
 # -- block contractions and q-chains against plain enumerations -----------------
 
-def _contractions_loop(mu, t, whole):
-    """The nested i/j loop over the blocks t[i..j], then mu's terms."""
+def _contractions_loop(mu, t, whole, rows, after):
+    """The nested i/j loop over the blocks t[i..j] with i < rows (every i
+    when None) and j >= after, then mu's terms."""
     n = len(t)
     for i in range(n):
         for j in range(i, n):
             if not whole and (i, j) == (0, n - 1):
+                continue
+            if rows is not None and i >= rows or j < after:
                 continue
             for h, c in mu(t[i:j + 1]).items():
                 yield t[:i] + (h,) + t[j + 1:], c
@@ -599,9 +602,12 @@ def _drain(items):
 def test_contractions_match_nested_loop(single, sphere2, monkeypatch):
     """contractions yields the nested loop's (key, coefficient) sequence, in
     order and up to the same first CoverageError, with and without the
-    whole-tensor block; without it, mu is never evaluated on the tensor, and
-    it is never evaluated on a block that holds a unit and is not of length
-    2, which vanishes by the strict-unit rule."""
+    whole-tensor block, unbounded and with the star product's bounds
+    (rows = after = len(tx) on t = tx + ty) and the Hochschild rotation's
+    (rows=1, after=r); without the whole block, mu is never evaluated on the
+    tensor, and it is never evaluated on a block outside the bounds or on
+    one that holds a unit and is not of length 2, which vanishes by the
+    strict-unit rule."""
     seen = {"value": 0, "CoverageError": 0, "unit skipped": 0}
     for M, seed in ((single, 3), (sphere2, 4)):
         A = M.category
@@ -609,7 +615,11 @@ def test_contractions_match_nested_loop(single, sphere2, monkeypatch):
         tuples = list(_composable(A, 5))
         rng = random.Random(seed)
         for t in rng.sample(tuples, min(len(tuples), 300)):
-            for whole in (True, False):
+            n = len(t)
+            bounds = [(True, None, 0), (False, None, 0)]
+            bounds += [(True, m, m) for m in range(1, n)]  # star product
+            bounds += [(True, 1, r) for r in range(n)]  # Hochschild rotation
+            for whole, rows, after in bounds:
                 asked = []
 
                 def mu(key):
@@ -617,11 +627,14 @@ def test_contractions_match_nested_loop(single, sphere2, monkeypatch):
                     return mu_gens(key)
 
                 monkeypatch.setattr(A, "mu_gens", mu)
-                got = _drain(contractions(A, t, whole))
+                got = _drain(contractions(A, t, whole, rows, after))
                 monkeypatch.undo()
-                assert got == _drain(_contractions_loop(A.mu_gens, t, whole)), (t, whole)
+                want = _drain(_contractions_loop(A.mu_gens, t, whole, rows, after))
+                assert got == want, (t, whole, rows, after)
                 assert whole or t not in asked
                 assert all(len(k) == 2 or A.unit_names.isdisjoint(k) for k in asked), t
+                assert all(any(t[i:i + len(k)] == k for i in range(min(n, rows or n))
+                               if i + len(k) > after) for k in asked), (t, rows, after)
                 if got[1] is None and not A.unit_names.isdisjoint(t) and len(t) > 2:
                     seen["unit skipped"] += 1
                 seen["value" if got[1] is None else "CoverageError"] += 1

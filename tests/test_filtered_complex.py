@@ -21,7 +21,7 @@ from persalg.filtered_complex import (
     internal_hom,
     min_cone_decomposition,
     reach_gap,
-    retract_cone_length_over,
+    retract_cone_length_lower,
     shift_translate,
     stability_reduce,
     truncate,
@@ -157,7 +157,7 @@ def test_cone_length_monotone_and_decomposition():
         vals = []
         for eps in (0, F(1, 4), F(1, 2), 1, 10):
             v, dec = cone_length(C, eps)
-            assert len(dec) == v and dec.total_weight == 0
+            assert len(dec) == v and sum(s.weight for s in dec.steps) == 0
             vals.append(v)
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
@@ -204,9 +204,12 @@ def test_family_constant_k():
 
 def test_retract_cone_length_bracket():
     A = direct_sum(e2(0, 1, name="u"), e2(0, 1, name="v"))
-    lo, up = retract_cone_length_over(A, e1(0), F(1, 10), budget=5)
+    lo = retract_cone_length_lower(A, e1(0), F(1, 10))
+    up = min_cone_decomposition(homology_barcode(A), [e1(0)], F(1, 10), 5, metric="retract")
     assert lo == 2 and up == 4
-    assert retract_cone_length_over(e1(0), e1(0), 0, budget=2) == (1, 1)
+    assert (retract_cone_length_lower(e1(0), e1(0), 0),
+            min_cone_decomposition(homology_barcode(e1(0)), [e1(0)], 0, 2,
+                                   metric="retract")) == (1, 1)
 
 
 def test_comp_sw_inequality():
