@@ -377,9 +377,10 @@ def contractions(A: TabulatedAInfCategory, t: tuple[str, ...], whole: bool = Tru
     units, n = A.unit_names, len(t)
     for i in range(n if rows is None else rows):
         head = t[:i]
-        # the unit rule over the blocks t[i:j], j <= after, that are not taken
-        held = i < after and not units.isdisjoint(t[i:after])
-        for j in range(max(i, after) + 1, n + 1 if whole or i else n):
+        held, lo = False, i + 1
+        if i < after:  # the blocks t[i:j], j <= after, are not taken; their units count
+            held, lo = not units.isdisjoint(t[i:after]), after + 1
+        for j in range(lo, n + 1 if whole or i else n):
             held = held or t[j - 1] in units
             if held and j - i != 2:
                 if j - i > 2:
@@ -835,17 +836,19 @@ def verify_abouzaid_diagram(A: TabulatedAInfCategory, B: Sequence[str], K: str,
     evals = _eval_tuples(A, K, l_max)
     for t in bar_tensors(A, B, K, n_max):
         gamma1, interior, gamma2 = t[0], t[1:-1], t[-1]
-        # mu(t) and d_bar(t) depend on t alone; an uncovered one is raised
-        # afresh at its own term, so each report keeps its first gap
+        # mu(t) and d_bar(t) depend on t alone.  mu(t) is every tuple's first
+        # lookup, so its gap is the first gap of each; a gap of d_bar(t) is
+        # raised again at T3, so each report keeps its first gap
         mu_t = _held(mu, t)
+        if mu_t.__class__ is _Gap:
+            rep.uncheckable += [((t, xs, y), mu_t.arg) for _, xs, y in evals]
+            continue
         d_t = _held(bar_differential, A, t)
         for l, xs, y in evals:
             try:
                 total: Elem = {}
                 xy = xs + (y,)
                 # T1 = mu_{l+2}(xs, y, mu_{d+2}(t))
-                if mu_t.__class__ is _Gap:
-                    raise CoverageError(mu_t.arg)
                 for h, c in mu_t.items():
                     accumulate(total, mu(xy + (h,)), c)
                 # T2 = sum_{j,i} mu(x_1..x_j, mu(x_{j+1}..y, gamma1, a_1..a_i),
