@@ -370,8 +370,10 @@ def contractions(A: TabulatedAInfCategory, t: tuple[str, ...], whole: bool = Tru
     the cone differential, the star product (the blocks of tx + ty that
     take a suffix of tx and a prefix of ty: ``rows = after = len(tx)``) and
     the Hochschild differential (the blocks wrapping through the module
-    slot: ``rows=1`` on a rotation).  The cone differential and the star
-    product keep their terms in ``A._terms``.  ``verify`` keeps its own
+    slot: ``rows=1`` on a rotation), and of the inner sums of the lambda
+    and Abouzaid checks, whose prefix and suffix loops stay plain loops.
+    The cone differential and the star product keep their terms in
+    ``A._terms``.  ``verify`` keeps its own
     walk over its per-call outcome table: routing it through a shared
     (i, j) generator made ``verify(4)`` a fifth slower."""
     units, n = A.unit_names, len(t)

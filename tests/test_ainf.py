@@ -633,7 +633,7 @@ def test_contractions_match_nested_loop(single, sphere2, monkeypatch):
                 assert got == want, (t, whole, rows, after)
                 assert whole or t not in asked
                 assert all(len(k) == 2 or A.unit_names.isdisjoint(k) for k in asked), t
-                assert all(any(t[i:i + len(k)] == k for i in range(min(n, rows or n))
+                assert all(any(t[i:i + len(k)] == k for i in range(rows or n)
                                if i + len(k) > after) for k in asked), (t, rows, after)
                 if got[1] is None and not A.unit_names.isdisjoint(t) and len(t) > 2:
                     seen["unit skipped"] += 1
