@@ -153,9 +153,6 @@ class TabulatedAInfCategory:
     def unit(self, X: str) -> Elem:
         return self.gen_elem(self.units[X])
 
-    def level_of(self, a: Elem) -> Optional[Fraction]:
-        return level(a, lambda name: self.gen_info[name].level)
-
     def _known(self, name: str) -> HomGen:
         """The generator ``name``; a ValueError naming it when it is unknown."""
         info = self.gen_info.get(name)

@@ -142,18 +142,6 @@ class LengthSpectrum:
             return int(round(math.exp(h * T) / (h * T)))
         return LengthSpectrum(count_fn=fn)
 
-    @staticmethod
-    def from_file(path) -> "LengthSpectrum":
-        vals = []
-        with open(path) as fh:
-            for k, line in enumerate(fh, 1):
-                if line.strip():
-                    try:
-                        vals.append(Fraction(line.strip()))
-                    except (ValueError, ZeroDivisionError):
-                        raise ValueError(f"{path}:{k}: not a length: {line.strip()!r}") from None
-        return LengthSpectrum(lengths=tuple(vals))
-
 
 def certified_bar_count(spectrum: LengthSpectrum, n: int, delta) -> int:
     """#{l : 5n - 7l >= delta} -- every such geodesic contributes a bar of

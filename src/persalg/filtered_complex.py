@@ -550,15 +550,19 @@ def _chain_map_classes(F: FilteredComplex, X: FilteredComplex) -> list[dict[int,
     return maps
 
 
+# attaching maps tried by one min_cone_decomposition before it gives up
+NODE_CAP = 200000
+
+
 def min_cone_decomposition(target: Barcode, family: Sequence[FilteredComplex],
                            eps, max_steps: int, metric: str = "retract",
-                           node_cap: int = 200000, tensor_rank: int = 1
-                           ) -> Optional[int]:
+                           tensor_rank: int = 1) -> Optional[int]:
     """Minimal number of weight-0 cone attachments over shifts/translates of
     ``family`` members needed to reach within eps of ``target`` (d_rint for
     metric="retract", d_int for metric="interleaving"), or None if not found
-    within ``max_steps``.  Exhaustive over homotopy classes of attaching maps
-    with shifts drawn from the level differences of the instance.
+    within ``max_steps`` or ``NODE_CAP`` attaching maps.  Exhaustive over
+    homotopy classes of attaching maps with shifts drawn from the level
+    differences of the instance.
 
     ``tensor_rank`` > 1 enables the tensor linearization: each step may
     attach a cone over a direct sum of up to that many shifted/translated
@@ -618,7 +622,7 @@ def min_cone_decomposition(target: Barcode, family: Sequence[FilteredComplex],
             for Ft in attachables:
                 for mat in _chain_map_classes(Ft, X):
                     nodes += 1
-                    if nodes > node_cap:
+                    if nodes > NODE_CAP:
                         return None
                     fmap = FilteredMap(Ft, X, mat, shift=0, validate=False)
                     Y = cone(fmap, 0)

@@ -7,9 +7,12 @@ plus an open-closed map table on the distinguished Hochschild chains.
 Everything else is left uncovered, never assumed zero; evaluation outside
 the tabulated coverage raises ``CoverageError``.
 
-The independent geometric enumerators (``oracle_*``) recount the same series
-by brute force over slice fractions / lattice polygons with exit-position
-multiplicities.
+The geometric enumerators (``oracle_*``) count series by brute force over
+slice fractions / lattice polygons with exit-position multiplicities.  Two of
+them also build model tables, so they are no independent check of those
+models: ``build_torus_bxy`` tabulates its OC entry as ``oracle_lattice_oc``
+and ``build_torus_grid`` its theta series as ``oracle_grid_theta``.  The
+independent check of the 1x1 torus series is ``novikov.series_odd_squares``.
 """
 
 from __future__ import annotations
@@ -212,12 +215,6 @@ def oracle_lattice_oc(precision) -> NovikovElement:
     """Brute-force sum_{n,m>0} nm T^{nm} over Z2 (exit positions in every
     fundamental square of an (n,m) lattice polygon)."""
     return _double_sum(precision, lambda n, m: Fraction(n * m), lambda n, m: n * m)
-
-
-def oracle_divisor_series(N: int, precision) -> NovikovElement:
-    """The reduced OC series of the longitude family: the q-series 'oc' at
-    A = 1/N, which over Z2 equals the divisor-sum formula."""
-    return q_series("oc", Fraction(1, N), precision)
 
 
 def oracle_grid_theta(N: int, precision) -> NovikovElement:

@@ -9,7 +9,7 @@ grading modulus.  Four distances are provided:
 * ``dint_variant`` -- the asymmetric (a,b)-interleaving variant D, with
   0.5*D <= d <= D;
 * ``retract_interleaving`` -- the one-sided retract variant;
-* ``shift_invariant`` -- the shift-stabilized version of any of the above.
+* ``shift_invariant`` -- the shift-stabilized version of any of the three.
 
 The distances run on integers: both barcodes' finite endpoints are scaled
 by S = 2 * ``lattice.common_scale``, and only the result becomes a Fraction.
@@ -131,18 +131,12 @@ class Barcode:
 EMPTY = Barcode(())
 
 
-def bar_count(barcode: Barcode, delta, finite_only: bool = False) -> int:
-    """Number of bars of length > delta (infinite bars count unless excluded)."""
+def bar_count(barcode: Barcode, delta) -> int:
+    """Number of bars of length > delta, infinite bars included."""
     delta = Fraction(delta)
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    n = 0
-    for b in barcode.bars:
-        if b.infinite:
-            n += 0 if finite_only else 1
-        elif b.length > delta:
-            n += 1
-    return n
+    return sum(1 for b in barcode.bars if b.infinite or b.length > delta)
 
 
 def _degree_slices(B1: Barcode, B2: Barcode):
@@ -330,9 +324,10 @@ _KERNELS = {interleaving_distance: _d_int, dint_variant: _D_int, retract_interle
 
 def shift_invariant(metric: Callable, B1: Barcode, B2: Barcode):
     """inf over global shifts s of metric(S^s B1, B2); the shifts tried are
-    the endpoint differences and the midpoints of any two of them.  A
-    library metric (seen through ``inspect.unwrap``) runs its kernel on B1's
-    shifted integer slices; any other callable gets metric(B1.shift(s), B2).
+    the endpoint differences and the midpoints of any two of them.  The
+    metric is one of the three library metrics, seen through
+    ``inspect.unwrap`` so that a traced wrapper still counts; its kernel runs
+    on B1's shifted integer slices.  Any other metric is a ValueError.
 
     d_int alone is pruned: s is skipped once an evaluated s0 has d(s0) -
     |s - s0| >= best, as d(s) >= d(s0) - d_int(S^s B1, S^s0 B1) (triangle
@@ -340,23 +335,21 @@ def shift_invariant(metric: Callable, B1: Barcode, B2: Barcode):
     the shift aligning the median endpoints; an infinite d_int does not
     depend on s.  D_int and d_rint have no proven Lipschitz constant here
     and are not pruned."""
+    kernel = _KERNELS.get(inspect.unwrap(metric))
+    if kernel is None:
+        raise ValueError(f"shift_invariant takes interleaving_distance, dint_variant "
+                         f"or retract_interleaving, not {metric!r}")
     S, slices = _int_slices(B1, B2)
     ends1 = [q for s1, _ in slices for x in s1 for q in x if q is not None]
     ends2 = [q for _, s2 in slices for x in s2 for q in x if q is not None]
     base = sorted({0} | {q - p for p in ends1 for q in ends2})
     cands = sorted(set(base) | {(u + v) // 2 for u, v in itertools.combinations(base, 2)})
-    kernel = _KERNELS.get(inspect.unwrap(metric))
 
     def at(s):
         return kernel([([(u + s, v if v is None else v + s) for u, v in s1], s2)
                        for s1, s2 in slices])
     if kernel is not _d_int:
-        best = INF
-        for s in cands:
-            val = _rational(at(s), S) if kernel else metric(B1.shift(Fraction(s, S)), B2)
-            if val < best:
-                best = val
-        return best
+        return min(_rational(at(s), S) for s in cands)
     mid = sorted(ends2)[len(ends2) // 2] - sorted(ends1)[len(ends1) // 2] if ends1 and ends2 else 0
     # hi = max d(s0) + s0 and lo = min s0 - d(s0) over the evaluated s0, which
     # all lie below s when s > mid and above it when not: d(s) >= hi - s, s - lo

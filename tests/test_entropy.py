@@ -1,5 +1,4 @@
 import math
-import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -155,20 +154,6 @@ def test_synthetic_spectrum_slope():
     slope, window = entropy_estimate(counts, "exponential", k_start=10)
     assert window == (10, 40)
     assert slope >= 5 / 8 - 0.1
-
-
-def test_spectrum_from_file(tmp_path):
-    f = tmp_path / "spec.txt"
-    f.write_text("1.0\n2.5\n\n3.0\n")
-    spec = LengthSpectrum.from_file(f)
-    assert spec.lengths == (1.0, 2.5, 3.0)
-    assert spec.count_leq(2.6) == 2
-    f.write_text("1/3\n0.25\n")
-    assert LengthSpectrum.from_file(f).lengths == (F(1, 4), F(1, 3))
-    for bad in ("two", "1/0", "inf"):
-        f.write_text(f"1\n\n{bad}\n")
-        with pytest.raises(ValueError, match=f":3: not a length: '{re.escape(bad)}'"):
-            LengthSpectrum.from_file(f)
 
 
 def test_entropy_chain_inequality():

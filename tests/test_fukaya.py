@@ -12,7 +12,6 @@ from persalg.fukaya_models import (
     build_torus_grid,
     build_torus_longitudes,
     oc_evaluate,
-    oracle_divisor_series,
     oracle_grid_theta,
     oracle_lattice_oc,
     oracle_sphere_slice,
@@ -107,7 +106,7 @@ def test_longitudes_oc_oracle_odd_N():
     divisor-sum series exactly (the even case needs the residue-set
     disambiguation, which is the tabulated route)."""
     for Nc in (3, 5):
-        assert oracle_divisor_series(Nc, 6).exponents == \
+        assert q_series("oc", F(1, Nc), 6).exponents == \
             series_divisor_sum(Nc, 6).exponents
 
 

@@ -103,6 +103,7 @@ CERTIFIED_PATHS = {
     "barcode_by_rank_oracle": {"_pairing"},
     "z2_window_complex": {"reduce_floer", "invert"},
     "inversion_recursion": {"reduce_floer", "invert"},
+    "reach_gap": {"reduce_floer", "express_in_reduction", "invert"},
 }
 
 
@@ -129,3 +130,115 @@ def test_oracles_do_not_reach_the_path_they_certify():
                     todo.extend(_names(funcs[f]) & funcs.keys())
             assert not names & CERTIFIED_PATHS[root], (name, root)
     assert roots_seen == CERTIFIED_PATHS.keys()
+
+
+# -- the public surface: every public name has a reader or a stated claim -----
+
+PERFBENCH = SRC.parent.parent / "perfbench"
+DEFS = (ast.FunctionDef, ast.ClassDef)
+
+# public names that only tests read: the paper claim each reproduces (or the
+# fast path it certifies, for an oracle) -- the test that pins it
+TEST_ONLY = {
+    "unit_reach": "unit reach R([e_K], [mu^bar(K)]) of the equator is <= 1/2 -- "
+                  "test_ac1_single_equator",
+    "verify_unit_witness": "a d_bar cycle with mu = e_K bounds the unit reach by its "
+                           "level -- test_unit_witness",
+    "contracting_homotopy": "mu(h) = e_K + d a_K contracts Cone(mu) by x * (h + a_K) -- "
+                            "test_contracting_homotopy",
+    "maurer_cartan_defect": "twisted complexes solve the Maurer-Cartan equation -- "
+                            "test_mc_defect_reported",
+    "twist": "the twisting T_Y X = Cone(Y (x) hom(Y, X) -> X) is a twisted complex -- "
+             "test_twisted_complex_mc",
+    "twisted_cone": "the lambda-filtered cone of a closed morphism of twisted complexes -- "
+                    "test_twisted_cone_and_inclusion",
+    "twisted_hom_complex": "lambda-lemma: hom(Q, T_L L) has the barcode of the cone of "
+                           "evaluation -- test_twisted_hom_matches_cone_of_contraction",
+    "extract_unit_tensors": "split generation: mu_2 of twisted morphisms and the bar "
+                            "tensors realizing it -- test_extract_unit_tensors",
+    "shift_category": "the normalized r-shift of a filtered A-infinity category is one -- "
+                      "test_shift_category",
+    "floer_action_model": "cotangent class: each admissible geodesic has action gap "
+                          ">= 5n - 7l -- test_floer_action_model",
+    "e1": "the elementary complexes E1 and E2 whose sums realize every barcode -- "
+          "test_barcode_examples",
+    "e2": "the elementary complexes E1 and E2 whose sums realize every barcode -- "
+          "test_barcode_examples",
+    "full_differential": "stability: bar counts of (C, d + D') dominate those of (C, d) -- "
+                         "test_ac8_stability_counts",
+    "stability_reduce": "stability: the retract of (C, d + D') carries every long bar -- "
+                        "test_ac8_stability_counts",
+    "min_cone_decomposition": "cone length 2#B^{2eps} - dim H^inf is the least number of "
+                              "cone attachments -- test_ac7_cone_length_identity",
+    "retract_cone_length_lower": "retract cone length >= k(G) #B^{2eps}(H(hom(G, A))) -- "
+                                 "test_retract_cone_length_bracket",
+    "reach_gap": "oracle of reach_gap_floer: the Z2 reach gap R(w, f) -- "
+                 "test_reach_gap_floer_matches_z2_reach_gap",
+    "oracle_sphere_slice": "the sphere's N circles cut slices of area 1/(2N) -- "
+                           "test_sphere_slice_oracle",
+    "class_boundary_depth": "the Hochschild class [e_L] of the equator dies at depth 1/2 -- "
+                            "test_boundary_depth_e_class",
+    "fold_step": "small variation: folding at the mid level halves the variation -- "
+                 "test_fold_halves_variation",
+    "shrink_step": "large gradient: shrinking a critical ball keeps the bounds -- "
+                   "test_shrink_keeps_bounds",
+    "build_torus": "the flat-torus product keeps small variation and large gradient -- "
+                   "test_torus_product",
+    "inversion_recursion": "oracle of Novikov inversion: the g_n recursion -- "
+                           "test_ac6_novikov_inversion",
+    "z2_window_complex": "oracle of concise barcodes: the Z2 window model -- "
+                         "test_window_oracle",
+    "oracle_interleaving_distance": "oracle of d_int by GF(2) morphisms -- "
+                                    "test_ac9_distance_oracle_equivalence",
+    "oracle_dint_variant": "oracle of D_int by GF(2) morphisms -- "
+                           "test_ac9_distance_oracle_equivalence",
+    "oracle_retract_interleaving": "oracle of d_rint by GF(2) morphisms -- "
+                                   "test_ac9_distance_oracle_equivalence",
+    "retract_complement": "d_rint(R, X) < eps leaves K with d_int(R + K, X) < 2 eps -- "
+                          "test_retract_complement_two_eps_bound",
+    "spectral_range": "the spectral range of the semi-infinite bars -- test_spectral_range",
+}
+
+
+def test_every_public_name_has_a_reader_or_a_claim():
+    """Walked from the program's roots (the CLI, each module's top-level
+    statements, the benchmark) and from TEST_ONLY, every public top-level
+    function, class and method of src/ is reached; every TEST_ONLY name is
+    defined in src/; and the program roots alone reach no TEST_ONLY name, so
+    no entry is stale.  A reached definition adds every name its body uses,
+    a class its methods' bodies too.  Names resolve by their bare word, so
+    the walk over-approximates: ``set().union`` reaches ``Barcode.union``."""
+    defs: dict[str, list] = {}
+    roots: set[str] = set()
+    for name, tree in _trees():
+        for node in tree.body:
+            if not isinstance(node, DEFS):
+                roots |= _names(node)
+                continue
+            defs.setdefault(node.name, []).append(node)
+            if isinstance(node, ast.ClassDef):
+                for m in node.body:
+                    if isinstance(m, DEFS):
+                        defs.setdefault(m.name, []).append(m)
+        if name == "cli.py":
+            roots |= _names(tree)
+    for path in sorted(PERFBENCH.glob("*.py")):
+        if path.name != "test_perfbench.py":
+            roots |= _names(ast.parse(path.read_text()))
+
+    def reach(start):
+        reached, todo = set(), list(start & defs.keys())
+        while todo:
+            f = todo.pop()
+            if f not in reached:
+                reached.add(f)
+                for node in defs[f]:
+                    todo.extend(_names(node) & defs.keys())
+        return reached
+
+    unreached = {f for f in defs if not f.startswith("_")} - reach(roots | TEST_ONLY.keys())
+    assert not unreached, f"public names with no reader and no TEST_ONLY claim: {sorted(unreached)}"
+    undefined = TEST_ONLY.keys() - defs.keys()
+    assert not undefined, f"TEST_ONLY names not defined in src/: {sorted(undefined)}"
+    stale = TEST_ONLY.keys() & reach(roots)
+    assert not stale, f"TEST_ONLY names the program reads: {sorted(stale)}"

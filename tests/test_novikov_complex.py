@@ -4,7 +4,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from persalg.filtered_complex import Gen, homology_barcode
+from persalg import gf2
+from persalg.filtered_complex import (
+    FilteredMap,
+    Gen,
+    _chain_map_classes,
+    _cycles,
+    homology_barcode,
+    reach_gap,
+)
 from persalg.novikov import NOV_ONE, NovikovElement as N
 from persalg.novikov_complex import (
     ConciseBarcode,
@@ -21,7 +29,7 @@ from persalg.novikov_complex import (
     z2_window_complex,
 )
 from persalg.entropy import dehn_sphere_model
-from util import count_reduce_floer, precision_trap, random_floer_basis_change
+from util import count_reduce_floer, precision_trap, random_complex, random_floer_basis_change
 
 
 def two_gen(coef) -> FloerComplex:
@@ -300,6 +308,40 @@ def test_reach_gap_floer_structural():
     assert reach_gap_floer({0: NOV_ONE}, 0, zero) == float("inf")
 
 
+def _ones(rows) -> dict[int, dict[int, N]]:
+    """Z2 bitmask rows as Novikov rows with every entry 1."""
+    return {i: dict.fromkeys(gf2.bits(v), NOV_ONE) for i, v in enumerate(rows) if v}
+
+
+def test_reach_gap_floer_matches_z2_reach_gap():
+    """Z2 complexes and chain maps embedded with entries 1: the cone-trick
+    reach gap equals the Z2 ``reach_gap`` (its oracle: one sublevel solve per
+    critical level, no Floer reduction) on every cycle of a basis and one
+    sum of them, at levels r below, at and above the cycle's level."""
+    rng = random.Random(5)
+    checked = below = finite = 0
+    for _ in range(100):
+        A, X = random_complex(rng, rng.randrange(1, 4)), random_complex(rng, rng.randrange(1, 4))
+        AF = FloerComplex(A.gens, _ones(A.dmat), A.modulus)
+        XF = FloerComplex(X.gens, _ones(X.dmat), X.modulus)
+        cycles = _cycles(X, list(range(X.dim())))
+        if not cycles:
+            continue
+        ws = cycles + [gf2.apply(cycles, rng.randrange(1, 1 << len(cycles)))]
+        for mat in _chain_map_classes(A, X):
+            f = FilteredMap(A, X, mat, validate=False)
+            fF = FloerMap(AF, XF, _ones(f.mat))
+            for w in ws:
+                lw = max(X.gens[j].level for j in gf2.bits(w))
+                for r in (lw - 1, lw, lw + F(1, 3)):
+                    want = reach_gap(w, r, f)
+                    assert reach_gap_floer(dict.fromkeys(gf2.bits(w), NOV_ONE), r, fF) == want
+                    checked += 1
+                    below += r < lw
+                    finite += want != float("inf")
+    assert (checked, below, finite) == (1452, 484, 921)
+
+
 def test_json_round_trip():
     C = two_gen(N.from_exponents([2, F(7, 2)]))
     C2 = FloerComplex.from_json(C.to_json())
@@ -340,8 +382,6 @@ def test_json_round_trip_keeps_truncation():
 def _window_death_oracle(C, w, radius=F(20), step=F(1, 2)):
     """Brute force: the smallest grid level s with w in d(C^{<= s}), solved
     over Z2 on the grid model (independent of the reduction route)."""
-    from persalg import gf2
-
     qs = []
     q = -radius
     while q <= radius:

@@ -40,7 +40,6 @@ def test_bar_count():
     assert bar_count(bc((0, 1)), F(3, 5)) == 1
     assert bar_count(bc((0, 1)), 1) == 0  # strict inequality
     assert bar_count(bc((0, F(1, 5)), (0, 3), (1, INF)), F(1, 2)) == 2
-    assert bar_count(bc((0, INF)), 5, finite_only=True) == 0
     with pytest.raises(ValueError):
         bar_count(EMPTY, -1)
 
@@ -407,10 +406,9 @@ def _varied_barcode(rng, n, modulus):
 
 def test_shift_invariant_matches_plain_loop():
     """Values and types agree with the plain loop for the three library
-    metrics (integer kernels, d_int pruned) and a plain callable."""
+    metrics (integer kernels, d_int pruned)."""
     rng = random.Random(20261019)
-    metrics = [(interleaving_distance, 4), (retract_interleaving, 3), (dint_variant, 2),
-               (lambda X, Y: interleaving_distance(X, Y), 2)]
+    metrics = [(interleaving_distance, 4), (retract_interleaving, 3), (dint_variant, 2)]
     odd = 0
     for _ in range(110):
         modulus = rng.choice((0, 2))
@@ -426,12 +424,13 @@ def test_shift_invariant_matches_plain_loop():
             want, at = _plain_shift_invariant(metric, B1, B2)
             assert got == want and type(got) is type(want), (metric, B1, B2)
             odd += at is not None and at % 2  # B1 shifted there has odd endpoints
-    assert odd >= 10  # the first best shift is odd in 14 of the 440 cases
+    assert odd >= 10  # the first best shift is odd in 11 of the 330 cases
 
 
 def test_shift_invariant_sees_through_wrappers():
     """A wrapped library metric, as a tracer installs it, still takes the
-    integer path: the wrapper itself is never called."""
+    integer path: the wrapper itself is never called.  Any other callable is
+    rejected, even one with a library metric's values."""
     calls = []
 
     @functools.wraps(interleaving_distance)
@@ -442,6 +441,9 @@ def test_shift_invariant_sees_through_wrappers():
     B1, B2 = bc((0, 1), (F(1, 3), INF)), bc((2, F(7, 2)), (F(5, 2), INF))
     assert shift_invariant(traced, B1, B2) == shift_invariant(interleaving_distance, B1, B2)
     assert calls == []
+    with pytest.raises(ValueError, match="interleaving_distance, dint_variant or "
+                                         "retract_interleaving"):
+        shift_invariant(lambda X, Y: interleaving_distance(X, Y), B1, B2)
 
 
 @pytest.mark.parametrize("data,field", [
