@@ -7,11 +7,12 @@ plus an open-closed map table on the distinguished Hochschild chains.
 Everything else is left uncovered, never assumed zero; evaluation outside
 the tabulated coverage raises ``CoverageError``.
 
-The geometric enumerators (``oracle_*``) count series by brute force over
-slice fractions / lattice polygons with exit-position multiplicities.  Two of
-them also build model tables, so they are no independent check of those
-models: ``build_torus_bxy`` tabulates its OC entry as ``oracle_lattice_oc``
-and ``build_torus_grid`` its theta series as ``oracle_grid_theta``.  The
+``oracle_lattice_oc`` and ``oracle_grid_theta`` count series by brute force
+over lattice polygons with exit-position multiplicities; ``oracle_sphere_slice``
+is the slice area 1/(2N) in closed form.  The two torus enumerators also build
+model tables, so they are no independent check of those models:
+``build_torus_bxy`` tabulates its OC entry as ``oracle_lattice_oc`` and
+``build_torus_grid`` its theta series as ``oracle_grid_theta``.  The
 independent check of the 1x1 torus series is ``novikov.series_odd_squares``.
 """
 
