@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import jsonread
 from .filtered_complex import Gen
@@ -159,6 +159,12 @@ class TabulatedAInfCategory:
         if info is None:
             raise ValueError(f"unknown generator {name}")
         return info
+
+    def _known_objects(self, *names: str) -> None:
+        """A ValueError naming the first of ``names`` that is not an object."""
+        for X in names:
+            if X not in self.objects:
+                raise ValueError(f"unknown object {X}")
 
     # -- mu evaluation ------------------------------------------------------
 
@@ -367,12 +373,14 @@ def contractions(A: TabulatedAInfCategory, t: tuple[str, ...], whole: bool = Tru
     the cone differential, the star product (the blocks of tx + ty that
     take a suffix of tx and a prefix of ty: ``rows = after = len(tx)``) and
     the Hochschild differential (the blocks wrapping through the module
-    slot: ``rows=1`` on a rotation), and of the inner sums of the lambda
-    and Abouzaid checks, whose prefix and suffix loops stay plain loops.
-    The cone differential and the star product keep their terms in
-    ``A._terms``.  ``verify`` keeps its own
-    walk over its per-call outcome table: routing it through a shared
-    (i, j) generator made ``verify(4)`` a fifth slower."""
+    slot: ``rows=1`` on a rotation), of the inner sums of the Abouzaid
+    check, and of the lambda check's per-call tables, which read it once
+    per distinct module-differential input instead of once per (phi,
+    evaluation tuple) pair; the prefix and suffix loops of both checks stay
+    plain loops.  The cone differential and the star product keep their
+    terms in ``A._terms``.  ``verify`` keeps its own walk over its per-call
+    outcome table: routing it through a shared (i, j) generator made
+    ``verify(4)`` a fifth slower."""
     units, n = A.unit_names, len(t)
     for i in range(n if rows is None else rows):
         head = t[:i]
@@ -736,10 +744,28 @@ def verify_lambda_homotopy(A: TabulatedAInfCategory, L: str, X: str,
                            l_max: int = 2, corrupt=None) -> AinfReport:
     """Check theta(lambda(c)) = c and (lambda theta + id)(phi) =
     (mu_1 H + H mu_1)(phi) for the Yoneda module M = hom(-, X), on all
-    covered evaluation tuples with l <= l_max.
+    covered evaluation tuples with l <= l_max.  A ValueError names L or X
+    when it is not an object of A.
+
+    phi runs over the elementary pre-morphisms (m0 at one evaluation tuple
+    t0, zero elsewhere), and H = phi(., e_L).  The module differential
+    mu_1^mod F on args is mu^M(args[:i], F(args[i:])), then
+    F(args[:i] + mu(args[i:])), then F on the contractions inside
+    args[:-1], each summed by rule D (see ``sparse``).  F is read only at
+    the keys of the last two sums, and their mu values do not depend on F,
+    so each distinct args is walked once per call: its table lists, for
+    each key F is read at, the mu coefficients in walk order, or holds the
+    _Gap of the walk's first ``CoverageError``.  A pair (phi, evaluation
+    tuple) then makes the one mu^M lookup of the first sum (F is nonzero
+    on at most one suffix of args), raises the table's gap, and accumulates
+    only the coefficients listed under F's one support key; every skipped
+    term added zero.  That keeps the lookups of each d_mod in the order of
+    the walk it replaces, so a pair whose first sum and table both hit a
+    gap still reports the first sum's.  The tables are dropped on return.
 
     ``corrupt`` optionally post-composes mu^M with a perturbation (negative
     control in tests)."""
+    A._known_objects(L, X)
     rep = AinfReport()
 
     def mu_M(xs: Sequence[Elem], m: Elem) -> Elem:
@@ -750,21 +776,32 @@ def verify_lambda_homotopy(A: TabulatedAInfCategory, L: str, X: str,
         return out
 
     e_L = A.units[L]
+    tables: dict[tuple, object] = {}  # args -> {key: [c, ...]} or _Gap
 
-    def d_mod(F: Callable[[tuple], Elem], args: tuple[str, ...]) -> Elem:
-        """(mu_1^mod F) on ``args``, F a pre-morphism on input tuples whose
-        last entry is the Yoneda-module slot: mu^M(args[:i], F(args[i:])),
-        then F(args[:i], mu(args[i:])), then F on the contractions inside
-        args[:-1], each summed by rule D."""
-        out: Elem = {}
-        for i in range(len(args)):
-            if inner := F(args[i:]):
-                accumulate(out, mu_M([A.gen_elem(g) for g in args[:i]], inner))
+    def reads(args: tuple[str, ...]) -> dict[tuple, list]:
+        """The table of ``args``; raises the walk's first CoverageError."""
+        table: dict[tuple, list] = {}
         for i in range(len(args)):
             for h, c in A.mu_gens(args[i:]).items():
-                accumulate(out, F(args[:i] + (h,)), c)
+                table.setdefault(args[:i] + (h,), []).append(c)
         for key, c in contractions(A, args[:-1]):
-            accumulate(out, F(key + args[-1:]), c)
+            table.setdefault(key + args[-1:], []).append(c)
+        return table
+
+    def d_mod(support: Optional[tuple], m: Elem, args: tuple[str, ...]) -> Elem:
+        """(mu_1^mod F) on ``args`` for F = m at ``support`` and zero
+        elsewhere (everywhere when None)."""
+        out: Elem = {}
+        if support and args[-len(support):] == support:
+            xs = args[:len(args) - len(support)]
+            accumulate(out, mu_M([A.gen_elem(g) for g in xs], m))
+        table = tables.get(args)
+        if table is None:
+            table = tables[args] = _held(reads, args)
+        if table.__class__ is _Gap:
+            raise CoverageError(table.arg)
+        for c in table.get(support, ()):
+            accumulate(out, m, c)
         return out
 
     # theta . lambda = id on module elements
@@ -785,21 +822,17 @@ def verify_lambda_homotopy(A: TabulatedAInfCategory, L: str, X: str,
     evals = _eval_tuples(A, L, l_max)
     basis = [(l0, xs + (y,), m0) for l0, xs, y in evals for m0 in A.hom(L, X) or []]
     for l0, t0, m0 in basis:
-        def phi(names: tuple[str, ...], t0=t0, m0=m0) -> Elem:
-            return {m0: NOV_ONE} if names == t0 else {}
-
-        def H(names: tuple[str, ...], phi=phi) -> Elem:
-            return phi(names + (e_L,))
-
-        theta = phi((e_L,))
+        m = A.gen_elem(m0)
+        theta = m if t0 == (e_L,) else {}
+        support_H = t0[:-1] if t0[-1] == e_L else None
         for l, xs_names, y_name in evals:
             xy = xs_names + (y_name,)
             try:
                 # lambda(theta(phi)) + phi on (xs, y)
                 lhs = A.mu_elems([A.gen_elem(g) for g in xy] + [theta]) if theta else {}
-                lhs = add(lhs, phi(xy))
+                lhs = add(lhs, m if xy == t0 else {})
                 # mu_1 H + H mu_1, where (H mu_1 phi)(xs, y) = (mu_1 phi)(xs, y, e_L)
-                rhs = add(d_mod(H, xy), d_mod(phi, xy + (e_L,)))
+                rhs = add(d_mod(support_H, m, xy), d_mod(t0, m, xy + (e_L,)))
                 if add(lhs, rhs):
                     rep.failures.append(("homotopy", (l0, t0, m0), (xs_names, y_name)))
                 else:
@@ -829,7 +862,9 @@ def verify_abouzaid_diagram(A: TabulatedAInfCategory, B: Sequence[str], K: str,
     """Chain-level commutativity of the split-generation square up to the
     homotopy H: for each bar tensor and evaluation tuple,
     T1 + T2 + T3 + T4 = 0 where the four terms are the explicit mu-sums of
-    the diagram (lambda . mu^bar, mu_2(lambda-bar, xi), H_{d_bar}, mu_1 H)."""
+    the diagram (lambda . mu^bar, mu_2(lambda-bar, xi), H_{d_bar}, mu_1 H).
+    A ValueError names the first of B and K that is not an object of A."""
+    A._known_objects(*B, K)
     rep = AinfReport()
     mu = A.mu_gens
     evals = _eval_tuples(A, K, l_max)

@@ -11,6 +11,7 @@ from persalg.ainf import (
     AinfReport,
     HomGen,
     TabulatedAInfCategory,
+    _eval_tuples,
     _q_chains,
     bar_complex,
     cone_differential,
@@ -38,7 +39,7 @@ from persalg.fukaya_models import (
 )
 from persalg.novikov import NOV_ONE, NovikovElement as N
 from persalg.novikov_complex import CoverageError, concise_barcode, floer_cone, FloerMap
-from persalg.sparse import add_into
+from persalg.sparse import accumulate, add, add_into
 from util import bench_models
 
 
@@ -357,13 +358,28 @@ def test_lambda_homotopy_zero_module(single):
     assert rep.ok  # degenerate pass: hom(X, Y) = 0
 
 
-def test_lambda_homotopy_negative_control(single):
-    def corrupt(xs, m):
-        return {"e_L": N.monomial(F(1, 5))} if len(xs) == 1 else {}
+def _corrupt(xs, m):
+    return {"e_L": N.monomial(F(1, 5))} if len(xs) == 1 else {}
 
+
+def test_lambda_homotopy_negative_control(single):
     rep = verify_lambda_homotopy(single.category, "L", "L", l_max=1,
-                                 corrupt=corrupt)
+                                 corrupt=_corrupt)
     assert not rep.ok
+
+
+@pytest.mark.parametrize("check", [
+    lambda A: verify_lambda_homotopy(A, "L", "nope"),
+    lambda A: verify_lambda_homotopy(A, "nope", "L"),
+    lambda A: verify_abouzaid_diagram(A, ["L"], "nope", 1),
+    lambda A: verify_abouzaid_diagram(A, ["nope"], "L", 1),
+])
+def test_diagram_checks_name_unknown_objects(single, check):
+    """An object the category does not have is an error naming it, not a
+    vacuous pass; a declared-zero hom still passes vacuously
+    (test_lambda_homotopy_zero_module)."""
+    with pytest.raises(ValueError, match="unknown object nope"):
+        check(single.category)
 
 
 def test_abouzaid_diagram(single, sphere2):
@@ -569,6 +585,88 @@ def test_lambda_report_pinned_single(single):
     assert (len(rep.checked), len(rep.uncheckable), len(rep.failures)) == (1802, 0, 0)
     assert _report_digest(rep) == \
         "869dd2e54471eb7e363ce0204f527d674e9fdfb1669047068dd01b477a05d31a"
+
+
+def _lambda_per_pair(A, L, X, l_max, corrupt=None):
+    """verify_lambda_homotopy as it walked mu_1^mod in full for every
+    (phi, evaluation tuple) pair, F given as a function."""
+    rep = AinfReport()
+
+    def mu_M(xs, m):
+        out = A.mu_elems(list(xs) + [m])
+        return out if corrupt is None else add(out, corrupt(xs, m))
+
+    e_L = A.units[L]
+
+    def d_mod(F, args):
+        out = {}
+        for i in range(len(args)):
+            if inner := F(args[i:]):
+                accumulate(out, mu_M([A.gen_elem(g) for g in args[:i]], inner))
+        for i in range(len(args)):
+            for h, c in A.mu_gens(args[i:]).items():
+                accumulate(out, F(args[:i] + (h,)), c)
+        for key, c in contractions(A, args[:-1]):
+            accumulate(out, F(key + args[-1:]), c)
+        return out
+
+    for m_name in A.hom(L, X) or []:
+        m = A.gen_elem(m_name)
+        try:
+            got = mu_M([A.gen_elem(e_L)], m)
+        except CoverageError as exc:
+            rep.uncheckable.append((("theta.lambda", m_name), exc.args[0]))
+            continue
+        if add(got, m):
+            rep.failures.append(("theta.lambda", m_name, got))
+        else:
+            rep.checked.append(("theta.lambda", m_name))
+    evals = _eval_tuples(A, L, l_max)
+    for l0, t0, m0 in [(l0, xs + (y,), m0) for l0, xs, y in evals for m0 in A.hom(L, X) or []]:
+        def phi(names, t0=t0, m0=m0):
+            return {m0: NOV_ONE} if names == t0 else {}
+
+        def H(names, phi=phi):
+            return phi(names + (e_L,))
+
+        theta = phi((e_L,))
+        for l, xs, y in evals:
+            xy = xs + (y,)
+            try:
+                lhs = A.mu_elems([A.gen_elem(g) for g in xy] + [theta]) if theta else {}
+                lhs = add(lhs, phi(xy))
+                rhs = add(d_mod(H, xy), d_mod(phi, xy + (e_L,)))
+                (rep.failures if add(lhs, rhs) else rep.checked).append(
+                    ("homotopy", (l0, t0, m0), (xs, y)))
+            except CoverageError as exc:
+                rep.uncheckable.append(((l0, t0, m0, xs, y), exc.args[0]))
+    return rep
+
+
+def test_lambda_tables_match_per_pair_walk():
+    """verify_lambda_homotopy's per-call tables give, in order and by repr,
+    the reports of the walk per pair: the single equator at l_max 0-3, the
+    spheres N = 2, 3 at h = 0, 1/100 and l_max 0, 1, and the three torus
+    models at l_max 1, over every ordered (L, X) pair, and the corrupted
+    negative control at l_max 1, 2."""
+    single = build_single_equator().category
+    cases = [(single, "L", "L", l, None) for l in range(4)]
+    cases += [(single, "L", "L", l, _corrupt) for l in (1, 2)]
+    for A, l_maxes in [(build_sphere(2).category, (0, 1)), (build_sphere(2, F(1, 100)).category, (0, 1)),
+                       (build_sphere(3).category, (0, 1)), (build_sphere(3, F(1, 100)).category, (0, 1)),
+                       (build_torus_bxy().category, (1,)),
+                       (build_torus_longitudes(2).category, (1,)),
+                       (build_torus_grid(2).category, (1,))]:
+        cases += [(A, L, X, l, None) for L in A.objects for X in A.objects for l in l_maxes]
+    seen = Counter()
+    for A, L, X, l_max, corrupt in cases:
+        want = _lambda_per_pair(A, L, X, l_max, corrupt)
+        got = verify_lambda_homotopy(A, L, X, l_max, corrupt)
+        assert repr((got.checked, got.uncheckable, got.failures)) == \
+            repr((want.checked, want.uncheckable, want.failures)), (L, X, l_max)
+        seen.update(checked=len(want.checked), uncheckable=len(want.uncheckable),
+                    failures=len(want.failures))
+    assert all(seen[k] for k in ("checked", "uncheckable", "failures"))
 
 
 # -- block contractions and q-chains against plain enumerations -----------------
@@ -1109,4 +1207,28 @@ def test_verify_looks_up_each_tuple_once_and_keeps_nothing(monkeypatch):
     assert vars(A).keys() == attrs.keys() and all(vars(A)[k] is v for k, v in attrs.items())
     asked.clear()
     A.verify(4)
+    assert asked == first
+
+
+def test_lambda_check_walks_each_tuple_once_and_keeps_nothing(monkeypatch):
+    """One verify_lambda_homotopy on the single equator at l_max 3 makes at
+    most 1,000 lookups (the walk per pair made 25,950) and leaves the
+    category's attributes as they were; a second call makes the same
+    lookups again."""
+    A = build_single_equator().category
+    mu_gens, asked = A.mu_gens, []
+
+    def mu(key):
+        asked.append(key)
+        return mu_gens(key)
+
+    monkeypatch.setattr(A, "mu_gens", mu)
+    attrs, values = dict(vars(A)), copy.deepcopy(vars(A))
+    verify_lambda_homotopy(A, "L", "L", l_max=3)
+    first = list(asked)
+    assert 0 < len(first) <= 1000
+    assert vars(A) == values
+    assert vars(A).keys() == attrs.keys() and all(vars(A)[k] is v for k, v in attrs.items())
+    asked.clear()
+    verify_lambda_homotopy(A, "L", "L", l_max=3)
     assert asked == first
