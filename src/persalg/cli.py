@@ -157,12 +157,10 @@ def cmd_hochschild(args):
 
 def cmd_entropy(args):
     eps = _frac(args, "eps")
-    rows = []
-    for k in range(1, args.k_max + 1):
-        C, _ = entropy.dehn_sphere_model(k, eps)
-        B = novikov_complex.concise_barcode(C)
-        rows.append((k, B.bar_count(2 * eps),
-                     entropy.lower_bound_conelength([B], Fraction(1), eps)))
+    if args.k_max < 3:
+        raise ValueError("--k-max must be >= 3: the estimate fits at least 3 points")
+    rows = [(k, B.bar_count(2 * eps), entropy.lower_bound_conelength([B], Fraction(1), eps))
+            for k, B in enumerate(entropy.dehn_barcode_table(args.k_max, eps), 1)]
     est, window = entropy.entropy_estimate([r[1] for r in rows], args.mode)
     lines = ["k,N_k,bound"] + [f"{k},{c},{b}" for k, c, b in rows]
     text = "\n".join(lines)

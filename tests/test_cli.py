@@ -230,12 +230,28 @@ def test_entropy_subcommand(capsys, tmp_path):
     assert lines[1] == "1,3,3"
 
 
-def test_entropy_reduces_each_model_once(capsys, monkeypatch):
+def test_entropy_reduces_two_summands_per_call(capsys, monkeypatch):
     calls = count_reduce_floer(monkeypatch)
-    code, out, _ = run_cli(["entropy", "--k-max", "9"], capsys)
-    assert code == 0
-    assert out.splitlines()[1:] == [f"{k},{k + 2},{k + 2}" for k in range(1, 10)]
-    assert len(calls) == 9
+    for k_max in (9, 800, 800):
+        calls.clear()
+        code, out, _ = run_cli(["entropy", "--k-max", str(k_max)], capsys)
+        assert code == 0
+        assert out.splitlines()[1:] == [f"{k},{k + 2},{k + 2}" for k in range(1, k_max + 1)]
+        assert len(calls) == 2 and len({id(C) for C in calls}) == 2
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--k-max", "0"], "error: --k-max must be >= 3"),
+    (["--k-max", "2"], "error: --k-max must be >= 3"),
+    (["--k-max", "-1"], "error: --k-max must be >= 3"),
+    (["--k-max", "3", "--eps=-1/32"], "error: eps' must be >= 0"),
+    (["--k-max", "3", "--eps", "1/16"], "error: eps' must be <= 1/32"),
+])
+def test_entropy_bad_arguments_exit_2(capsys, argv, message):
+    code, out, err = run_cli(["entropy"] + argv, capsys)
+    assert code == 2 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(message)
 
 
 def test_console_script_installed():

@@ -11,6 +11,7 @@ from persalg.entropy import (
     LengthSpectrum,
     action_value,
     certified_bar_count,
+    dehn_barcode_table,
     dehn_bound_sequence,
     dehn_sphere_model,
     entropy_estimate,
@@ -18,6 +19,7 @@ from persalg.entropy import (
     floer_action_model,
     lower_bound_conelength,
 )
+from persalg.cli import main
 from persalg.filtered_complex import e1, internal_hom, cone_length, family_constant, homology_barcode
 from persalg.novikov_complex import bar_count_at, concise_barcode, t1_homology_rank
 from persalg.persistence import Bar, Barcode, INF
@@ -166,7 +168,46 @@ def test_entropy_chain_inequality():
     assert upper >= lower - 1e-9
 
 
-def test_dehn_sequence_reduces_each_model_once(monkeypatch):
+def test_dehn_sequence_reduces_two_summands_per_call(monkeypatch):
     calls = count_reduce_floer(monkeypatch)
-    assert dehn_bound_sequence(12) == [k + 2 for k in range(1, 13)]
-    assert len(calls) == 12 and len({id(C) for C in calls}) == 12
+    for k_max in (12, 800, 800):
+        calls.clear()
+        assert dehn_bound_sequence(k_max) == [k + 2 for k in range(1, k_max + 1)]
+        assert len(calls) == 2 and len({id(C) for C in calls}) == 2
+
+
+def _per_k_reference(k_max):
+    """The table as it was built before the direct-sum identity: one model
+    complex per k, each reduced on its own."""
+    return [concise_barcode(dehn_sphere_model(k)[0]) for k in range(1, k_max + 1)]
+
+
+@pytest.fixture(scope="module")
+def reference_200():
+    return _per_k_reference(200)
+
+
+def test_dehn_table_matches_per_k_complexes(reference_200, capsys):
+    assert dehn_barcode_table(200) == reference_200
+    assert dehn_bound_sequence(200) == [B.bar_count(F(2, 32)) for B in reference_200]
+    for eps in ("1/32", "1/64", "0"):
+        rows = ["k,N_k,bound"] + [
+            f"{k},{B.bar_count(2 * F(eps))},"
+            f"{lower_bound_conelength([B], F(1), F(eps))}"
+            for k, B in enumerate(reference_200, 1)]
+        counts = [B.bar_count(2 * F(eps)) for B in reference_200]
+        for mode in ("exponential", "slow"):
+            est, window = entropy_estimate(counts, mode)
+            assert main(["entropy", "--k-max", "200", "--eps", eps, "--mode", mode]) == 0
+            out, err = capsys.readouterr()
+            assert out == "\n".join(rows) + "\n"
+            assert err == f"# {mode} entropy estimate over k in {window}: {est:.4f}\n"
+
+
+@pytest.mark.parametrize("eps", [F(-1, 32), F(1, 16)])
+def test_dehn_eps_domain(eps):
+    """0 <= eps' <= 1/32 is checked once per table and once per model."""
+    for call in (lambda: dehn_bound_sequence(3, eps), lambda: dehn_barcode_table(3, eps),
+                 lambda: dehn_sphere_model(3, eps)):
+        with pytest.raises(ValueError, match="eps' must be"):
+            call()
