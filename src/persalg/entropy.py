@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 
 from .filtered_complex import Gen
 from .novikov import NovikovElement
-from .novikov_complex import (  # bar_count_at: the benchmark's tracer tests read it here
+from .novikov_complex import (  # bar_count_at: perfbench's tracer test checks it is wrapped here
     ConciseBarcode,
     FloerComplex,
     bar_count_at,
