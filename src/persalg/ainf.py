@@ -217,7 +217,8 @@ class TabulatedAInfCategory:
 
     def verify(self, max_arity: int = 4) -> AinfReport:
         """Check filtration/degree of the stored table and all A-infinity
-        relation instances whose constituent terms are covered.
+        relation instances of arity 1..max_arity (max_arity >= 1) whose
+        constituent terms are covered.
 
         The relation of a key is the sum over blocks key[i:j] of
         mu(key[:i] + mu(key[i:j]) + key[j:]), with the blocks that vanish
@@ -231,6 +232,8 @@ class TabulatedAInfCategory:
         out here rather than taken from ``contractions``, whose lookups
         raise instead of returning gaps: a shared (i, j) generator made
         ``verify(4)`` a fifth slower."""
+        if max_arity < 1:
+            raise ValueError(f"max_arity must be >= 1, got {max_arity}")
         rep = AinfReport()
         for key, val in self.mu.items():
             total_level = sum(self.gen_info[g].level for g in key)

@@ -444,7 +444,8 @@ def internal_hom(C: FilteredComplex, D: FilteredComplex) -> FilteredComplex:
             if (C.dmat[i2] >> i) & 1:
                 rows.append(index[(i2, j)])
         diff[k] = rows
-    # the hom differential has degree -1 homological regardless of input flag
+    # the hom differential has the inputs' degree: -1 homological, +1
+    # cohomological, so the hom complex keeps their flag
     return FilteredComplex(gens, diff, C.modulus, C.cohomological, validate=False)
 
 

@@ -8,8 +8,7 @@ Everything else is left uncovered, never assumed zero; evaluation outside
 the tabulated coverage raises ``CoverageError``.
 
 ``oracle_lattice_oc`` and ``oracle_grid_theta`` count series by brute force
-over lattice polygons with exit-position multiplicities; ``oracle_sphere_slice``
-is the slice area 1/(2N) in closed form.  The two torus enumerators also build
+over lattice polygons with exit-position multiplicities.  They also build
 model tables, so they are no independent check of those models:
 ``build_torus_bxy`` tabulates its OC entry as ``oracle_lattice_oc`` and
 ``build_torus_grid`` its theta series as ``oracle_grid_theta``.  The
@@ -20,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .ainf import HomGen, TabulatedAInfCategory
 from .hochschild import chain_level, is_cycle
@@ -33,10 +31,10 @@ Chain = dict  # {tensor tuple: NovikovElement}
 
 @dataclass(frozen=True)
 class QHElement:
-    """Novikov combination of quantum generators with an eigensummand tag."""
+    """Novikov combination of quantum generators: nonzero coefficients,
+    sorted by generator name."""
 
     coefficients: tuple[tuple[str, NovikovElement], ...]
-    eigensummand: str = "d=0"
 
     def coefficient(self, name: str) -> NovikovElement:
         for g, c in self.coefficients:
@@ -44,16 +42,9 @@ class QHElement:
                 return c
         return NovikovElement.zero()
 
-    def is_zero(self) -> bool:
-        return all(not c for _, c in self.coefficients)
-
     def __str__(self):
         terms = [f"({c})*{g}" for g, c in self.coefficients if c]
         return " + ".join(terms) if terms else "0"
-
-
-def _qh(pairs: dict[str, NovikovElement], tag="d=0") -> QHElement:
-    return QHElement(tuple(sorted((g, c) for g, c in pairs.items() if c)), tag)
 
 
 @dataclass
@@ -63,11 +54,9 @@ class FukayaModel:
     name: str
     category: TabulatedAInfCategory
     h: Fraction  # perturbation size nu(p)
-    qh_gens: tuple[str, ...]
     oc_table: dict[tuple, dict[str, NovikovElement]]
     witness: Chain  # the distinguished Hochschild cycle
     single_lagrangian: bool  # drops the nu(p) term in the accuracy
-    precision: Optional[Fraction] = None
 
     def oc_tensor(self, t: tuple) -> dict[str, NovikovElement]:
         """OC of the tensor ``t``; CoverageError when untabulated.  The result
@@ -77,12 +66,20 @@ class FukayaModel:
         raise CoverageError(("OC", t))
 
 
+def _perturbation(h) -> Fraction:
+    """The perturbation size nu(p) of a builder's hom generators, >= 0."""
+    nu = Fraction(h)
+    if nu < 0:
+        raise ValueError(f"h must be >= 0 (the perturbation size nu(p)), got {nu}")
+    return nu
+
+
 # -- single equator ------------------------------------------------------------
 
 def build_single_equator(h=0) -> FukayaModel:
     """One equator L on the sphere: hom(L,L) = <e, pt>, mu_k(a,...,a) =
     T^{1/2} e for the cycle a = pt + T^{1/4} e, k = 2..6."""
-    h = Fraction(h)
+    h = _perturbation(h)
     gens = [
         HomGen("e_L", "L", "L", 0, 0),
         HomGen("pt_L", "L", "L", 1, 0),
@@ -102,8 +99,8 @@ def build_single_equator(h=0) -> FukayaModel:
         ("pt_L", "pt_L"): {"u": half},
     }
     witness = {("pt_L", "pt_L"): NOV_ONE}
-    return FukayaModel("single_equator", model_cat, h, ("u", "pt_S2"), oc,
-                       witness, single_lagrangian=True)
+    return FukayaModel("single_equator", model_cat, h, oc, witness,
+                       single_lagrangian=True)
 
 
 # -- sphere with N great circles -------------------------------------------------
@@ -119,7 +116,7 @@ def build_sphere(N: int, h=0) -> FukayaModel:
     N = int(N)
     if N < 2:
         raise ValueError("the sphere family needs N >= 2")
-    h = Fraction(h)
+    h = _perturbation(h)
     objs = [f"L{i}" for i in range(1, N + 1)]
     gens = []
     for i in range(1, N + 1):
@@ -150,7 +147,7 @@ def build_sphere(N: int, h=0) -> FukayaModel:
         oc[(f"n{i}", f"s{i}'")] = {"u": slice_exp} if i == 1 else {}
         oc[(f"e{i}",)] = {}
     witness = {(f"n{i}", f"s{i}'"): NOV_ONE for i in range(1, N + 1)}
-    return FukayaModel(f"sphere_N{N}", cat, h, ("u", "pt_S2"), oc, witness,
+    return FukayaModel(f"sphere_N{N}", cat, h, oc, witness,
                        single_lagrangian=False)
 
 
@@ -231,17 +228,11 @@ def oracle_grid_theta(N: int, precision) -> NovikovElement:
     return s1 + s2
 
 
-def oracle_sphere_slice(N: int) -> Fraction:
-    """Area of the digon pair swept between consecutive circles: two sectors
-    of angle pi/(2N) out of total area 1."""
-    return Fraction(1, 2 * N)
-
-
 def build_torus_bxy(precision=120, h=0) -> FukayaModel:
     """The {L_x, L_y} model: one intersection point a, all displayed mu's
     vanish over Z2 and OC(a (x) a' (x) a (x) a') = sum nm T^{nm} u."""
     precision = Fraction(precision)
-    h = Fraction(h)
+    h = _perturbation(h)
     gens = [
         HomGen("e_x", "Lx", "Lx", 0, 0), HomGen("pt_x", "Lx", "Lx", 1, 0),
         HomGen("e_y", "Ly", "Ly", 0, 0), HomGen("pt_y", "Ly", "Ly", 1, 0),
@@ -264,8 +255,7 @@ def build_torus_bxy(precision=120, h=0) -> FukayaModel:
     avec = ("a_xy", "a_yx", "a_xy", "a_yx")
     oc = {avec: {"u": oracle_lattice_oc(precision)}}
     witness = {avec: NOV_ONE}
-    return FukayaModel("torus_bxy", cat, h, ("u", "pt_T2", "s1", "s2"), oc,
-                       witness, single_lagrangian=False, precision=precision)
+    return FukayaModel("torus_bxy", cat, h, oc, witness, single_lagrangian=False)
 
 
 def build_torus_longitudes(N: int, precision=8, h=0) -> FukayaModel:
@@ -283,7 +273,7 @@ def build_torus_longitudes(N: int, precision=8, h=0) -> FukayaModel:
         raise ValueError("the longitude family needs N >= 2 (the A = 1 "
                          "series of the N = 1 case diverges at exponent 0)")
     precision = Fraction(precision)
-    h = Fraction(h)
+    h = _perturbation(h)
     objs = ["Ly"] + [f"L{j}" for j in range(1, N + 1)]
     gens = [HomGen("e_y", "Ly", "Ly", 0, 0), HomGen("pt_y", "Ly", "Ly", 1, 0)]
     for j in range(1, N + 1):
@@ -338,9 +328,8 @@ def build_torus_longitudes(N: int, precision=8, h=0) -> FukayaModel:
         witness[(f"axy{j}", f"ayx{jn}", f"axy{jn}", f"ayx{j}")] = NOV_ONE
         witness[(f"e{j}", f"axy{j}", f"ayx{j}")] = qht
     witness = nonzero(witness)
-    return FukayaModel(f"torus_longitudes_N{N}", cat, h,
-                       ("u", "pt_T2", "s1", "s2"), oc, witness,
-                       single_lagrangian=False, precision=precision)
+    return FukayaModel(f"torus_longitudes_N{N}", cat, h, oc, witness,
+                       single_lagrangian=False)
 
 
 def _away_strip_series(N: int, precision) -> NovikovElement:
@@ -374,7 +363,7 @@ def build_torus_grid(N: int, precision=10, h=0) -> FukayaModel:
     if N < 2:
         raise ValueError("the grid family needs N >= 2")
     precision = Fraction(precision)
-    h = Fraction(h)
+    h = _perturbation(h)
     objs = [f"Lx{j}" for j in range(1, N + 1)] + [f"Ly{k}" for k in range(1, N + 1)]
     gens = []
     units = {}
@@ -408,8 +397,8 @@ def build_torus_grid(N: int, precision=10, h=0) -> FukayaModel:
     theta = oracle_grid_theta(N, precision)
     oc = {t4: {"u": theta}}
     witness = {t4: NOV_ONE}
-    return FukayaModel(f"torus_grid_N{N}", cat, h, ("u",), oc, witness,
-                       single_lagrangian=False, precision=precision)
+    return FukayaModel(f"torus_grid_N{N}", cat, h, oc, witness,
+                       single_lagrangian=False)
 
 
 # -- OC evaluation and certificates ----------------------------------------------
@@ -420,7 +409,7 @@ def oc_evaluate(model: FukayaModel, c: Chain) -> QHElement:
         if not coeff:
             continue
         add_into(out, model.oc_tensor(tuple(t)), coeff)
-    return _qh(out)
+    return QHElement(tuple(sorted((g, c) for g, c in out.items() if c)))
 
 
 @dataclass

@@ -92,7 +92,10 @@ def is_cycle(A: TabulatedAInfCategory, c: Chain) -> bool:
 
 def hochschild_tensors(A: TabulatedAInfCategory, objects: Sequence[str],
                        n_max: int) -> list[tuple[str, ...]]:
-    """All reduced cyclic tensors of length <= n_max over the given objects."""
+    """All reduced cyclic tensors of length <= n_max over the given objects;
+    n_max >= 1, since no tensor is shorter."""
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
     starts, leaving = [], {}
     for (src, tgt), names in A.homs.items():
         if src in objects and tgt in objects:
@@ -110,17 +113,9 @@ def hochschild_complex(A: TabulatedAInfCategory, objects: Sequence[str],
 
 
 def hochschild_barcode(A: TabulatedAInfCategory, objects: Sequence[str],
-                       n_max: int, degree: Optional[int] = None):
-    """Concise barcode of F^{n_max} CC (optionally a single degree)."""
-    C, tensors = hochschild_complex(A, objects, n_max)
-    B = concise_barcode(C)
-    if degree is None:
-        return B
-    m = A.modulus
-    deg = degree % m if m else degree
-    finite = tuple((l, d) for l, d in B.finite if d == deg)
-    infinite = tuple((d, c) for d, c in B.infinite if d == deg)
-    return ConciseBarcode(finite, infinite)
+                       n_max: int) -> ConciseBarcode:
+    """Concise barcode of F^{n_max} CC."""
+    return concise_barcode(hochschild_complex(A, objects, n_max)[0])
 
 
 def class_boundary_depth(A: TabulatedAInfCategory, objects: Sequence[str],

@@ -1,6 +1,7 @@
 """Exact rationals as integers: q in (1/D)Z becomes the int q * D.  The
 distances, the level sort, the Floer pivots and Novikov arithmetic compute on
-such integers, and this is the one module that converts them."""
+such integers, and this is the one module that converts them.  Two scales
+combine by ``math.lcm``, integer arithmetic that needs no conversion."""
 
 import math
 
@@ -14,12 +15,6 @@ def common_scale(qs) -> int:
 def over(q, D: int) -> int:
     """q * D as an int, for a Fraction q in (1/D)Z."""
     return q.numerator * (D // q.denominator)
-
-
-def scale_lcm(*scales: int) -> int:
-    """The least scale that every one of ``scales`` divides (1 for none):
-    integers over each of them are integers over it."""
-    return math.lcm(*scales)
 
 
 def ceil_over(p, D: int) -> int:

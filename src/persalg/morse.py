@@ -54,18 +54,16 @@ class VerifyReport:
     violations: list = field(default_factory=list)
 
 
-def build_1d(K, delta, eta, circumference=1.0, resolution: int = 10000,
-             margin: float = 0.9) -> PiecewiseProfile:
-    """Sawtooth with quadratic caps: teeth of height ~margin*K, slopes +-1."""
+def build_1d(K, delta, eta, circumference=1.0, resolution: int = 10000
+             ) -> PiecewiseProfile:
+    """Sawtooth with quadratic caps: teeth of height ~0.9*K, slopes +-1."""
     K, delta, eta, L = float(K), float(delta), float(eta), float(circumference)
-    margin = float(margin)
     for name, value in (("K", K), ("delta", delta), ("eta", eta),
-                        ("circumference", L), ("margin", margin)):
+                        ("circumference", L)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
-    for name, value in (("circumference", L), ("margin", margin)):
-        if value <= 0:
-            raise ValueError(f"{name} must be positive, got {value}")
+    if L <= 0:
+        raise ValueError(f"circumference must be positive, got {L}")
     n = int(resolution)
     if n < 3:
         raise ValueError(
@@ -74,8 +72,8 @@ def build_1d(K, delta, eta, circumference=1.0, resolution: int = 10000,
         raise ValueError("need 0 < delta < 1")
     if K <= 0 or eta <= 0:
         raise ValueError("K and eta must be positive")
-    # M teeth, each of width w = L / M, height w/2 <= margin * K
-    M = max(1, math.ceil(L / (2.0 * margin * K)))
+    # M teeth, each of width w = L / M, height w/2 <= 0.9 * K
+    M = max(1, math.ceil(L / (2.0 * 0.9 * K)))
     w = L / M
     if eta >= w / 4:
         raise ValueError(

@@ -8,25 +8,23 @@ output, so truncation never silently corrupts low-order terms.
 An element stores its exponents as a strictly increasing tuple of ints
 ``num`` over one scale ``den``, the least common denominator of the
 exponents (1 when there are none), so T^{2/4} is stored as T^{1/2} and equal
-elements compare and hash equal.  Sums, products, truncations and inverses
-run on those ints, over the least common multiple of the two scales (a
-factor already on it is not rescaled), and divide the result's scale back
-down to its least.  The public ``exponents``, a tuple of
-Fractions, is built from them when first read; ``precision`` stays a
-Fraction (or None).  ``persalg.lattice`` does every conversion between
-rationals and such integers.
+elements compare and hash equal.  Sums, products and inverses run on those
+ints, over the least common multiple of the two scales (a factor already on
+it is not rescaled), and divide the result's scale back down to its least.
+The public ``exponents``, a tuple of Fractions, is built from them when first
+read; ``precision`` stays a Fraction (or None).  ``persalg.lattice`` does
+every conversion between rationals and such integers.
 """
 
 from __future__ import annotations
 
 import heapq
 import re
-from bisect import bisect_left
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-from .lattice import ceil_over, common_scale, over, scale_lcm
+from .lattice import ceil_over, common_scale, over
 
 INF = float("inf")
 _new = object.__new__
@@ -174,9 +172,6 @@ class NovikovElement:
 
     # -- basic queries -----------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self._num
-
     def __bool__(self) -> bool:
         return bool(self._num)
 
@@ -206,7 +201,7 @@ class NovikovElement:
         if not a and prec == other._prec:
             return other
         da, db = self._den, other._den
-        den = scale_lcm(da, db)
+        den = lcm(da, db)
         if den != da:
             a = [e * (den // da) for e in a]
         if den != db:
@@ -229,7 +224,7 @@ class NovikovElement:
                 if not a[0]:
                     return other
                 if len(b) == 1:
-                    den = scale_lcm(da, db)
+                    den = lcm(da, db)
                     e = a[0] * (den // da) + b[0] * (den // db)
                     g = gcd(e, den)
                     return _of((e // g,), den // g, None)
@@ -245,7 +240,7 @@ class NovikovElement:
             prec = _min_prec(prec, pb + self.valuation)
         if pa is not None and pb is not None:
             prec = _min_prec(prec, pa + pb)
-        den = scale_lcm(da, db)
+        den = lcm(da, db)
         if den != da:
             a = [e * (den // da) for e in a]
         if den != db:
@@ -259,19 +254,6 @@ class NovikovElement:
             limit = ceil_over(prec, den)
             sym = [e for e in sym if e < limit]
         return _least(sorted(sym), den, prec)
-
-    def scale(self, exponent) -> "NovikovElement":
-        """Multiply by the monomial T^exponent."""
-        q = _frac(exponent)
-        den = scale_lcm(self._den, common_scale((q,)))
-        k, s = den // self._den, over(q, den)
-        prec = None if self._prec is None else self._prec + q
-        return _least([e * k + s for e in self._num], den, prec)
-
-    def truncate(self, precision) -> "NovikovElement":
-        prec = _min_prec(self._prec, _frac(precision))
-        num = self._num
-        return _least(num[:bisect_left(num, ceil_over(prec, self._den))], self._den, prec)
 
     def invert(self, precision) -> "NovikovElement":
         """Inverse b with self*b = 1 up to terms of exponent >= precision.

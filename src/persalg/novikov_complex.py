@@ -18,9 +18,9 @@ at a working precision; a ``PrecisionError`` is raised whenever a pivoting
 decision would depend on terms beyond that precision.
 
 A ``FloerComplex`` must not be mutated after construction: ``concise_barcode``
-keeps its result on the complex, one per working precision, so each complex
-is reduced once however many bar counts are read from it, and its lattice and
-entry keys are read once however many checks and reductions use them.
+keeps its result on the complex, so each complex is reduced once however many
+bar counts are read from it, and its lattice and entry keys are read once
+however many checks and reductions use them.
 """
 
 from __future__ import annotations
@@ -29,12 +29,13 @@ import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import itemgetter, le
 from typing import Sequence
 
 from . import gf2, jsonread, sparse
 from .filtered_complex import FilteredComplex, Gen, generators_and_edges
-from .lattice import common_scale, over, scale_lcm
+from .lattice import common_scale, over
 from .novikov import NOV_ONE, NovikovElement
 from .persistence import INF
 
@@ -95,8 +96,7 @@ class FloerComplex:
             i: {j: P for j, P in row.items() if P} for i, row in differential.items()
         }
         self.diff = {i: row for i, row in self.diff.items() if row}
-        # concise barcodes by working precision (None: automatic)
-        self._barcodes: dict[Fraction | None, ConciseBarcode] = {}
+        self._barcode: ConciseBarcode | None = None  # see concise_barcode
         self._lattice: _Lattice | None = None  # see _lattice
         if validate:
             self.validate()
@@ -162,8 +162,8 @@ def _lattice(C: FloerComplex) -> _Lattice:
     once and kept on C.  The normalized valuation nv is ``_val(P, D) +
     lev[i] - lev[j]`` over D."""
     if C._lattice is None:
-        D = scale_lcm(common_scale(g.level for g in C.gens),
-                      *{P.den for row in C.diff.values() for P in row.values()})
+        D = lcm(common_scale(g.level for g in C.gens),
+                *{P.den for row in C.diff.values() for P in row.values()})
         lev = [over(g.level, D) for g in C.gens]
         keys = [(_val(P, D) + lev[i] - lev[j], i, j)
                 for i, row in C.diff.items() for j, P in row.items()]
@@ -283,28 +283,27 @@ def reduce_floer(C: FloerComplex, working_precision=None) -> Reduction:
     return Reduction(C, pairs, sorted(alive), basis)
 
 
-def concise_barcode(C: FloerComplex, working_precision=None) -> ConciseBarcode:
-    """The concise barcode of C, kept on C per working precision (None:
-    automatic); a ``PrecisionError`` is raised again on every call."""
-    key = None if working_precision is None else Fraction(working_precision)
-    B = C._barcodes.get(key)
+def concise_barcode(C: FloerComplex) -> ConciseBarcode:
+    """The concise barcode of C at the automatic working precision, kept on
+    C; a ``PrecisionError`` is raised again on every call."""
+    B = C._barcode
     if B is not None:
         return B
-    red = reduce_floer(C, working_precision)
+    red = reduce_floer(C)
     finite = tuple(sorted((length, C.degree_of(aj)) for _, aj, length in red.pairs))
     inf_counts: dict[int, int] = {}
     for u in red.unpaired:
         d = C.degree_of(u)
         inf_counts[d] = inf_counts.get(d, 0) + 1
-    B = C._barcodes[key] = ConciseBarcode(finite, tuple(sorted(inf_counts.items())))
+    B = C._barcode = ConciseBarcode(finite, tuple(sorted(inf_counts.items())))
     return B
 
 
-def bar_count_at(C: FloerComplex, delta, working_precision=None) -> int:
+def bar_count_at(C: FloerComplex, delta) -> int:
     """#finite bars of length > delta plus all infinite bars."""
     if Fraction(delta) < 0:
         raise ValueError("delta must be nonnegative")
-    return concise_barcode(C, working_precision).bar_count(delta)
+    return concise_barcode(C).bar_count(delta)
 
 
 def counting_lemma_bound(C: FloerComplex) -> tuple[Fraction, Fraction]:

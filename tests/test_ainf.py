@@ -866,7 +866,8 @@ def _order_models():
 def test_enumeration_orders_match_recursive_references():
     """bar_tensors, hochschild_tensors and verify's key order are the
     depth-first orders of the recursive enumerators, on proper and permuted
-    object families, a K outside B, and n_max = 0."""
+    object families, a K outside B, and bar_tensors' n_max = 0, which
+    hochschild_tensors rejects."""
     from persalg.ainf import bar_tensors
     from persalg.hochschild import hochschild_tensors
 
@@ -879,9 +880,11 @@ def test_enumeration_orders_match_recursive_references():
                 for n in (0, 1, 2):
                     assert bar_tensors(A, B, K, n) == _bar_tensors_recursive(A, B, K, n), \
                         (M.name, B, K, n)
-            for n in (0, 1, 2, 3):
+            for n in (1, 2, 3):
                 assert hochschild_tensors(A, B, n) == \
                     _hochschild_tensors_recursive(A, B, n), (M.name, B, n)
+            with pytest.raises(ValueError, match="^n_max must be >= 1"):
+                hochschild_tensors(A, B, 0)
         keys = _composable_recursive(A, 3)
         assert [t for tuples in A.composable(sorted(A.gen_info), A._by_source, 3)
                 for t in tuples] == keys

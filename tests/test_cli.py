@@ -347,6 +347,24 @@ def test_morse_bad_arguments_exit_2(capsys, extra, name):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["certify", "--model", "sphere", "--h", "-1"], "h must be >= 0"),
+    (["model", "--model", "sphere", "--h", "-1"], "h must be >= 0"),
+    (["hochschild", "--model", "single", "--h", "-1"], "h must be >= 0"),
+    (["model", "--model", "single", "--max-arity", "0"], "max_arity must be >= 1"),
+    (["model", "--model", "single", "--max-arity", "-3"], "max_arity must be >= 1"),
+    (["hochschild", "--model", "single", "--n-max", "0"], "n_max must be >= 1"),
+    (["hochschild", "--model", "single", "--n-max", "-3"], "n_max must be >= 1"),
+])
+def test_model_arguments_outside_their_domain_exit_2(capsys, argv, message):
+    """A negative perturbation size and a check over no tuples are rejected,
+    not certified or passed."""
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {message}")
+
+
 E2 = {"modulus": 0,
       "generators": [{"name": "a", "degree": 0, "level": "0"},
                      {"name": "b", "degree": 1, "level": "1"}],

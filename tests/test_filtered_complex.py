@@ -408,12 +408,16 @@ def test_weighted_sandwich():
 
 def test_cohomological_flag():
     """The differential degree is +1 under the cohomological flag; barcodes
-    and cone-length come out the same as for the homological twin."""
+    and cone-length come out the same as for the homological twin, and the
+    hom complex of two cohomological complexes is cohomological."""
     C = e2(0, 2, degree_a=5, cohomological=True)
     assert C.d_degree == 1
     assert C.gens[1].degree == 4  # db = a with deg b = deg a - 1
     assert bars_of(C) == [(0, 2, 5)]
     assert cone_length(C, F(1, 2))[0] == 2
+    H = internal_hom(C, e2(1, 4, 3, "y", cohomological=True))
+    assert H.cohomological
+    H.validate()  # every hom differential entry raises the degree by 1
     with pytest.raises(ValueError):
         direct_sum(C, e2(0, 1))  # flags must agree across summands
 

@@ -5,7 +5,7 @@ from pathlib import Path
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from persalg.lattice import ceil_over, common_scale, over, scale_lcm
+from persalg.lattice import ceil_over, common_scale, over
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "persalg"
 
@@ -34,9 +34,6 @@ def test_common_scale_is_least_and_over_is_exact(qs):
     for q in qs:
         n = over(q, D)
         assert type(n) is int and n == q * D
-    # the least scale of all is the least multiple of each one's scale
-    L = scale_lcm(*(common_scale([q]) for q in qs))
-    assert type(L) is int and L == D
     for q in qs:
         for S in (1, 7, D, 2 * D):
             c = ceil_over(q, S)
@@ -49,21 +46,32 @@ def _trees():
         yield path.name, ast.parse(path.read_text())
 
 
+def _words(node) -> tuple[set[str], set[str]]:
+    """The bare names and the attribute names that the code under node
+    mentions."""
+    names, attrs = set(), set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            attrs.add(n.attr)
+    return names, attrs
+
+
 def _names(node) -> set[str]:
     """Every name and attribute that the code under node mentions."""
-    return ({n.id for n in ast.walk(node) if isinstance(n, ast.Name)} |
-            {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
+    return set().union(*_words(node))
 
 
 def test_lattice_is_the_only_rational_to_integer_conversion():
-    """math.lcm calls and .denominator reads belong to persalg.lattice."""
+    """.denominator reads belong to persalg.lattice.  The least common
+    multiple of integer scales is integer arithmetic, so math.lcm is not
+    such a conversion."""
     found = {}
     for name, tree in _trees():
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and node.attr == "denominator":
                 found.setdefault(name, []).append((node.lineno, ".denominator"))
-            if isinstance(node, ast.Call) and "lcm" in _names(node.func):
-                found.setdefault(name, []).append((node.lineno, "lcm"))
     assert set(found) == {"lattice.py"}, found
 
 
@@ -174,8 +182,6 @@ TEST_ONLY = {
                                  "test_retract_cone_length_bracket",
     "reach_gap": "oracle of reach_gap_floer: the Z2 reach gap R(w, f) -- "
                  "test_reach_gap_floer_matches_z2_reach_gap",
-    "oracle_sphere_slice": "the sphere's N circles cut slices of area 1/(2N) -- "
-                           "test_sphere_slice_oracle",
     "class_boundary_depth": "the Hochschild class [e_L] of the equator dies at depth 1/2 -- "
                             "test_boundary_depth_e_class",
     "fold_step": "small variation: folding at the mid level halves the variation -- "
@@ -205,40 +211,59 @@ def test_every_public_name_has_a_reader_or_a_claim():
     statements, the benchmark) and from TEST_ONLY, every public top-level
     function, class and method of src/ is reached; every TEST_ONLY name is
     defined in src/; and the program roots alone reach no TEST_ONLY name, so
-    no entry is stale.  A reached definition adds every name its body uses,
-    a class its methods' bodies too.  Names resolve by their bare word, so
-    the walk over-approximates: ``set().union`` reaches ``Barcode.union``."""
-    defs: dict[str, list] = {}
-    roots: set[str] = set()
+    no entry is stale.  A reached definition adds every name and attribute
+    its body uses, a class its methods' bodies too.  A top-level definition
+    is reached through a bare name or an attribute of its word, a method only
+    through an attribute, so a local variable cannot reach a method of the
+    same name.  Words still resolve without types, so the walk
+    over-approximates: ``set().union`` reaches ``Barcode.union``."""
+    tops: dict[str, list] = {}
+    methods: dict[str, list] = {}
+    names, attrs = set(), set()
+
+    def mention(node):
+        n, a = _words(node)
+        names.update(n)
+        attrs.update(a)
+
     for name, tree in _trees():
         for node in tree.body:
             if not isinstance(node, DEFS):
-                roots |= _names(node)
+                mention(node)
                 continue
-            defs.setdefault(node.name, []).append(node)
+            tops.setdefault(node.name, []).append(node)
             if isinstance(node, ast.ClassDef):
                 for m in node.body:
                     if isinstance(m, DEFS):
-                        defs.setdefault(m.name, []).append(m)
+                        methods.setdefault(m.name, []).append(m)
         if name == "cli.py":
-            roots |= _names(tree)
+            mention(tree)
     for path in sorted(PERFBENCH.glob("*.py")):
         if path.name != "test_perfbench.py":
-            roots |= _names(ast.parse(path.read_text()))
+            mention(ast.parse(path.read_text()))
 
-    def reach(start):
-        reached, todo = set(), list(start & defs.keys())
-        while todo:
-            f = todo.pop()
-            if f not in reached:
-                reached.add(f)
-                for node in defs[f]:
-                    todo.extend(_names(node) & defs.keys())
-        return reached
+    def reach(names, attrs) -> tuple[set[str], set[str]]:
+        """The top-level definitions and the methods reached from them."""
+        names, attrs = set(names), set(attrs)
+        got_tops, got_methods = set(), set()
+        while True:
+            new_tops = (names | attrs) & tops.keys() - got_tops
+            new_methods = attrs & methods.keys() - got_methods
+            if not new_tops and not new_methods:
+                return got_tops, got_methods
+            got_tops |= new_tops
+            got_methods |= new_methods
+            for node in ([n for f in new_tops for n in tops[f]] +
+                         [n for f in new_methods for n in methods[f]]):
+                n, a = _words(node)
+                names |= n
+                attrs |= a
 
-    unreached = {f for f in defs if not f.startswith("_")} - reach(roots | TEST_ONLY.keys())
+    got_tops, got_methods = reach(names | TEST_ONLY.keys(), attrs | TEST_ONLY.keys())
+    unreached = {f for f in tops.keys() - got_tops if not f.startswith("_")}
+    unreached |= {f for f in methods.keys() - got_methods if not f.startswith("_")}
     assert not unreached, f"public names with no reader and no TEST_ONLY claim: {sorted(unreached)}"
-    undefined = TEST_ONLY.keys() - defs.keys()
+    undefined = TEST_ONLY.keys() - tops.keys() - methods.keys()
     assert not undefined, f"TEST_ONLY names not defined in src/: {sorted(undefined)}"
-    stale = TEST_ONLY.keys() & reach(roots)
+    stale = TEST_ONLY.keys() & set().union(*reach(names, attrs))
     assert not stale, f"TEST_ONLY names the program reads: {sorted(stale)}"

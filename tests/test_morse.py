@@ -60,7 +60,7 @@ def test_infeasible_parameters():
         ({"circumference": 0.0}, "circumference"),
         ({"circumference": -1.0}, "circumference"),
         ({"K": float("nan")}, "K"), ({"delta": float("nan")}, "delta"),
-        ({"eta": float("inf")}, "eta"), ({"margin": 0.0}, "margin"),
+        ({"eta": float("inf")}, "eta"),
     ]:
         args = {"K": 1.0, "delta": 0.5, "eta": 0.01} | kwargs
         with pytest.raises(ValueError, match=f"^{name} must be"):
@@ -112,9 +112,9 @@ def test_torus_product():
     assert len(t.critical_points) >= 4
 
 
-def _scalar_teeth(K, delta, eta, L, n, margin=0.9):
+def _scalar_teeth(K, delta, eta, L, n):
     """build_1d's samples one at a time: the tooth formula on t = x mod w."""
-    M = max(1, math.ceil(L / (2.0 * margin * K)))
+    M = max(1, math.ceil(L / (2.0 * 0.9 * K)))
     w = L / M
     rho = min(eta / delta, w / 8.0)
     xs = np.arange(n) * (L / n)

@@ -21,7 +21,7 @@ elements = st.lists(exponents, max_size=6).map(NovikovElement.from_exponents)
 
 def test_char2_addition():
     t = NovikovElement.monomial(F(1, 2))
-    assert (t + t).is_zero()
+    assert not t + t
 
 
 def test_cancellation():
@@ -32,7 +32,7 @@ def test_cancellation():
 
 def test_additive_identity():
     f = series_odd_squares(200)
-    assert (f + NOV_ZERO.truncate(200)).exponents == f.exponents
+    assert (f + NovikovElement.zero(200)).exponents == f.exponents
 
 
 def test_squaring_char2():
@@ -65,7 +65,7 @@ def test_ring_axioms(a, b, c):
 @given(elements, elements)
 @settings(max_examples=150, deadline=None)
 def test_valuation_multiplicative(a, b):
-    if a.is_zero() or b.is_zero():
+    if not a or not b:
         return
     assert (a * b).valuation == a.valuation + b.valuation
 
@@ -115,7 +115,7 @@ def test_inversion_identity_precision_200():
 @given(elements, st.integers(min_value=5, max_value=24))
 @settings(max_examples=200, deadline=None)
 def test_invert_random(a, prec):
-    if a.is_zero():
+    if not a:
         return
     b = a.invert(prec)
     prod = a * b
@@ -261,8 +261,8 @@ def _oracle_mul(x, y):
 
 
 def test_arithmetic_against_set_oracle():
-    """Sums, products, scale and truncate (trusted constructor, exact fast
-    paths) equal a plain-set oracle and are canonical."""
+    """Sums and products (trusted constructor, exact fast paths) equal a
+    plain-set oracle and are canonical."""
     rng = random.Random(23)
 
     def rational(lo, hi, dmax):
@@ -293,12 +293,6 @@ def test_arithmetic_against_set_oracle():
         assert _canonical(x + y) == _oracle_add(sx, sy)
         assert _canonical(x * y) == _oracle_mul(sx, sy)
         assert _canonical(y * x) == _oracle_mul(sy, sx)
-        q = rational(-2, 2, 6)
-        p = sx[1]
-        assert _canonical(x.scale(q)) == ({e + q for e in sx[0]},
-                                          None if p is None else p + q)
-        p = q if sx[1] is None else min(sx[1], q)
-        assert _canonical(x.truncate(q)) == ({e for e in sx[0] if e < p}, p)
         if x:
             _canonical(x.invert(rational(0, 6, 4)))
 
@@ -340,9 +334,9 @@ def _routes(sp, q):
 @example((frozenset({F(1, 4)}), None), (frozenset({F(1, 4)}), None), F(1, 8), F(1, 2))
 @example((frozenset({F(1, 2), F(2, 3)}), F(5, 6)), (frozenset({F(1, 2)}), None), F(3, 8), F(0))
 def test_int_representation_against_fraction_sets(x, y, q, t):
-    """Sums, products, truncations and inverses on mixed denominators equal
-    plain-set Fraction arithmetic, exact and truncated; the same element
-    built by different routes compares and hashes equal."""
+    """Sums, products and inverses on mixed denominators equal plain-set
+    Fraction arithmetic, exact and truncated; the same element built by
+    different routes compares and hashes equal."""
     xs, ys = _routes(x, q), _routes(y, t)
     for r in xs[1:]:
         assert r == xs[0] and hash(r) == hash(xs[0])
@@ -352,8 +346,6 @@ def test_int_representation_against_fraction_sets(x, y, q, t):
     assert sa == (set(x[0]), x[1]) and sb == (set(y[0]), y[1])
     assert _canonical(a + b) == _oracle_add(sa, sb)
     assert _canonical(a * b) == _oracle_mul(sa, sb)
-    p = t if sa[1] is None else min(sa[1], t)
-    assert _canonical(a.truncate(t)) == ({e for e in sa[0] if e < p}, p)
     if a:
         exps, prec = _inverse_oracle(sorted(sa[0]), sa[1], abs(t) + 1)
         assert _canonical(a.invert(abs(t) + 1)) == (set(exps), prec)

@@ -479,19 +479,19 @@ def test_reduce_floer_precision_error():
 
 
 def test_concise_barcode_memo(monkeypatch):
-    """One reduction per complex and working precision; a PrecisionError is
-    never kept, so it is raised again on every call."""
-    C = precision_trap()
+    """One reduction per complex; a PrecisionError is never kept, so it is
+    raised again on every call."""
     calls = count_reduce_floer(monkeypatch)
+    trap = precision_trap()
     for _ in range(2):
         with pytest.raises(PrecisionError):
-            concise_barcode(C, 100)
-    B = concise_barcode(C, 4)
-    assert B.finite == ((F(0), 0),) and B.infinite == ((0, 1), (1, 1))
-    assert concise_barcode(C, F(4)) is B and bar_count_at(C, 0, 4) == 2
+            concise_barcode(trap)
+    assert len(calls) == 2
+    C = two_gen(N.monomial(2))
+    B = concise_barcode(C)
+    assert B.finite == ((F(7), 0),) and B.infinite == ()
+    assert concise_barcode(C) is B and bar_count_at(C, 0) == 1
     assert len(calls) == 3
-    assert concise_barcode(C, 5) == B and concise_barcode(C, 5) is not B
-    assert len(calls) == 4
 
 
 def test_reduce_floer_dehn_pairs():
